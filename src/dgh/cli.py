@@ -12,13 +12,13 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, env_cube_budget
+from .config import DEFAULT_MAX_CUBES, DEFAULT_MAX_MAPS, RunConfig
 from .digraph import INFINITY, pi0
 from .errors import BudgetExceeded, DghError, InputError
 from .homology import homology_summary, induced_homology_map, pi1_presentation
 from .homotopy import DdrWitness, an_tower, homotopy_classes, verify_ddr, verify_oddr
 from .intervals import Interval, enumerate_shrinkings
-from .io import load_assignment, load_cover, load_digraph, load_map
+from .io import load_assignment, load_cover, load_digraph, load_map, parse_vertex
 from .nerve import (
     check_rho_properties,
     kan_filler_report,
@@ -103,18 +103,6 @@ def _passed(report):
 # -- argument helpers --------------------------------------------------------------
 
 
-def parse_vertex(g, text):
-    if text in g._index:
-        return text
-    try:
-        num = int(text)
-    except ValueError:
-        num = None
-    if num is not None and num in g._index:
-        return num
-    raise InputError(f"unknown vertex {text!r}")
-
-
 def parse_vertices(g, text):
     return [parse_vertex(g, part) for part in text.split(",") if part]
 
@@ -178,7 +166,7 @@ def cmd_antower(args, cfg):
 def cmd_nerve(args, cfg):
     g = load_digraph(args.digraph)
     sign = -1 if args.sign == "-" else 1
-    x = nerve_levels(g, args.m, sign, args.maxdim, env_cube_budget(cfg.max_cubes))
+    x = nerve_levels(g, args.m, sign, args.maxdim, cfg.max_cubes)
     report = dict(x.counts())
     report["identity_violations"] = x.identity_violations()
     report["pass"] = not report["identity_violations"]
@@ -200,7 +188,7 @@ def cmd_nerve(args, cfg):
 
 def cmd_homology(args, cfg):
     g = load_digraph(args.digraph)
-    x = nerve_levels(g, args.nerve_m, 1, args.maxdim, env_cube_budget(cfg.max_cubes))
+    x = nerve_levels(g, args.nerve_m, 1, args.maxdim, cfg.max_cubes)
     summary = homology_summary(x)
     report = {
         "H": [grp.as_dict() for grp in summary["groups"]],
@@ -218,8 +206,7 @@ def cmd_homology(args, cfg):
 
 def cmd_pi1(args, cfg):
     g = load_digraph(args.digraph)
-    x = nerve_levels(g, args.nerve_m, 1, max(args.maxdim, 2),
-                     env_cube_budget(cfg.max_cubes))
+    x = nerve_levels(g, args.nerve_m, 1, max(args.maxdim, 2), cfg.max_cubes)
     base = _tuple_vertex(g, args.base)
     pres = pi1_presentation(x, base)
     reduced = pres.tietze_reduced()
@@ -235,8 +222,7 @@ def cmd_pi1(args, cfg):
 
 def cmd_compare(args, cfg):
     phi = load_map(args.map)
-    cm = nerve_functor_map(phi, args.nerve_m, 1, args.maxdim,
-                           env_cube_budget(cfg.max_cubes))
+    cm = nerve_functor_map(phi, args.nerve_m, 1, args.maxdim, cfg.max_cubes)
     degrees = {}
     all_iso = True
     for n in range(args.maxdim):
@@ -292,7 +278,7 @@ def cmd_check_cover(args, cfg):
     g = load_digraph(args.digraph)
     members = load_cover(args.cover)
     fam = SubdigraphFamily(g, members)
-    report = check_cover_union(g, fam, args.maxdim, env_cube_budget(cfg.max_cubes))
+    report = check_cover_union(g, fam, args.maxdim, cfg.max_cubes)
     report["nerve_faces"] = [list(f) for f in sorted(nerve_complex(fam).faces)]
     return report
 
@@ -301,14 +287,13 @@ def cmd_check_cover_equiv(args, cfg):
     phi = load_map(args.map)
     fam = SubdigraphFamily(phi.source, load_cover(args.cover))
     fam2 = SubdigraphFamily(phi.target, load_cover(args.cover_prime))
-    return check_cover_equivalence(phi, fam, fam2, args.maxdim,
-                                   env_cube_budget(cfg.max_cubes))
+    return check_cover_equivalence(phi, fam, fam2, args.maxdim, cfg.max_cubes)
 
 
 def cmd_nerve_theorem(args, cfg):
     g = load_digraph(args.digraph)
     fam = SubdigraphFamily(g, load_cover(args.cover))
-    return nerve_theorem_pipeline(g, fam, args.maxdim, env_cube_budget(cfg.max_cubes))
+    return nerve_theorem_pipeline(g, fam, args.maxdim, cfg.max_cubes)
 
 
 def cmd_check_covering(args, cfg):
@@ -362,8 +347,8 @@ def build_parser():
         allow_abbrev=False,
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--max-cubes", type=int, default=None)
-    parser.add_argument("--max-maps", type=int, default=None)
+    parser.add_argument("--max-cubes", type=int, default=DEFAULT_MAX_CUBES)
+    parser.add_argument("--max-maps", type=int, default=DEFAULT_MAX_MAPS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="vertex/arrow/component counts")
@@ -484,20 +469,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {}
-    if args.max_cubes:
-        overrides["max_cubes"] = args.max_cubes
-    if args.max_maps:
-        overrides["max_maps"] = args.max_maps
     try:
-        cfg = RunConfig(fmt=args.format, **overrides)
+        cfg = RunConfig(args.max_cubes, args.max_maps)
         report = args.func(args, cfg)
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"}), file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
-        return 2
     except DghError as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return 2

@@ -1,49 +1,26 @@
-"""Run configuration: budgets, truncation, output format."""
+"""Run configuration: the budgets, each defined once."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import InputError
 
-#: environment variable overriding the global cell budget (cubes), for CI
-BUDGET_ENV_VAR = "DGH_BUDGET"
-
+#: ceiling on the cubes of one truncated nerve, summed over its levels
 DEFAULT_MAX_CUBES = 10**6
+#: ceiling on the maps of one enumeration
 DEFAULT_MAX_MAPS = 10**5
-DEFAULT_MAX_MATRIX_DIM = 5000
-DEFAULT_TOP_DIM = 2
+#: ceiling on one side of a boundary matrix (arbitrary-precision entries
+#: make runtime the only concern)
+MAX_MATRIX_DIM = 20000
 
 
 @dataclass(frozen=True)
 class RunConfig:
     max_cubes: int = DEFAULT_MAX_CUBES
     max_maps: int = DEFAULT_MAX_MAPS
-    max_matrix_dim: int = DEFAULT_MAX_MATRIX_DIM
-    top_dim: int = DEFAULT_TOP_DIM
-    tower: str = "r"
-    fmt: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_cubes", "max_maps", "max_matrix_dim"):
+        for name in ("max_cubes", "max_maps"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
-        if not 0 <= self.top_dim <= 4:
-            raise InputError("the truncation dimension must lie in 0..4")
-        if self.fmt not in ("json", "text"):
-            raise InputError("format must be 'json' or 'text'")
-
-
-def env_cube_budget(default=DEFAULT_MAX_CUBES):
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{BUDGET_ENV_VAR} must be an integer") from None
-    if value <= 0:
-        raise InputError(f"{BUDGET_ENV_VAR} must be positive")
-    return value

@@ -36,16 +36,6 @@ def o_digraph():
     return g.induced(out_closure(g, boundary))
 
 
-def o_cover_members():
-    verts = o_digraph().vertices
-    return {
-        "rows01": tuple(v for v in verts if v[0] in (0, 1)),
-        "rows34": tuple(v for v in verts if v[0] in (3, 4)),
-        "cols01": tuple(v for v in verts if v[1] in (0, 1)),
-        "cols34": tuple(v for v in verts if v[1] in (3, 4)),
-    }
-
-
 def fan_out():
     """b -> a, b -> c: the 3-vertex out-fan."""
     return Digraph(["a", "b", "c"], [("b", "a"), ("b", "c")])

@@ -9,8 +9,8 @@ evaluated independently so their agreement can be tested.
 
 from __future__ import annotations
 
+from .config import DEFAULT_MAX_MAPS
 from .digraph import (
-    DEFAULT_MAP_BUDGET,
     Digraph,
     DigraphMap,
     distances_from,
@@ -23,6 +23,17 @@ from .nerve import cube_realization, horn_vertices
 from .intervals import standard_interval
 
 
+def _fibers(p):
+    fibers = {}
+    for v in p.source.vertices:
+        fibers.setdefault(p.assignment[v], []).append(v)
+    return fibers
+
+
+def _steps(g):
+    return set(g.arrows) | {(v, v) for v in g.vertices}
+
+
 def is_one_covering(p, with_witness=False):
     """Unique lifting of arrows-or-equality through each endpoint.
 
@@ -31,9 +42,7 @@ def is_one_covering(p, with_witness=False):
     hitting g at k.
     """
     g, h = p.source, p.target
-    fibers = {}
-    for v in g.vertices:
-        fibers.setdefault(p.assignment[v], []).append(v)
+    fibers = _fibers(p)
     for v in g.vertices:
         pv = p.assignment[v]
         # k = 0: arrows-or-equality pv -> h2, lift must start at v
@@ -126,9 +135,7 @@ def is_l_covering(p, l, full_report=False):
             if not cond3:
                 break
 
-    fibers = {}
-    for v in g.vertices:
-        fibers.setdefault(p.assignment[v], []).append(v)
+    fibers = _fibers(p)
     cond4 = True
     dist_h = {v: distances_from(h, v) for v in h.vertices}
     for a in h.vertices:
@@ -297,50 +304,81 @@ def _weakly_connected(d):
     return len(pi0(d)) <= 1
 
 
-def _spread_lift(p, fibers, d, tau, x0, y0):
-    """The unique candidate lift of tau: d -> target through y0 at x0,
-    spread along weak adjacency by one-arrow lifting; None when it breaks.
+def _spread_plan(d, root, position):
+    """How to spread a lift over the weakly connected digraph d from root.
 
-    Sound as a *unique* candidate only over a verified 1-covering and a
-    weakly connected d; callers enforce both.
+    Returns (schedule, arrows) with every vertex given by `position`, its
+    place in the base-map tuples: schedule lists (v, u, forward) in
+    breadth-first order over weak adjacency, once for each vertex v other
+    than root, where u is placed before v and forward says the arrow runs
+    u -> v; arrows lists every arrow of d.
     """
-    values = {x0: y0}
-    frontier = [x0]
-    g = p.source
+    schedule = []
+    seen = {root}
+    frontier = [root]
     while frontier:
         nxt = []
         for u in frontier:
-            gu = values[u]
-            for v in d.successors(u):
-                if v in values:
-                    continue
-                cand = [
-                    w for w in fibers.get(tau[v], []) if g.is_arrow(gu, w)
-                ]
-                if len(cand) != 1:
-                    return None
-                values[v] = cand[0]
-                nxt.append(v)
-            for v in d.predecessors(u):
-                if v in values:
-                    continue
-                cand = [
-                    w for w in fibers.get(tau[v], []) if g.is_arrow(w, gu)
-                ]
-                if len(cand) != 1:
-                    return None
-                values[v] = cand[0]
-                nxt.append(v)
+            neighbours = [(v, True) for v in d.successors(u)]
+            neighbours += [(v, False) for v in d.predecessors(u)]
+            for v, forward in neighbours:
+                if v not in seen:
+                    seen.add(v)
+                    schedule.append((position[v], position[u], forward))
+                    nxt.append(v)
         frontier = nxt
-    if len(values) != len(d.vertices):
+    return schedule, [(position[u], position[v]) for u, v in d.arrows]
+
+
+def _step_lifts(p):
+    """(x, y, forward) -> the one vertex w over y with an arrow or equality
+    x -> w (forward) or w -> x (backward), for every x and y that have
+    exactly one such w."""
+    g = p.source
+    table = {}
+    for x in g.vertices:
+        for forward, neighbours in (
+            (True, g.successors(x)),
+            (False, g.predecessors(x)),
+        ):
+            over = {}
+            for w in (x, *neighbours):
+                over.setdefault(p.assignment[w], []).append(w)
+            for y, ws in over.items():
+                if len(ws) == 1:
+                    table[x, y, forward] = ws[0]
+    return table
+
+
+def _spread(plan, lifts, steps, beta, root, anchor):
+    """The lift of the base map `beta` (a tuple) through `anchor` at
+    position `root`, as a list by position; None when it breaks.
+
+    Each scheduled vertex takes the one vertex of its fiber that is one
+    step from its placed neighbour (`lifts`, from `_step_lifts`), and the
+    result must then preserve every arrow (`steps`: the arrow-or-equality
+    pairs of the source).
+
+    The spread order does not matter.  Any lift through `anchor` gives each
+    vertex a value in its fiber one step from the value of its placed
+    neighbour, and over a verified 1-covering at most one fiber vertex is
+    that step away.  So every lift agrees with the spread, in any spanning
+    order: the lift is the result, or there is none.
+    """
+    schedule, arrows = plan
+    lift = [None] * len(beta)
+    lift[root] = anchor
+    try:
+        for v, u, forward in schedule:
+            lift[v] = lifts[lift[u], beta[v], forward]
+    except KeyError:
         return None
-    for u, v in d.arrows:
-        if not g.is_arrow(values[u], values[v]):
-            return None
-    return values
+    if all((lift[u], lift[v]) in steps for u, v in arrows):
+        return lift
+    return None
 
 
-def check_unique_lifting(p, a, b, budget=DEFAULT_MAP_BUDGET, skip_hypotheses=False,
+def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS, skip_hypotheses=False,
                          method="auto"):
     """Enumerate all commutative squares (maps b -> target together with
     compatible partial lifts on a) and verify exactly one diagonal exists.
@@ -366,9 +404,7 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAP_BUDGET, skip_hypotheses=Fal
                 raise HypothesesFail(failed)
     report = {"squares": 0, "unique": True, "pass": True}
     g = p.source
-    fibers = {}
-    for v in g.vertices:
-        fibers.setdefault(p.assignment[v], []).append(v)
+    fibers = _fibers(p)
     fast = (
         method != "brute"
         and a.vertices
@@ -377,16 +413,18 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAP_BUDGET, skip_hypotheses=Fal
         and _weakly_connected(b)
     )
     a0 = a.vertices[0] if a.vertices else None
+    if fast:
+        lifts, steps = _step_lifts(p), _steps(g)
+        root = b.index(a0)
+        plan_a = _spread_plan(a, a0, b._index)
+        plan_b = _spread_plan(b, a0, b._index)
     for beta_images in enumerate_digraph_maps(b, p.target, budget=budget):
-        beta = dict(zip(b.vertices, beta_images))
         if fast:
-            for anchor in fibers.get(beta[a0], []):
-                alpha = _spread_lift(p, fibers, a, beta, a0, anchor)
-                if alpha is None:
+            for anchor in fibers.get(beta_images[root], []):
+                if _spread(plan_a, lifts, steps, beta_images, root, anchor) is None:
                     continue
                 report["squares"] += 1
-                gamma = _spread_lift(p, fibers, b, beta, a0, anchor)
-                if gamma is None:
+                if _spread(plan_b, lifts, steps, beta_images, root, anchor) is None:
                     report["unique"] = False
                     report["pass"] = False
                     report["witness"] = {
@@ -396,6 +434,7 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAP_BUDGET, skip_hypotheses=Fal
                     }
                     return report
         else:
+            beta = dict(zip(b.vertices, beta_images))
             restricted = {v: beta[v] for v in a.vertices}
             seen_alphas = []
             for anchor in (fibers.get(beta[a0], []) if a.vertices else [None]):
@@ -450,129 +489,41 @@ def check_unique_lifting_all_horns(p, side, n, budget=10**7):
         raise InputError("the shared-anchor route needs a verified 1-covering")
     cube = cube_realization(standard_interval(side), n)
     horn_list = [(i, eps) for i in range(1, n + 1) for eps in (0, 1)]
-    g, h = p.source, p.target
-    gi = {v: k for k, v in enumerate(g.vertices)}
-    hi = {v: k for k, v in enumerate(h.vertices)}
-    ok_pairs = {(gi[u], gi[v]) for (u, v) in g.arrows}
-    ok_pairs.update((k, k) for k in range(len(g.vertices)))
-    fibers = [[] for _ in h.vertices]
-    for v in g.vertices:
-        fibers[hi[p.assignment[v]]].append(gi[v])
-    nb = len(cube.vertices)
-    cube_idx = {v: k for k, v in enumerate(cube.vertices)}
-    arrows_b = [(cube_idx[u], cube_idx[v]) for (u, v) in cube.sorted_arrows()]
-    # breadth-first spread schedule from the origin over weak adjacency
-    adjacency = [[] for _ in range(nb)]
-    for u, v in arrows_b:
-        adjacency[u].append((v, True))
-        adjacency[v].append((u, False))
-    schedule = []  # (vertex, known neighbour, arrow goes known -> vertex)
-    seen = [False] * nb
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, fwd in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    schedule.append((v, u, fwd))
-                    nxt.append(v)
-        frontier = nxt
-    horn_positions = {
-        key: [cube_idx[v] for v in horn_vertices(side, n, *key)]
+    fibers = _fibers(p)
+    lifts, steps = _step_lifts(p), _steps(p.source)
+    origin = cube.vertices[0]
+    cube_plan = _spread_plan(cube, origin, cube._index)
+    horn_plans = {
+        key: _spread_plan(
+            cube.induced(horn_vertices(side, n, *key)), origin, cube._index
+        )
         for key in horn_list
-    }
-    horn_members = {
-        key: frozenset(pos) for key, pos in horn_positions.items()
     }
     reports = {
         key: {"squares": 0, "unique": True, "pass": True} for key in horn_list
     }
-    gamma = [None] * nb
-    for beta in iter_digraph_maps(cube, h, budget=budget):
-        bi = [hi[x] for x in beta]
-        for anchor in fibers[bi[0]]:
-            gamma[0] = anchor
-            valid = True
-            for v, u, fwd in schedule:
-                fiber = fibers[bi[v]]
-                gu = gamma[u]
-                found = None
-                for w in fiber:
-                    pair = (gu, w) if fwd else (w, gu)
-                    if pair in ok_pairs:
-                        if found is not None:
-                            found = None
-                            break
-                        found = w
-                if found is None:
-                    valid = False
-                    break
-                gamma[v] = found
-            if valid:
-                for u, v in arrows_b:
-                    if (gamma[u], gamma[v]) not in ok_pairs:
-                        valid = False
-                        break
-            if valid:
+    for beta in iter_digraph_maps(cube, p.target, budget=budget):
+        for anchor in fibers.get(beta[0], []):
+            if _spread(cube_plan, lifts, steps, beta, 0, anchor) is not None:
                 for key in horn_list:
                     reports[key]["squares"] += 1
-            else:
-                # a horn with a valid restricted square has a lift-less square
-                for key in horn_list:
-                    alpha = _spread_on_positions(
-                        p, fibers, bi, horn_positions[key], horn_members[key],
-                        adjacency, ok_pairs, anchor,
+                continue
+            # a horn with a valid restricted square has a lift-less square
+            for key in horn_list:
+                if _spread(horn_plans[key], lifts, steps, beta, 0, anchor) is not None:
+                    reports[key]["squares"] += 1
+                    reports[key]["unique"] = False
+                    reports[key]["pass"] = False
+                    reports[key].setdefault(
+                        "witness",
+                        {"beta": [repr(x) for x in beta], "anchor": repr(anchor)},
                     )
-                    if alpha is not None:
-                        reports[key]["squares"] += 1
-                        reports[key]["unique"] = False
-                        reports[key]["pass"] = False
-                        reports[key].setdefault(
-                            "witness",
-                            {"beta": [repr(x) for x in beta], "anchor": repr(anchor)},
-                        )
     return {
         "side": side,
         "n": n,
         "horns": {f"{i},{eps}": reports[(i, eps)] for (i, eps) in horn_list},
         "pass": all(r["pass"] for r in reports.values()),
     }
-
-
-def _spread_on_positions(p, fibers, bi, positions, members, adjacency, ok_pairs, anchor):
-    """Spread a lift over a subset of cube positions (weakly connected,
-    containing position 0); None when it breaks."""
-    values = {0: anchor}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            gu = values[u]
-            for v, fwd in adjacency[u]:
-                if v not in members or v in values:
-                    continue
-                found = None
-                for w in fibers[bi[v]]:
-                    pair = (gu, w) if fwd else (w, gu)
-                    if pair in ok_pairs:
-                        if found is not None:
-                            return None
-                        found = w
-                if found is None:
-                    return None
-                values[v] = found
-                nxt.append(v)
-        frontier = nxt
-    if len(values) != len(positions):
-        return None
-    for u in positions:
-        for v, fwd in adjacency[u]:
-            if v in values and fwd:
-                if (values[u], values[v]) not in ok_pairs:
-                    return None
-    return values
 
 
 def slab_filtration(side, n, i, eps):

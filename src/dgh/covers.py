@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from .config import DEFAULT_MAX_CUBES
 from .digraph import DigraphMap, pi0, pushout_along_induced_inclusion
 from .errors import (
     IndexMismatch,
@@ -115,13 +116,6 @@ class NerveComplex:
                 for sub in combinations(f, k):
                     assert sub in self.faces, "nerve faces must be downward closed"
 
-    def maximal_faces(self):
-        out = []
-        for f in sorted(self.faces):
-            if not any(set(f) < set(g) for g in self.faces):
-                out.append(f)
-        return out
-
     def homology(self, top_dim=None, reduced=False):
         if not self.faces:
             from .homology import ChainComplex, homology as _h
@@ -155,7 +149,7 @@ def nerve_complex(family):
 # -- cube coverage -------------------------------------------------------------
 
 
-def check_cover_union(g, family, top_dim=2, budget=None):
+def check_cover_union(g, family, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Every cube of the truncated nerve must land inside some member.
 
     The probe is the box power of the one-arrow interval, whose maps are
@@ -163,11 +157,8 @@ def check_cover_union(g, family, top_dim=2, budget=None):
     theorem, so a witness can only appear when some member is not closed
     (reported), or the family is not a cover (raised).
     """
-    from .nerve import DEFAULT_CUBE_BUDGET
-
     if not family.covers_vertices():
         raise NotACover("the members do not cover the vertex set")
-    budget = budget or DEFAULT_CUBE_BUDGET
     report = {
         "members": {
             name: {
@@ -220,22 +211,19 @@ def _contractibility_evidence(g, subset, top_dim, budget):
     }
 
 
-def nerve_theorem_pipeline(g, family, top_dim=2, budget=None):
+def nerve_theorem_pipeline(g, family, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Contractibility evidence per nerve face, then compare the homology
     of the cover's nerve complex with the nerve homology of the digraph.
 
     The comparison is only meaningful for a uniformly closed cover, so a
     family mixing strictly-in-closed with strictly-out-closed members is
     rejected."""
-    from .nerve import DEFAULT_CUBE_BUDGET
-
     if not family.covers_vertices():
         raise NotACover("the members do not cover the vertex set")
     if not (all(family.in_closed.values()) or all(family.out_closed.values())):
         raise MixedClosedness(
             "the members are neither all in-closed nor all out-closed"
         )
-    budget = budget or DEFAULT_CUBE_BUDGET
     ner = nerve_complex(family)
     faces = sorted(ner.faces)
     report = {
@@ -279,12 +267,9 @@ def nerve_theorem_pipeline(g, family, top_dim=2, budget=None):
     return report
 
 
-def check_union_pushout(g, part_a, part_b, top_dim=2, budget=None):
+def check_union_pushout(g, part_a, part_b, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Level-wise amalgamation: the nerve cube sets of g must be exactly the
     union of the two sub-nerves over the intersection sub-nerve."""
-    from .nerve import DEFAULT_CUBE_BUDGET
-
-    budget = budget or DEFAULT_CUBE_BUDGET
     sa, sb = set(part_a), set(part_b)
     if not is_in_closed(g, sa) or not is_in_closed(g, sb):
         raise NotInClosed("both parts must be in-closed")
@@ -321,12 +306,11 @@ def check_union_pushout(g, part_a, part_b, top_dim=2, budget=None):
     return report
 
 
-def check_cover_equivalence(phi, family, family_prime, top_dim=2, budget=None):
+def check_cover_equivalence(
+    phi, family, family_prime, top_dim=2, budget=DEFAULT_MAX_CUBES
+):
     """Per-face homology comparison through a map of covers, plus the global
     induced map on nerve homology."""
-    from .nerve import DEFAULT_CUBE_BUDGET
-
-    budget = budget or DEFAULT_CUBE_BUDGET
     if set(family.names) != set(family_prime.names):
         raise IndexMismatch("covers must share their member names")
     for name in family.names:
@@ -380,12 +364,9 @@ def _nerve_map(phi, top_dim, budget):
     return nerve_functor_map(phi, 1, 1, top_dim, budget)
 
 
-def pushout_closure_identity(g, part, phi, top_dim=2, budget=None):
+def pushout_closure_identity(g, part, phi, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Out-closures commute with pushouts along in-closed parts, and the
     nerve square of the two closures amalgamates level-wise."""
-    from .nerve import DEFAULT_CUBE_BUDGET
-
-    budget = budget or DEFAULT_CUBE_BUDGET
     part = tuple(part)
     if not is_in_closed(g, part):
         raise NotInClosed("the glued part must be in-closed")

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
+from operator import contains
 
+from .config import DEFAULT_MAX_MAPS
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -28,9 +30,6 @@ from .errors import (
 )
 
 INFINITY = float("inf")
-
-#: Default ceiling for map enumerations (overridable per call).
-DEFAULT_MAP_BUDGET = 10**5
 
 
 class Digraph:
@@ -94,9 +93,6 @@ class Digraph:
             return self._index[v]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v!r}") from None
-
-    def has_vertex(self, v):
-        return v in self._index
 
     def is_arrow(self, u, v):
         """Arrow-or-equality query; degenerate arrows answer True."""
@@ -203,10 +199,6 @@ class DigraphMap:
     def image_tuple(self):
         return tuple(self.assignment[v] for v in self.source.vertices)
 
-    def image_vertices(self):
-        seen = set(self.assignment.values())
-        return tuple(v for v in self.target.vertices if v in seen)
-
     def compose(self, other):
         """self after other (other first, then self)."""
         if other.target is not self.source and other.target != self.source:
@@ -245,9 +237,6 @@ class DigraphPair:
             if v not in ambient._index:
                 raise UnknownVertex(f"unknown vertex {v!r}")
         self.part = tuple(v for v in ambient.vertices if v in chosen)
-
-    def part_digraph(self):
-        return self.ambient.induced(self.part)
 
     def __eq__(self, other):
         return (
@@ -295,7 +284,7 @@ def pair_box_product(p, q):
     return DigraphPair(amb, part)
 
 
-def iter_digraph_maps(source, target, budget=DEFAULT_MAP_BUDGET, pinned=None):
+def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
     """Yield all digraph maps source -> target as image tuples.
 
     Backtracks over source vertices in input order with arrow-consistency
@@ -365,33 +354,46 @@ def iter_digraph_maps(source, target, budget=DEFAULT_MAP_BUDGET, pinned=None):
             stack.pop()
 
 
-def enumerate_digraph_maps(source, target, budget=DEFAULT_MAP_BUDGET, pinned=None):
+def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
     """Materialized form of `iter_digraph_maps`."""
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
-def one_step_arrow(source, target, images_a, images_b, rel_positions=()):
-    """Arrow test in the (relative) box hom on raw image tuples."""
+def _next_images(target, images, rel_positions=()):
+    """Per source position, the images one box-hom step after `images` may
+    take: the image itself or one of its successors, and only the image
+    itself at a pinned position."""
+    allowed = [{x, *target.successors(x)} for x in images]
     for p in rel_positions:
-        if images_a[p] != images_b[p]:
-            return False
-    for a, b in zip(images_a, images_b):
-        if a != b and (a, b) not in target.arrows:
-            return False
-    return True
+        allowed[p] = {images[p]}
+    return allowed
 
 
-def box_hom(g, h, vertex_budget=DEFAULT_MAP_BUDGET):
+def one_step_arrow(target, images_a, images_b, rel_positions=()):
+    """Arrow test in the (relative) box hom on raw image tuples."""
+    return all(map(contains, _next_images(target, images_a, rel_positions), images_b))
+
+
+def one_step_pairs(target, maps, rel_positions=()):
+    """All index pairs (a, b), a != b, with an arrow maps[a] -> maps[b] in
+    the box hom into `target`, relative to the pinned `rel_positions`."""
+    pairs = []
+    for a, images_a in enumerate(maps):
+        allowed = _next_images(target, images_a, rel_positions)
+        pairs.extend(
+            (a, b)
+            for b, images_b in enumerate(maps)
+            if a != b and all(map(contains, allowed, images_b))
+        )
+    return pairs
+
+
+def box_hom(g, h, vertex_budget=DEFAULT_MAX_MAPS):
     """Box hom digraph: vertices are digraph maps g -> h (as image tuples),
     with an arrow f -> f' when every vertex admits an arrow f(x) -> f'(x).
     """
     maps = enumerate_digraph_maps(g, h, budget=vertex_budget)
-    arrows = []
-    for a in maps:
-        for b in maps:
-            if a != b and one_step_arrow(g, h, a, b):
-                arrows.append((a, b))
-    return Digraph(maps, arrows)
+    return Digraph(maps, [(maps[a], maps[b]) for a, b in one_step_pairs(h, maps)])
 
 
 def pair_box_hom(p, q):
@@ -404,12 +406,8 @@ def pair_box_hom(p, q):
     pinned = {v: q.part for v in p.part}
     maps = enumerate_digraph_maps(p.ambient, q.ambient, pinned=pinned)
     rel_positions = [p.ambient.index(v) for v in p.part]
-    arrows = []
-    for a in maps:
-        for b in maps:
-            if a != b and one_step_arrow(p.ambient, q.ambient, a, b, rel_positions):
-                arrows.append((a, b))
-    amb = Digraph(maps, arrows)
+    pairs = one_step_pairs(q.ambient, maps, rel_positions)
+    amb = Digraph(maps, [(maps[a], maps[b]) for a, b in pairs])
     part_set = set(q.part)
     part = [t for t in maps if all(x in part_set for x in t)]
     return DigraphPair(amb, part)

@@ -10,7 +10,8 @@ and is flagged as such everywhere.
 
 from __future__ import annotations
 
-from .errors import InputError, NotChainMap, NotConnected
+from .config import MAX_MATRIX_DIM
+from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
     identity,
     invariant_factors,
@@ -50,23 +51,13 @@ class ChainComplex:
         return self.boundaries[n]
 
 
-#: ceiling on one side of a boundary matrix (arbitrary-precision entries
-#: make runtime the only concern)
-MAX_MATRIX_DIM = 20000
-
-
 def normalized_chain_complex(x, max_dim=MAX_MATRIX_DIM):
     """Chain complex on nondegenerate cubes; also returns the per-degree
     basis (cube indices) used to express induced maps."""
-    if x.identity_violations():
-        from .errors import InvalidCubicalSet
-
-        raise InvalidCubicalSet("structure tables violate a cubical identity")
+    x.validate_identities()
     if any(
         sum(1 for f in flags if f) > max_dim for flags in x.nondegenerate
     ):
-        from .errors import BudgetExceeded
-
         raise BudgetExceeded(f"a chain group exceeds {max_dim} generators")
     bases = [x.nondegenerate_cubes(n) for n in range(x.top_dim + 1)]
     basis_pos = [

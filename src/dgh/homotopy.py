@@ -9,15 +9,17 @@ maps pointwise on a chosen part of the source.
 
 from __future__ import annotations
 
+from .config import DEFAULT_MAX_MAPS
 from .digraph import (
-    DEFAULT_MAP_BUDGET,
     Digraph,
     DigraphMap,
     INFINITY,
+    box_hom,
     distance,
     distances_from,
     enumerate_digraph_maps,
     one_step_arrow,
+    one_step_pairs,
 )
 from .errors import BadIndex, InputError, NotInClosed
 from .intervals import BASEPOINT, TowerSpec, sphere_digraph, standard_interval
@@ -44,11 +46,8 @@ def one_step_homotopy(phi, psi, rel_part=()):
     """Is there an arrow phi -> psi in the (relative) box hom?"""
     if phi.source != psi.source or phi.target != psi.target:
         raise InputError("one-step homotopy needs a parallel pair of maps")
-    src = phi.source
-    positions = [src.index(v) for v in rel_part]
-    return one_step_arrow(
-        src, phi.target, phi.image_tuple(), psi.image_tuple(), positions
-    )
+    positions = [phi.source.index(v) for v in rel_part]
+    return one_step_arrow(phi.target, phi.image_tuple(), psi.image_tuple(), positions)
 
 
 class HomotopyClasses:
@@ -56,7 +55,7 @@ class HomotopyClasses:
 
     maps     : image tuples in source vertex order, lexicographic
     class_of : map index -> class index (classes numbered by least member)
-    edges    : the one-step pairs found (symmetric closure generators)
+    edges    : the one-step index pairs (a, b), an arrow maps[a] -> maps[b]
     """
 
     def __init__(self, source, target, maps, class_of, edges, rel_positions):
@@ -90,25 +89,20 @@ def homotopy_classes(
     target,
     rel_part=(),
     target_part=None,
-    budget=DEFAULT_MAP_BUDGET,
+    budget=DEFAULT_MAX_MAPS,
 ):
-    """Union-find over the symmetric closure of one-step arrows among all
-    enumerated maps (optionally restricted to maps sending rel_part into
-    target_part, with homotopies fixed pointwise on rel_part)."""
+    """Union-find over the one-step arrows among all enumerated maps
+    (optionally restricted to maps sending rel_part into target_part, with
+    homotopies fixed pointwise on rel_part)."""
     pinned = None
     if target_part is not None:
         pinned = {v: tuple(target_part) for v in rel_part}
     maps = enumerate_digraph_maps(source, target, budget=budget, pinned=pinned)
     rel_positions = tuple(source.index(v) for v in rel_part)
     uf = UnionFind(len(maps))
-    edges = []
-    for a in range(len(maps)):
-        for b in range(a + 1, len(maps)):
-            if one_step_arrow(
-                source, target, maps[a], maps[b], rel_positions
-            ) or one_step_arrow(source, target, maps[b], maps[a], rel_positions):
-                uf.union(a, b)
-                edges.append((a, b))
+    edges = one_step_pairs(target, maps, rel_positions)
+    for a, b in edges:
+        uf.union(a, b)
     roots = {}
     class_of = []
     for k in range(len(maps)):
@@ -166,7 +160,7 @@ def _boundary_part(cube, side):
     return [v for v in cube.vertices if any(c in (0, side) for c in v)]
 
 
-def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAP_BUDGET):
+def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
     """Stage s holds pointed relative classes of maps from the n-fold box
     power of the stage interval (boundary pinned to the basepoint); the
     transition to stage s+1 precomposes with the tower shrinking's power.
@@ -223,41 +217,27 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAP_BUDGET):
 # -- path and loop stages ------------------------------------------------------
 
 
-def path_stage(g, m, sign=1, budget=DEFAULT_MAP_BUDGET):
+def path_stage(g, m, sign=1, budget=DEFAULT_MAX_MAPS):
     """The box hom from the standard m-interval with both endpoint
     evaluations; stage 0 is g itself with identity evaluations."""
-    interval = standard_interval(m, sign)
-    line = interval.to_digraph()
-    maps = enumerate_digraph_maps(line, g, budget=budget)
-    arrows = []
-    for a in maps:
-        for b in maps:
-            if a != b and one_step_arrow(line, g, a, b):
-                arrows.append((a, b))
-    paths = Digraph(maps, arrows)
-    p0 = DigraphMap(paths, g, {t: t[0] for t in maps}, _trusted=True)
-    p1 = DigraphMap(paths, g, {t: t[-1] for t in maps}, _trusted=True)
+    paths = box_hom(standard_interval(m, sign).to_digraph(), g, budget)
+    p0 = DigraphMap(paths, g, {t: t[0] for t in paths.vertices}, _trusted=True)
+    p1 = DigraphMap(paths, g, {t: t[-1] for t in paths.vertices}, _trusted=True)
     return paths, p0, p1
 
 
-def loop_stage(g, base, m, sign=1, budget=DEFAULT_MAP_BUDGET):
+def loop_stage(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
     """Pointed maps from the stage-m circle (boundary-collapsed interval
     power) into (g, base), with one-step arrows."""
-    circle = sphere_digraph(standard_interval(m, sign), 1)
-    amb = circle.ambient
+    amb = sphere_digraph(standard_interval(m, sign), 1).ambient
     maps = enumerate_digraph_maps(
         amb, g, budget=budget, pinned={BASEPOINT: (base,)}
     )
-    rel = (amb.index(BASEPOINT),)
-    arrows = []
-    for a in maps:
-        for b in maps:
-            if a != b and one_step_arrow(amb, g, a, b, rel):
-                arrows.append((a, b))
-    return Digraph(maps, arrows)
+    pairs = one_step_pairs(g, maps, (amb.index(BASEPOINT),))
+    return Digraph(maps, [(maps[a], maps[b]) for a, b in pairs])
 
 
-def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAP_BUDGET):
+def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
     """Exact finite-stage check that the loop stage is the pullback of the
     endpoint evaluations against the basepoint inclusion.
 

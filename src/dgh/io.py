@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from .digraph import Digraph, DigraphMap
-from .errors import InputError
+from .errors import InputError, UnknownVertex
 
 
 def _load_json(path):
@@ -19,28 +19,40 @@ def _load_json(path):
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _is_label(value):
+    # bool is a subclass of int, but true/false are not vertex labels
+    return type(value) in (str, int)
+
+
+def parse_vertex(g, label):
+    """The vertex of g that `label` names: the label itself, or the integer
+    a string label spells (command-line arguments and JSON object keys are
+    always strings)."""
+    if _is_label(label) and label in g:
+        return label
+    if isinstance(label, str):
+        try:
+            number = int(label)
+        except ValueError:
+            number = None
+        if number is not None and number in g:
+            return number
+    raise UnknownVertex(f"unknown vertex {label!r}")
+
+
 def load_digraph(path):
     """{"vertices": ["a", ...], "arrows": [["a","b"], ...]}"""
     data = _load_json(path)
-    if not isinstance(data, dict) or "vertices" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise InputError(f"{path}: expected an object with a 'vertices' list")
+    if not all(_is_label(v) for v in data["vertices"]):
+        raise InputError(f"{path}: vertex labels must be strings or integers")
     arrows = data.get("arrows", [])
-    if not all(isinstance(a, list) and len(a) == 2 for a in arrows):
-        raise InputError(f"{path}: arrows must be two-element lists")
+    if not isinstance(arrows, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(map(_is_label, a)) for a in arrows
+    ):
+        raise InputError(f"{path}: arrows must be two-element lists of labels")
     return Digraph(data["vertices"], (tuple(a) for a in arrows))
-
-
-def digraph_to_dict(g):
-    return {
-        "vertices": list(g.vertices),
-        "arrows": [list(a) for a in g.sorted_arrows()],
-    }
-
-
-def save_digraph(g, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(digraph_to_dict(g), fh, sort_keys=True)
-        fh.write("\n")
 
 
 def load_map(path):
@@ -55,7 +67,15 @@ def load_map(path):
     base = Path(path).parent
     source = load_digraph(base / data["source"])
     target = load_digraph(base / data["target"])
-    return DigraphMap(source, target, data["assignment"])
+    if not isinstance(data["assignment"], dict):
+        raise InputError(f"{path}: 'assignment' must be an object")
+    assignment = {
+        parse_vertex(source, k): parse_vertex(target, v)
+        for k, v in data["assignment"].items()
+    }
+    if len(assignment) != len(data["assignment"]):
+        raise InputError(f"{path}: the assignment names a vertex twice")
+    return DigraphMap(source, target, assignment)
 
 
 def load_cover(path):

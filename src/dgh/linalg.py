@@ -7,8 +7,6 @@ can grow, which is why this is integer arithmetic and not floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def zeros(r, c):
     return [[0] * c for _ in range(r)]
@@ -48,30 +46,6 @@ def transpose(a):
 
 def copy_matrix(a):
     return [list(row) for row in a]
-
-
-def determinant(a):
-    """Fraction-free Gaussian elimination; exact for integer matrices."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def smith_normal_form(a):

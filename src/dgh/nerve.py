@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from itertools import product
 
+from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap, enumerate_digraph_maps
 from .errors import BadIndex, BudgetExceeded, InvalidCubicalSet, ParityError
 from .intervals import standard_interval
-
-DEFAULT_CUBE_BUDGET = 10**6
 
 
 # -- realizations ---------------------------------------------------------
@@ -171,9 +170,6 @@ class TruncatedCubicalSet:
                 flags[n][k] = False
         return flags
 
-    def n_cubes(self, n):
-        return len(self.cubes[n])
-
     def nondegenerate_cubes(self, n):
         return [k for k, f in enumerate(self.nondegenerate[n]) if f]
 
@@ -283,7 +279,7 @@ class TruncatedCubicalSet:
         return out
 
 
-def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_CUBE_BUDGET):
+def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Enumerate the truncated m-nerve of g up to dimension top_dim."""
     interval = standard_interval(m, sign)
     cubes = []
@@ -364,7 +360,7 @@ class CubicalMap:
         return all(len(set(level)) == len(level) for level in self.levels)
 
 
-def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_CUBE_BUDGET):
+def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Postcomposition with a digraph map, as a map of truncated nerves."""
     src = nerve_levels(phi.source, m, sign, top_dim, budget)
     dst = nerve_levels(phi.target, m, sign, top_dim, budget)
@@ -392,7 +388,7 @@ def comparison_assignment(kind, m):
     raise BadIndex(f"unknown comparison kind {kind!r}")
 
 
-def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_CUBE_BUDGET):
+def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Precomposition with a truncation power: N_m G -> N_{m+delta} G.
 
     'r' keeps the orientation, 'l' flips it, 'c2' keeps it and jumps by 4.
@@ -521,14 +517,7 @@ def rho_bar(m, n, j):
     small = standard_interval(m)
     domain = cube_realization(big, n + 1)
     target = mixed_realization([big] * (j + 1) + [small] * (n - j - 1))
-
-    def image(v):
-        last = min(v[n], 2)
-        out = list(v[:j])
-        out.append(min(v[j], m + 2 - last))
-        out.extend(min(c, m) for c in v[j + 1 : n])
-        return tuple(out)
-
+    image = rho_bar_function(m, n, j)
     return DigraphMap(domain, target, {v: image(v) for v in domain.vertices})
 
 

@@ -794,11 +794,9 @@ def suite_comparison():
                         ok = False
     checks.append(_check("c2-commutes-with-structure-maps (sides 4->8)", ok))
     # nerve levels of the hom digraph match the levels one dimension up
-    from .digraph import box_hom as _bh
-
     for gname in ("i1", "c3"):
         g = corpus.small_corpus()[gname]
-        hom = _bh(corpus.line(1), g)
+        hom = box_hom(corpus.line(1), g)
         left = nerve_levels(hom, 1, 1, 1)
         right = nerve_levels(g, 1, 1, 2)
         ok = all(

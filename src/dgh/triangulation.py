@@ -191,9 +191,6 @@ class Triangulation:
     def homology(self, reduced=False):
         return homology(self.chain_complex(), reduced=reduced)
 
-    def basis_keys(self, k):
-        return list(self.simplices[k])
-
     def value_keys(self, k):
         """Simplex keys with the carrier cube given by value, for comparing
         triangulations of sub-nerves living inside a common ambient nerve."""

@@ -5,6 +5,7 @@ paths: plain product scans, BFS, and Floyd-Warshall, so agreement is a
 genuine cross-check.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -105,3 +106,27 @@ def floyd_warshall(g):
                 if alt < dist[(i, j)]:
                     dist[(i, j)] = alt
     return dist
+
+
+def determinant(a):
+    """Gaussian elimination over the rationals; exact for integer matrices."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] / inv
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    assert det.denominator == 1
+    return int(det)

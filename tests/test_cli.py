@@ -64,11 +64,36 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_env_budget(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("DGH_BUDGET", "4")
-        assert main(["nerve", str(files / "c3.json")]) == 3
-        monkeypatch.setenv("DGH_BUDGET", "not-a-number")
-        assert main(["nerve", str(files / "c3.json")]) == 2
+    def test_cube_budget_flag(self, files, capsys):
+        assert main(["--max-cubes", "4", "nerve", str(files / "c3.json")]) == 3
+
+    @pytest.mark.parametrize("flag", ["--max-cubes", "--max-maps"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_budget_is_input_error(self, files, capsys, flag, value):
+        assert main([flag, value, "nerve", str(files / "c3.json")]) == 2
+
+    @pytest.mark.parametrize("vertices", [5, [[1, 2]], [True], "abc"])
+    def test_malformed_vertices_input_error(self, files, capsys, vertices):
+        (files / "odd.json").write_text(json.dumps({"vertices": vertices}))
+        assert main(["info", str(files / "odd.json")]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_integer_labelled_map(self, files, capsys):
+        (files / "c3int.json").write_text(
+            json.dumps({"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2], [2, 0]]})
+        )
+        (files / "rot.json").write_text(
+            json.dumps(
+                {
+                    "source": "c3int.json",
+                    "target": "c3int.json",
+                    "assignment": {"0": 1, "1": 2, "2": 0},
+                }
+            )
+        )
+        code, out = run(capsys, "compare", files / "rot.json")
+        assert code == 0
+        assert json.loads(out)["iso_below_top"] is True
 
     def test_failed_check_exits_one(self, files, capsys):
         # three overlapping arcs of the 3-cycle are not closed, so some cube

@@ -6,6 +6,7 @@ from dgh.coverings import (
     check_lifting_hypotheses,
     check_two_covering_filtration,
     check_unique_lifting,
+    check_unique_lifting_all_horns,
     horn_inclusion,
     is_l_covering,
     is_one_covering,
@@ -101,6 +102,25 @@ class TestUniqueLifting:
         )
         assert fast["pass"] == brute["pass"] is True
         assert fast["squares"] == brute["squares"]
+
+    def test_fast_path_matches_brute_force_on_failure(self, fold):
+        # a path lifts through C6 -> C3, but the closed triangle does not
+        a = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        b = cycle(3)
+        fast = check_unique_lifting(fold, a, b, skip_hypotheses=True)
+        brute = check_unique_lifting(fold, a, b, skip_hypotheses=True, method="brute")
+        assert fast["pass"] is brute["pass"] is False
+        assert fast["unique"] is brute["unique"] is False
+        assert fast["squares"] == brute["squares"]
+        assert fast["witness"]["beta"] == brute["witness"]["beta"]
+
+    def test_all_horns_match_one_horn_checks(self, fold):
+        shared = check_unique_lifting_all_horns(fold, 2, 2)
+        for i in (1, 2):
+            for eps in (0, 1):
+                horn, cube = horn_inclusion(2, 2, i, eps)
+                rep = check_unique_lifting(fold, horn, cube, skip_hypotheses=True)
+                assert shared["horns"][f"{i},{eps}"]["squares"] == rep["squares"]
 
     def test_brute_count_agrees_on_one_square(self, fold):
         horn, cube = horn_inclusion(2, 1, 1, 0)

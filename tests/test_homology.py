@@ -12,7 +12,6 @@ from dgh.homology import (
     pi1_presentation,
 )
 from dgh.linalg import (
-    determinant,
     invariant_factors,
     kernel_basis,
     matmul,
@@ -22,7 +21,7 @@ from dgh.linalg import (
 from dgh.nerve import nerve_functor_map, nerve_levels
 from dgh.triangulation import simplicial_homology, triangulate
 
-from conftest import cycle, line
+from conftest import cycle, determinant, line
 
 
 def Z(rank=1, torsion=()):
