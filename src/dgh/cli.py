@@ -107,6 +107,15 @@ def parse_vertices(g, text):
     return [parse_vertex(g, part) for part in text.split(",") if part]
 
 
+def dimension(text):
+    """argparse type of --maxdim: a nonnegative integer (large values are
+    left to the cube budget)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _tuple_vertex(g, text):
     # coordinate tuples print as "(0, 1)"; accept "0:1" shorthand too
     if ":" in text:
@@ -378,14 +387,14 @@ def build_parser():
     p.add_argument("digraph")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.add_argument("--tables", action="store_true")
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("homology", help="nerve homology")
     p.add_argument("digraph")
     p.add_argument("--nerve-m", type=int, default=1)
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.add_argument("--triangulated", action="store_true",
                    help="also run the triangulated oracle and compare")
     p.set_defaults(func=cmd_homology)
@@ -394,19 +403,19 @@ def build_parser():
     p.add_argument("digraph")
     p.add_argument("--base", required=True)
     p.add_argument("--nerve-m", type=int, default=1)
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.set_defaults(func=cmd_pi1)
 
     p = sub.add_parser("compare", help="induced map on nerve homology")
     p.add_argument("map")
     p.add_argument("--nerve-m", type=int, default=1)
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("nerve-theorem", help="cover nerve comparison pipeline")
     p.add_argument("digraph")
     p.add_argument("cover")
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.set_defaults(func=cmd_nerve_theorem)
 
     check = sub.add_parser("check", help="property checks").add_subparsers(
@@ -428,14 +437,14 @@ def build_parser():
     p = check.add_parser("cover")
     p.add_argument("digraph")
     p.add_argument("cover")
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.set_defaults(func=cmd_check_cover)
 
     p = check.add_parser("cover-equiv")
     p.add_argument("map")
     p.add_argument("cover")
     p.add_argument("cover_prime")
-    p.add_argument("--maxdim", type=int, default=2)
+    p.add_argument("--maxdim", type=dimension, default=2)
     p.set_defaults(func=cmd_check_cover_equiv)
 
     p = check.add_parser("covering")

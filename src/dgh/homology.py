@@ -13,14 +13,14 @@ from __future__ import annotations
 from .config import MAX_MATRIX_DIM
 from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
+    column_combination,
     identity,
     invariant_factors,
     kernel_basis,
     matmul,
     mat_vec,
-    matrix_rank,
     smith_normal_form,
-    solve_integer,
+    transpose,
     unimodular_inverse,
     zeros,
 )
@@ -105,18 +105,16 @@ def homology(complex_, reduced=False):
     """Homology groups per degree 0..top; the top degree is truncated
     (its value is only a lower bound) and callers should read `truncated_top`.
     """
+    # one factorization per boundary; degree 0 has no outgoing map and the
+    # top degree no incoming one
+    factors = [[]] + [
+        invariant_factors(complex_.boundaries[n]) for n in range(1, complex_.top + 1)
+    ] + [[]]
     groups = []
     for n in range(complex_.top + 1):
-        rank_n = complex_.ranks[n]
-        out_rank = matrix_rank(complex_.boundaries[n]) if n >= 1 else 0
-        if n + 1 <= complex_.top:
-            incoming = complex_.boundaries[n + 1]
-            in_rank = matrix_rank(incoming)
-            torsion = [d for d in invariant_factors(incoming) if d > 1]
-        else:
-            in_rank = 0
-            torsion = []
-        betti = rank_n - out_rank - in_rank
+        incoming = factors[n + 1]
+        betti = complex_.ranks[n] - len(factors[n]) - len(incoming)
+        torsion = [d for d in incoming if d > 1]
         if reduced and n == 0:
             betti -= 1
         groups.append(HomologyGroup(betti, torsion))
@@ -147,20 +145,25 @@ class HomologyCoordinates:
         else:
             self.kernel = identity(rank_n)
         self.z = len(self.kernel[0]) if self.kernel else 0
+        if self.z:
+            # the kernel is saturated, so U K V = [I; 0] and V times the
+            # first z rows of U is a left inverse of K
+            u, _, v = smith_normal_form(self.kernel)
+            self.left_inverse_cols = transpose(matmul(v, u[: self.z]))
+            self.kernel_cols = transpose(self.kernel)
         if n + 1 <= complex_.top:
-            incoming = complex_.boundaries[n + 1]
-            cols = len(incoming[0]) if incoming else 0
             rel = []
-            for j in range(cols):
-                column = [incoming[r][j] for r in range(rank_n)]
+            for column in transpose(complex_.boundaries[n + 1]):
                 alpha = self._kernel_coords(column)
                 if alpha is None:
                     raise NotChainMap("image does not lie in the kernel")
                 rel.append(alpha)
-            self.rel = [list(col) for col in zip(*rel)] if rel else zeros(self.z, 0)
+            self.rel = transpose(rel) if rel else zeros(self.z, 0)
         else:
             self.rel = zeros(self.z, 0)
-        u, d, v = smith_normal_form(self.rel) if self.z else (identity(0), [], identity(0))
+        u, d, _ = (
+            smith_normal_form(self.rel, _build_v=False) if self.z else (identity(0), [], None)
+        )
         self.u = u
         diag = [
             d[i][i]
@@ -172,9 +175,13 @@ class HomologyCoordinates:
         self.torsion_rows = [i for i, f in enumerate(diag) if f > 1]
 
     def _kernel_coords(self, cycle):
+        """The kernel coordinates of `cycle`, or None if it is not in the
+        kernel lattice (the multiply-back check)."""
         if self.z == 0:
             return [] if not any(cycle) else None
-        return solve_integer(self.kernel, cycle)
+        alpha = column_combination(self.left_inverse_cols, cycle, self.z)
+        back = column_combination(self.kernel_cols, alpha, len(cycle))
+        return alpha if back == list(cycle) else None
 
     def coordinates(self, cycle):
         """(free coordinates, torsion residues) of an n-cycle, or None."""

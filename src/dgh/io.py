@@ -55,20 +55,31 @@ def load_digraph(path):
     return Digraph(data["vertices"], (tuple(a) for a in arrows))
 
 
+def _load_object(path, key):
+    """The JSON object in `path` and its entry `key`, which must be an
+    object too."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    if key not in data:
+        raise InputError(f"{path}: missing '{key}'")
+    if not isinstance(data[key], dict):
+        raise InputError(f"{path}: '{key}' must be an object")
+    return data
+
+
 def load_map(path):
     """{"source": "<path>", "target": "<path>", "assignment": {"a": "x", ...}}
 
     Source/target paths are resolved relative to the map file's directory.
     """
-    data = _load_json(path)
-    for key in ("source", "target", "assignment"):
-        if key not in data:
-            raise InputError(f"{path}: missing '{key}'")
+    data = _load_object(path, "assignment")
+    for key in ("source", "target"):
+        if not isinstance(data.get(key), str):
+            raise InputError(f"{path}: '{key}' must be a file path")
     base = Path(path).parent
     source = load_digraph(base / data["source"])
     target = load_digraph(base / data["target"])
-    if not isinstance(data["assignment"], dict):
-        raise InputError(f"{path}: 'assignment' must be an object")
     assignment = {
         parse_vertex(source, k): parse_vertex(target, v)
         for k, v in data["assignment"].items()
@@ -80,16 +91,17 @@ def load_map(path):
 
 def load_cover(path):
     """{"members": {"name": ["v1", "v2", ...], ...}}"""
-    data = _load_json(path)
-    members = data.get("members")
-    if not isinstance(members, dict) or not members:
-        raise InputError(f"{path}: expected a non-empty 'members' object")
+    members = _load_object(path, "members")["members"]
+    if not members:
+        raise InputError(f"{path}: 'members' is empty")
+    for name, verts in members.items():
+        if not isinstance(verts, list) or not all(map(_is_label, verts)):
+            raise InputError(
+                f"{path}: member {name!r} must be a list of vertex labels"
+            )
     return {name: tuple(verts) for name, verts in members.items()}
 
 
 def load_assignment(path):
     """{"assignment": {"a": "x", ...}} — an endomap given by assignment only."""
-    data = _load_json(path)
-    if "assignment" not in data:
-        raise InputError(f"{path}: missing 'assignment'")
-    return dict(data["assignment"])
+    return dict(_load_object(path, "assignment")["assignment"])

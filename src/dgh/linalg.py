@@ -1,11 +1,33 @@
 """Exact integer linear algebra: Smith normal form, kernels, solvers.
 
-Matrices are lists of lists of Python ints (rows).  Everything is exact;
-sizes here are small enough that asymptotics do not matter, but entries
-can grow, which is why this is integer arithmetic and not floating point.
+Matrices are lists of lists of Python ints (rows).  Everything is exact:
+entries can grow, which is why this is integer arithmetic and not floating
+point.
+
+Invariant factors and ranks never build a unimodular transform.
+`invariant_factors` reads its matrix into sparse rows and first eliminates
+unit (+-1) pivots: it takes the unit of the sparsest row that has one and
+clears that row with column operations, which splits off a 1 x 1 block.
+Only the residual block, which has no unit entry left, goes to the dense
+Smith form, and that runs without U or V and modulo a nonzero minor of
+full rank, so its entries stay bounded.  The boundary matrices of nerves
+are sparse and nearly all of their pivots are units, so the residual is
+small or empty.  Transforms are built only for callers that read one:
+`kernel_basis`, `solve_integer` and `unimodular_inverse` (U and V), and
+homology coordinates, which read U alone and skip V.
+
+Callers factor each matrix once and read everything they need from that
+one result: homology takes ranks and torsion from one factor list per
+boundary, and homology coordinates solve against one factorization of
+the kernel matrix.
 """
 
 from __future__ import annotations
+
+import heapq
+from itertools import compress
+from math import gcd
+from operator import add
 
 
 def zeros(r, c):
@@ -40,6 +62,15 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def column_combination(columns, coefficients, length):
+    """The sum of coefficients[k] * columns[k] (each column `length` long),
+    skipping zero coefficients: a product with a sparse vector."""
+    out = [0] * length
+    for k in compress(range(len(coefficients)), coefficients):
+        out = list(map(add, out, map(coefficients[k].__mul__, columns[k])))
+    return out
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -48,38 +79,59 @@ def copy_matrix(a):
     return [list(row) for row in a]
 
 
-def smith_normal_form(a):
-    """U, D, V with U*a*V = D diagonal, nonnegative, divisibility chain,
-    and U, V unimodular."""
-    d = copy_matrix(a)
-    rows = len(d)
-    cols = len(d[0]) if d else 0
-    u = identity(rows)
-    v = identity(cols)
+def _smith(a, with_v=True, modulus=None):
+    """The one Smith loop: U, D, V with U*a*V = D diagonal, nonnegative,
+    divisibility chain.  V is built only `with_v` (None otherwise); no step
+    reads a transform to choose the next one, so U and D do not depend on
+    whether V is built.
+
+    With a `modulus` no transform is built and every entry is kept reduced
+    modulo it, so D is diagonal over the integers modulo `modulus` but need
+    not be a divisibility chain.  Without one, entries can grow doubly
+    exponentially in the number of pivots on dense matrices with no unit.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    if modulus is None:
+        d = copy_matrix(a)
+        u = identity(rows)
+        v = identity(cols) if with_v else None
+    else:
+        d = [[x % modulus for x in row] for row in a]
+        u = v = None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
         d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        if modulus is not None:
+            d[dst] = [x % modulus for x in d[dst]]
+        if u is not None:
+            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for row in d:
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+            if modulus is not None:
+                row[dst] %= modulus
+        if v is not None:
+            for row in v:
+                row[dst] += factor * row[src]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while True:
@@ -137,10 +189,136 @@ def smith_normal_form(a):
     return u, d, v
 
 
+def smith_normal_form(a, *, _build_v=True):
+    """U, D, V with U*a*V = D diagonal, nonnegative, divisibility chain,
+    and U, V unimodular.
+
+    `_build_v=False` is for callers inside the package that read only U
+    and D: V, by far the largest part for a wide matrix, is then None, and
+    U and D are the same.
+    """
+    return _smith(a, with_v=_build_v)
+
+
+def _eliminate_units(rows):
+    """Eliminate unit pivots from sparse rows ({row: {col: entry}}) in
+    place and return how many were eliminated.
+
+    A unit a[p][c] = +-1 clears the rest of row p by column operations;
+    row operations with row p then clear column c without touching any
+    other column, so the matrix is equivalent to [1] (+) (the matrix
+    without row p and column c).  The pivot is a unit of the sparsest row
+    that has one, in its sparsest column, to keep fill-in low.
+    """
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # a row is re-queued whenever its length changes, so a popped entry
+    # whose length is out of date has a fresh copy further on
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        length, p = heapq.heappop(queue)
+        row = rows.get(p)
+        if row is None or len(row) != length:
+            continue
+        candidates = [j for j, x in row.items() if x == 1 or x == -1]
+        if not candidates:
+            continue
+        c = min(candidates, key=lambda j: len(cols[j]))
+        unit = row[c]
+        below = [(i, rows[i][c]) for i in cols.pop(c) if i != p]
+        for k, x in row.items():
+            if k == c:
+                continue
+            factor = x * unit  # column k -= factor * column c
+            col_k = cols[k]
+            col_k.discard(p)
+            for i, y in below:
+                other = rows[i]
+                value = other.get(k, 0) - factor * y
+                if value:
+                    other[k] = value
+                    col_k.add(i)
+                elif k in other:
+                    del other[k]
+                    col_k.discard(i)
+            if not col_k:
+                del cols[k]
+        del rows[p]
+        for i, _y in below:
+            del rows[i][c]
+            heapq.heappush(queue, (len(rows[i]), i))
+        units += 1
+    return units
+
+
+def _rank_and_minor(a):
+    """The rank r of `a` and the absolute value of a nonzero r x r minor,
+    by fraction-free (Bareiss) elimination: every intermediate entry is a
+    minor of `a`, so entries stay within the Hadamard bound."""
+    m = copy_matrix(a)
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    r, last = 0, 1
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, rows):
+            m[i] = [(pivot * x - m[i][c] * y) // last for x, y in zip(m[i], m[r])]
+        r, last = r + 1, pivot
+        if r == rows:
+            break
+    return r, abs(last)
+
+
+def _chain(values):
+    """Invariant factors of diag(values) (all nonzero): replace each pair
+    by its gcd and lcm until every value divides the next."""
+    out = list(values)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            g = gcd(out[i], out[j])
+            out[i], out[j] = g, out[i] // g * out[j]
+    return out
+
+
+def _residual_factors(a):
+    """Nonzero invariant factors of a dense matrix with no unit entry.
+
+    Elimination runs modulo M, a nonzero r x r minor (r the rank), so no
+    entry ever exceeds M.  The product d_1...d_r of the factors divides
+    every r x r minor, hence M, so over the integers modulo M the Smith
+    form is gcd(d_i, M) = d_i for i <= r and 0 beyond: the diagonal the
+    loop leaves, taken up to units (gcd with M) and put in divisibility
+    order, starts with d_1..d_r.
+    """
+    rank, modulus = _rank_and_minor(a)
+    _, d, _ = _smith(a, modulus=modulus)
+    diagonal = [gcd(d[i][i], modulus) for i in range(min(len(d), len(d[0])))]
+    return _chain(diagonal)[:rank]
+
+
 def invariant_factors(a):
-    _, d, _ = smith_normal_form(a)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    return [x for x in out if x != 0]
+    """Nonzero invariant factors of `a`, in divisibility order: a 1 for
+    every unit pivot, then the factors of the residual block."""
+    rows = {}
+    for i, row in enumerate(a):
+        nonzero = list(compress(range(len(row)), row))
+        if nonzero:
+            rows[i] = dict(zip(nonzero, compress(row, row)))
+    units = _eliminate_units(rows)
+    residual = [row for row in rows.values() if row]
+    if not residual:
+        return [1] * units
+    used = sorted({j for row in residual for j in row})
+    dense = [[row.get(j, 0) for j in used] for row in residual]
+    return [1] * units + _residual_factors(dense)
 
 
 def matrix_rank(a):

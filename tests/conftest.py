@@ -6,7 +6,8 @@ genuine cross-check.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -130,3 +131,14 @@ def determinant(a):
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+def determinantal_divisor(a, k):
+    """gcd of all k x k minors of `a` (0 when k exceeds the rank); the
+    invariant factors satisfy d_1 * ... * d_k = this divisor."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    out = 0
+    for rs in combinations(range(rows), k):
+        for cs in combinations(range(cols), k):
+            out = gcd(out, determinant([[a[i][j] for j in cs] for i in rs]))
+    return out

@@ -78,6 +78,36 @@ class TestExitCodes:
         assert main(["info", str(files / "odd.json")]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command, value", [("homology", "-2"), ("nerve", "-1")])
+    def test_negative_maxdim_is_input_error(self, files, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(files / "c3.json"), "--maxdim", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["compare", "{bad}"], "map.json", 5),
+            (
+                ["compare", "{bad}"],
+                "map.json",
+                {"source": 5, "target": "c3.json", "assignment": {}},
+            ),
+            (["check", "cover", "{dir}/c3.json", "{bad}"], "cover.json", {"members": {"a": [["0"]]}}),
+            (
+                ["check", "ddr", "{dir}/c3.json", "--part", "0", "--eta", "{bad}"],
+                "eta.json",
+                {"assignment": ["0", "0", "0"]},
+            ),
+        ],
+        ids=["map-not-object", "map-source-not-path", "cover-member-list", "eta-assignment-list"],
+    )
+    def test_malformed_file_is_input_error(self, files, capsys, argv, name, data):
+        (files / name).write_text(json.dumps(data))
+        assert main([a.format(dir=files, bad=files / name) for a in argv]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_integer_labelled_map(self, files, capsys):
         (files / "c3int.json").write_text(
             json.dumps({"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2], [2, 0]]})
