@@ -17,7 +17,7 @@ threads; operations are pure functions of their inputs.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import count, product
 from operator import contains
 
 from .config import DEFAULT_MAX_MAPS
@@ -374,17 +374,23 @@ def one_step_arrow(target, images_a, images_b, rel_positions=()):
     return all(map(contains, _next_images(target, images_a, rel_positions), images_b))
 
 
-def one_step_pairs(target, maps, rel_positions=()):
+def one_step_pairs(source, target, maps, rel_positions=()):
     """All index pairs (a, b), a != b, with an arrow maps[a] -> maps[b] in
-    the box hom into `target`, relative to the pinned `rel_positions`."""
+    the box hom source -> target, relative to the pinned `rel_positions`,
+    ordered by a and then by b.
+
+    The heads of the arrows out of maps[a] are the digraph maps with image
+    in `_next_images` of maps[a] at every source position: the enumerator
+    generates them from those candidate sets, and each is looked up in
+    `maps`.  Their number is at most the product of the set sizes, so the
+    search runs with no map budget.
+    """
+    position = dict(zip(maps, count()))
     pairs = []
-    for a, images_a in enumerate(maps):
-        allowed = _next_images(target, images_a, rel_positions)
-        pairs.extend(
-            (a, b)
-            for b, images_b in enumerate(maps)
-            if a != b and all(map(contains, allowed, images_b))
-        )
+    for a, images in enumerate(maps):
+        pinned = dict(zip(source.vertices, _next_images(target, images, rel_positions)))
+        heads = map(position.get, iter_digraph_maps(source, target, INFINITY, pinned))
+        pairs.extend((a, b) for b in sorted(b for b in heads if b is not None) if b != a)
     return pairs
 
 
@@ -393,7 +399,7 @@ def box_hom(g, h, vertex_budget=DEFAULT_MAX_MAPS):
     with an arrow f -> f' when every vertex admits an arrow f(x) -> f'(x).
     """
     maps = enumerate_digraph_maps(g, h, budget=vertex_budget)
-    return Digraph(maps, [(maps[a], maps[b]) for a, b in one_step_pairs(h, maps)])
+    return Digraph(maps, [(maps[a], maps[b]) for a, b in one_step_pairs(g, h, maps)])
 
 
 def pair_box_hom(p, q):
@@ -406,7 +412,7 @@ def pair_box_hom(p, q):
     pinned = {v: q.part for v in p.part}
     maps = enumerate_digraph_maps(p.ambient, q.ambient, pinned=pinned)
     rel_positions = [p.ambient.index(v) for v in p.part]
-    pairs = one_step_pairs(q.ambient, maps, rel_positions)
+    pairs = one_step_pairs(p.ambient, q.ambient, maps, rel_positions)
     amb = Digraph(maps, [(maps[a], maps[b]) for a, b in pairs])
     part_set = set(q.part)
     part = [t for t in maps if all(x in part_set for x in t)]

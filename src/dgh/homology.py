@@ -212,7 +212,10 @@ class HomologyCoordinates:
 def chain_map_matrices(cmap):
     """Per-degree matrices of a cubical map on the nondegenerate bases
     (degenerate images count zero); raises NotChainMap when the squares
-    with the boundary fail to commute."""
+    with the boundary fail to commute.  The result is kept on `cmap`, so
+    the complexes are built and checked once per map."""
+    if cmap.chain_maps is not None:
+        return cmap.chain_maps
     src_complex, src_bases = normalized_chain_complex(cmap.source)
     dst_complex, dst_bases = normalized_chain_complex(cmap.target)
     dst_pos = [
@@ -233,7 +236,8 @@ def chain_map_matrices(cmap):
         right = matmul(mats[n - 1], src_complex.boundaries[n], cols=width)
         if left != right:
             raise NotChainMap(f"level map does not commute with boundary {n}")
-    return src_complex, dst_complex, mats
+    cmap.chain_maps = src_complex, dst_complex, mats
+    return cmap.chain_maps
 
 
 def induced_homology_map(cmap, degree):

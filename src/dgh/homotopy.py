@@ -100,7 +100,7 @@ def homotopy_classes(
     maps = enumerate_digraph_maps(source, target, budget=budget, pinned=pinned)
     rel_positions = tuple(source.index(v) for v in rel_part)
     uf = UnionFind(len(maps))
-    edges = one_step_pairs(target, maps, rel_positions)
+    edges = one_step_pairs(source, target, maps, rel_positions)
     for a, b in edges:
         uf.union(a, b)
     roots = {}
@@ -233,7 +233,7 @@ def loop_stage(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
     maps = enumerate_digraph_maps(
         amb, g, budget=budget, pinned={BASEPOINT: (base,)}
     )
-    pairs = one_step_pairs(g, maps, (amb.index(BASEPOINT),))
+    pairs = one_step_pairs(amb, g, maps, (amb.index(BASEPOINT),))
     return Digraph(maps, [(maps[a], maps[b]) for a, b in pairs])
 
 

@@ -9,7 +9,8 @@ maps and memoized into index tables.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, count, product
+from operator import itemgetter, ne
 
 from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap, enumerate_digraph_maps
@@ -110,9 +111,7 @@ class TruncatedCubicalSet:
         self.sign = sign
         self.top_dim = len(cubes) - 1
         self.cubes = cubes
-        self.index = [
-            {c: k for k, c in enumerate(level)} for level in cubes
-        ]
+        self.index = [dict(zip(level, count())) for level in cubes]
         self._grids = [_grid(m, n) for n in range(self.top_dim + 1)]
         self._grid_index = [
             {pt: k for k, pt in enumerate(gr)} for gr in self._grids
@@ -123,13 +122,10 @@ class TruncatedCubicalSet:
         self._build_tables()
         self.nondegenerate = self._nondegenerate_flags()
 
-    def _lookup(self, n, images):
-        try:
-            return self.index[n][images]
-        except KeyError:
-            raise InvalidCubicalSet(
-                f"structure map left the enumerated level {n}"
-            ) from None
+    def _table(self, src, rows, dst):
+        """The structure map X_src -> X_dst: each level-src cube read at the
+        grid positions `rows`, looked up in level dst."""
+        return _index_table(self.index[dst], _read_rows(self.cubes[src], rows), dst)
 
     def _build_tables(self):
         m = self.m
@@ -140,23 +136,14 @@ class TruncatedCubicalSet:
             for i in range(1, n + 1):
                 for eps in (0, 1):
                     rows = [big_ix[_insert(pt, i, eps * m)] for pt in small]
-                    self.faces[n][(i, eps)] = [
-                        self._lookup(n - 1, tuple(c[r] for r in rows))
-                        for c in self.cubes[n]
-                    ]
+                    self.faces[n][(i, eps)] = self._table(n, rows, n - 1)
             for i in range(1, n + 1):
                 rows = [small_ix[_drop(pt, i)] for pt in big]
-                self.degens[n][i] = [
-                    self._lookup(n, tuple(c[r] for r in rows))
-                    for c in self.cubes[n - 1]
-                ]
+                self.degens[n][i] = self._table(n - 1, rows, n)
             for i in range(1, n):
                 for eps in (0, 1):
                     rows = [small_ix[_merge(pt, i, eps)] for pt in big]
-                    self.connections[n][(i, eps)] = [
-                        self._lookup(n, tuple(c[r] for r in rows))
-                        for c in self.cubes[n - 1]
-                    ]
+                    self.connections[n][(i, eps)] = self._table(n - 1, rows, n)
 
     def _nondegenerate_flags(self):
         flags = [[True] * len(level) for level in self.cubes]
@@ -171,17 +158,19 @@ class TruncatedCubicalSet:
         return flags
 
     def nondegenerate_cubes(self, n):
-        return [k for k, f in enumerate(self.nondegenerate[n]) if f]
+        return list(compress(count(), self.nondegenerate[n]))
 
     def counts(self):
         return {
             "cubes": [len(level) for level in self.cubes],
-            "nondegenerate": [
-                sum(1 for f in flags if f) for flags in self.nondegenerate
-            ],
+            "nondegenerate": [sum(flags) for flags in self.nondegenerate],
         }
 
     # -- the full cubical identity list, checked from the tables alone ----
+    #
+    # Each identity is a pair of composed index maps per parameter tuple; the
+    # violating cubes x come out of `_mismatches` in increasing order, so the
+    # list reads parameter loops outside and x innermost.
 
     def validate_identities(self):
         problems = self.identity_violations()
@@ -193,41 +182,36 @@ class TruncatedCubicalSet:
         K = self.top_dim
         F, S, C = self.faces, self.degens, self.connections
 
-        def bad(name, detail):
-            out.append(f"{name}: {detail}")
+        def bad(name, lhs, rhs, *params):
+            for x in _mismatches(lhs, rhs):
+                out.append(f"{name}: {(*params, x)}")
 
         for n in range(2, K + 1):  # face-face
             for j in range(1, n + 1):
                 for i in range(j, n):
                     for e in (0, 1):
                         for e2 in (0, 1):
-                            for x in range(len(self.cubes[n])):
-                                lhs = F[n - 1][(i, e)][F[n][(j, e2)][x]]
-                                rhs = F[n - 1][(j, e2)][F[n][(i + 1, e)][x]]
-                                if lhs != rhs:
-                                    bad("face-face", (n, i, j, e, e2, x))
+                            lhs = _composed(F[n - 1][(i, e)], F[n][(j, e2)])
+                            rhs = _composed(F[n - 1][(j, e2)], F[n][(i + 1, e)])
+                            bad("face-face", lhs, rhs, n, i, j, e, e2)
         for n in range(1, K + 1):  # face-degeneracy
             for j in range(1, n + 1):
                 for i in range(1, n + 1):
                     for e in (0, 1):
-                        for x in range(len(self.cubes[n - 1])):
-                            lhs = F[n][(i, e)][S[n][j][x]]
-                            if j == i:
-                                rhs = x
-                            elif j < i:
-                                rhs = S[n - 1][j][F[n - 1][(i - 1, e)][x]]
-                            else:
-                                rhs = S[n - 1][j - 1][F[n - 1][(i, e)][x]]
-                            if lhs != rhs:
-                                bad("face-degeneracy", (n, i, j, e, x))
+                        lhs = _composed(F[n][(i, e)], S[n][j])
+                        if j == i:
+                            rhs = range(len(self.cubes[n - 1]))
+                        elif j < i:
+                            rhs = _composed(S[n - 1][j], F[n - 1][(i - 1, e)])
+                        else:
+                            rhs = _composed(S[n - 1][j - 1], F[n - 1][(i, e)])
+                        bad("face-degeneracy", lhs, rhs, n, i, j, e)
         for n in range(1, K):  # degeneracy-degeneracy
             for i in range(1, n + 1):
                 for j in range(1, i + 1):
-                    for x in range(len(self.cubes[n - 1])):
-                        lhs = S[n + 1][j][S[n][i][x]]
-                        rhs = S[n + 1][i + 1][S[n][j][x]]
-                        if lhs != rhs:
-                            bad("degeneracy-degeneracy", (n, i, j, x))
+                    lhs = _composed(S[n + 1][j], S[n][i])
+                    rhs = _composed(S[n + 1][i + 1], S[n][j])
+                    bad("degeneracy-degeneracy", lhs, rhs, n, i, j)
         for n in range(2, K):  # connection-connection
             for j in range(1, n):
                 for i in range(1, n + 1):
@@ -237,59 +221,86 @@ class TruncatedCubicalSet:
                                 continue
                             if j > i and i > n - 1:
                                 continue
-                            for x in range(len(self.cubes[n - 1])):
-                                lhs = C[n + 1][(i, e)][C[n][(j, e2)][x]]
-                                if j > i:
-                                    rhs = C[n + 1][(j + 1, e2)][C[n][(i, e)][x]]
-                                else:
-                                    rhs = C[n + 1][(i + 1, e)][C[n][(i, e)][x]]
-                                if lhs != rhs:
-                                    bad("connection-connection", (n, i, j, e, e2, x))
+                            lhs = _composed(C[n + 1][(i, e)], C[n][(j, e2)])
+                            if j > i:
+                                rhs = _composed(C[n + 1][(j + 1, e2)], C[n][(i, e)])
+                            else:
+                                rhs = _composed(C[n + 1][(i + 1, e)], C[n][(i, e)])
+                            bad("connection-connection", lhs, rhs, n, i, j, e, e2)
         for n in range(2, K + 1):  # face-connection
             for j in range(1, n):
                 for i in range(1, n + 1):
                     for e in (0, 1):
                         for e2 in (0, 1):
-                            for x in range(len(self.cubes[n - 1])):
-                                lhs = F[n][(i, e)][C[n][(j, e2)][x]]
-                                if j < i - 1:
-                                    rhs = C[n - 1][(j, e2)][F[n - 1][(i - 1, e)][x]]
-                                elif j > i:
-                                    rhs = C[n - 1][(j - 1, e2)][F[n - 1][(i, e)][x]]
-                                elif e == e2:
-                                    rhs = x
-                                else:
-                                    rhs = S[n - 1][j][F[n - 1][(j, e)][x]]
-                                if lhs != rhs:
-                                    bad("face-connection", (n, i, j, e, e2, x))
+                            lhs = _composed(F[n][(i, e)], C[n][(j, e2)])
+                            if j < i - 1:
+                                rhs = _composed(C[n - 1][(j, e2)], F[n - 1][(i - 1, e)])
+                            elif j > i:
+                                rhs = _composed(C[n - 1][(j - 1, e2)], F[n - 1][(i, e)])
+                            elif e == e2:
+                                rhs = range(len(self.cubes[n - 1]))
+                            else:
+                                rhs = _composed(S[n - 1][j], F[n - 1][(j, e)])
+                            bad("face-connection", lhs, rhs, n, i, j, e, e2)
         for n in range(1, K):  # connection-degeneracy
             for j in range(1, n + 1):
                 for i in range(1, n + 1):
                     for e in (0, 1):
-                        for x in range(len(self.cubes[n - 1])):
-                            lhs = C[n + 1][(i, e)][S[n][j][x]]
-                            if j < i:
-                                rhs = S[n + 1][j][C[n][(i - 1, e)][x]]
-                            elif j == i:
-                                rhs = S[n + 1][i][S[n][i][x]]
-                            else:
-                                rhs = S[n + 1][j + 1][C[n][(i, e)][x]]
-                            if lhs != rhs:
-                                bad("connection-degeneracy", (n, i, j, e, x))
+                        lhs = _composed(C[n + 1][(i, e)], S[n][j])
+                        if j < i:
+                            rhs = _composed(S[n + 1][j], C[n][(i - 1, e)])
+                        elif j == i:
+                            rhs = _composed(S[n + 1][i], S[n][i])
+                        else:
+                            rhs = _composed(S[n + 1][j + 1], C[n][(i, e)])
+                        bad("connection-degeneracy", lhs, rhs, n, i, j, e)
         return out
 
 
+def _read_rows(cubes, rows):
+    """Each cube's images at the grid positions `rows`, as tuples."""
+    if len(rows) == 1:  # itemgetter of a single row returns the bare image
+        return zip(map(itemgetter(rows[0]), cubes))
+    return map(itemgetter(*rows), cubes)
+
+
+def _index_table(index, images, level):
+    """Positions of the image tuples `images` in the level's `index`."""
+    try:
+        return list(map(index.__getitem__, images))
+    except KeyError:
+        raise InvalidCubicalSet(
+            f"structure map left the enumerated level {level}"
+        ) from None
+
+
+def _composed(outer, inner):
+    """The index map x -> outer[inner[x]], lazily."""
+    return map(outer.__getitem__, inner)
+
+
+def _mismatches(lhs, rhs):
+    """The positions x, in increasing order, where two index maps differ."""
+    return compress(count(), map(ne, lhs, rhs))
+
+
 def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
-    """Enumerate the truncated m-nerve of g up to dimension top_dim."""
+    """Enumerate the truncated m-nerve of g up to dimension top_dim.
+
+    Raises BudgetExceeded, naming `budget` and the level being enumerated,
+    when the levels hold more than `budget` cubes in total."""
     interval = standard_interval(m, sign)
     cubes = []
     remaining = budget
     for n in range(top_dim + 1):
         source = cube_realization(interval, n)
-        level = enumerate_digraph_maps(source, g, budget=remaining)
+        try:
+            level = enumerate_digraph_maps(source, g, budget=remaining)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"nerve exceeds {budget} total cubes at level {n}"
+            ) from None
         remaining -= len(level)
-        if remaining < 0:
-            raise BudgetExceeded(f"nerve exceeds {budget} total cubes")
         cubes.append(level)
     return TruncatedCubicalSet(g, m, sign, cubes)
 
@@ -334,6 +345,7 @@ class CubicalMap:
         self.source = source
         self.target = target
         self.levels = levels
+        self.chain_maps = None  # memo of homology.chain_map_matrices
         problems = self.naturality_violations()
         if problems:
             raise InvalidCubicalSet(problems[0])
@@ -342,18 +354,17 @@ class CubicalMap:
         out = []
         X, Y, L = self.source, self.target, self.levels
         for n in range(1, X.top_dim + 1):
-            for key, table in X.faces[n].items():
-                for x in range(len(X.cubes[n])):
-                    if L[n - 1][table[x]] != Y.faces[n][key][L[n][x]]:
-                        out.append(f"face {key} at level {n} not natural")
-            for key, table in X.degens[n].items():
-                for x in range(len(X.cubes[n - 1])):
-                    if L[n][table[x]] != Y.degens[n][key][L[n - 1][x]]:
-                        out.append(f"degeneracy {key} at level {n} not natural")
-            for key, table in X.connections[n].items():
-                for x in range(len(X.cubes[n - 1])):
-                    if L[n][table[x]] != Y.connections[n][key][L[n - 1][x]]:
-                        out.append(f"connection {key} at level {n} not natural")
+            # x in the source of `tables`: L_after(table(x)) == table'(L_before(x))
+            for kind, tables, images, before, after in (
+                ("face", X.faces[n], Y.faces[n], L[n], L[n - 1]),
+                ("degeneracy", X.degens[n], Y.degens[n], L[n - 1], L[n]),
+                ("connection", X.connections[n], Y.connections[n], L[n - 1], L[n]),
+            ):
+                for key, table in tables.items():
+                    lhs = _composed(after, table)
+                    rhs = _composed(images[key], before)
+                    msg = f"{kind} {key} at level {n} not natural"
+                    out.extend(msg for _ in _mismatches(lhs, rhs))
         return out
 
     def is_injective(self):
@@ -364,13 +375,11 @@ def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Postcomposition with a digraph map, as a map of truncated nerves."""
     src = nerve_levels(phi.source, m, sign, top_dim, budget)
     dst = nerve_levels(phi.target, m, sign, top_dim, budget)
-    levels = []
-    for n in range(top_dim + 1):
-        table = []
-        for c in src.cubes[n]:
-            image = tuple(phi.assignment[v] for v in c)
-            table.append(dst.index[n][image])
-        levels.append(table)
+    image = phi.assignment.__getitem__
+    levels = [
+        _index_table(dst.index[n], (tuple(map(image, c)) for c in src.cubes[n]), n)
+        for n in range(top_dim + 1)
+    ]
     return CubicalMap(src, dst, levels)
 
 
@@ -404,11 +413,7 @@ def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
         rows = [
             small_ix[tuple(t[c] for c in pt)] for pt in dst._grids[n]
         ]
-        table = []
-        for c in src.cubes[n]:
-            image = tuple(c[r] for r in rows)
-            table.append(dst.index[n][image])
-        levels.append(table)
+        levels.append(_index_table(dst.index[n], _read_rows(src.cubes[n], rows), n))
     return CubicalMap(src, dst, levels)
 
 

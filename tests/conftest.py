@@ -1,13 +1,15 @@
 """Shared fixtures and independent oracle helpers.
 
 Oracles here deliberately avoid the library's enumeration/backtracking
-paths: plain product scans, BFS, and Floyd-Warshall, so agreement is a
-genuine cross-check.
+paths and its composed index maps: plain product scans, all-pairs and
+per-cube loops, BFS, and Floyd-Warshall, so agreement is a genuine
+cross-check.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import contains
 
 import pytest
 
@@ -69,6 +71,22 @@ def naive_digraph_maps(g, h):
 
 def naive_one_step(g, h, a, b):
     return all(x == y or (x, y) in h.arrows for x, y in zip(a, b))
+
+
+def all_pairs_one_step(target, maps, rel_positions=()):
+    """Every ordered pair of maps scanned for an arrow maps[a] -> maps[b] in
+    the (relative) box hom: the reference for `digraph.one_step_pairs`."""
+    pairs = []
+    for a, images_a in enumerate(maps):
+        allowed = [{x, *target.successors(x)} for x in images_a]
+        for p in rel_positions:
+            allowed[p] = {images_a[p]}
+        pairs.extend(
+            (a, b)
+            for b, images_b in enumerate(maps)
+            if a != b and all(map(contains, allowed, images_b))
+        )
+    return pairs
 
 
 def naive_components(vertices, edges):
@@ -141,4 +159,118 @@ def determinantal_divisor(a, k):
     for rs in combinations(range(rows), k):
         for cs in combinations(range(cols), k):
             out = gcd(out, determinant([[a[i][j] for j in cs] for i in rs]))
+    return out
+
+
+def naive_identity_violations(x):
+    """The full cubical identity list of a TruncatedCubicalSet, checked cube
+    by cube: the reference for `identity_violations`."""
+    out = []
+    K = x.top_dim
+    F, S, C = x.faces, x.degens, x.connections
+
+    def bad(name, detail):
+        out.append(f"{name}: {detail}")
+
+    for n in range(2, K + 1):  # face-face
+        for j in range(1, n + 1):
+            for i in range(j, n):
+                for e in (0, 1):
+                    for e2 in (0, 1):
+                        for c in range(len(x.cubes[n])):
+                            lhs = F[n - 1][(i, e)][F[n][(j, e2)][c]]
+                            rhs = F[n - 1][(j, e2)][F[n][(i + 1, e)][c]]
+                            if lhs != rhs:
+                                bad("face-face", (n, i, j, e, e2, c))
+    for n in range(1, K + 1):  # face-degeneracy
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                for e in (0, 1):
+                    for c in range(len(x.cubes[n - 1])):
+                        lhs = F[n][(i, e)][S[n][j][c]]
+                        if j == i:
+                            rhs = c
+                        elif j < i:
+                            rhs = S[n - 1][j][F[n - 1][(i - 1, e)][c]]
+                        else:
+                            rhs = S[n - 1][j - 1][F[n - 1][(i, e)][c]]
+                        if lhs != rhs:
+                            bad("face-degeneracy", (n, i, j, e, c))
+    for n in range(1, K):  # degeneracy-degeneracy
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                for c in range(len(x.cubes[n - 1])):
+                    lhs = S[n + 1][j][S[n][i][c]]
+                    rhs = S[n + 1][i + 1][S[n][j][c]]
+                    if lhs != rhs:
+                        bad("degeneracy-degeneracy", (n, i, j, c))
+    for n in range(2, K):  # connection-connection
+        for j in range(1, n):
+            for i in range(1, n + 1):
+                for e in (0, 1):
+                    for e2 in (0, 1):
+                        if not (j > i or (i == j and e == e2)):
+                            continue
+                        if j > i and i > n - 1:
+                            continue
+                        for c in range(len(x.cubes[n - 1])):
+                            lhs = C[n + 1][(i, e)][C[n][(j, e2)][c]]
+                            if j > i:
+                                rhs = C[n + 1][(j + 1, e2)][C[n][(i, e)][c]]
+                            else:
+                                rhs = C[n + 1][(i + 1, e)][C[n][(i, e)][c]]
+                            if lhs != rhs:
+                                bad("connection-connection", (n, i, j, e, e2, c))
+    for n in range(2, K + 1):  # face-connection
+        for j in range(1, n):
+            for i in range(1, n + 1):
+                for e in (0, 1):
+                    for e2 in (0, 1):
+                        for c in range(len(x.cubes[n - 1])):
+                            lhs = F[n][(i, e)][C[n][(j, e2)][c]]
+                            if j < i - 1:
+                                rhs = C[n - 1][(j, e2)][F[n - 1][(i - 1, e)][c]]
+                            elif j > i:
+                                rhs = C[n - 1][(j - 1, e2)][F[n - 1][(i, e)][c]]
+                            elif e == e2:
+                                rhs = c
+                            else:
+                                rhs = S[n - 1][j][F[n - 1][(j, e)][c]]
+                            if lhs != rhs:
+                                bad("face-connection", (n, i, j, e, e2, c))
+    for n in range(1, K):  # connection-degeneracy
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                for e in (0, 1):
+                    for c in range(len(x.cubes[n - 1])):
+                        lhs = C[n + 1][(i, e)][S[n][j][c]]
+                        if j < i:
+                            rhs = S[n + 1][j][C[n][(i - 1, e)][c]]
+                        elif j == i:
+                            rhs = S[n + 1][i][S[n][i][c]]
+                        else:
+                            rhs = S[n + 1][j + 1][C[n][(i, e)][c]]
+                        if lhs != rhs:
+                            bad("connection-degeneracy", (n, i, j, e, c))
+    return out
+
+
+def naive_naturality_violations(cmap):
+    """Naturality of a CubicalMap, checked cube by cube: the reference for
+    `naturality_violations`."""
+    out = []
+    X, Y, L = cmap.source, cmap.target, cmap.levels
+    for n in range(1, X.top_dim + 1):
+        for key, table in X.faces[n].items():
+            for c in range(len(X.cubes[n])):
+                if L[n - 1][table[c]] != Y.faces[n][key][L[n][c]]:
+                    out.append(f"face {key} at level {n} not natural")
+        for key, table in X.degens[n].items():
+            for c in range(len(X.cubes[n - 1])):
+                if L[n][table[c]] != Y.degens[n][key][L[n - 1][c]]:
+                    out.append(f"degeneracy {key} at level {n} not natural")
+        for key, table in X.connections[n].items():
+            for c in range(len(X.cubes[n - 1])):
+                if L[n][table[c]] != Y.connections[n][key][L[n - 1][c]]:
+                    out.append(f"connection {key} at level {n} not natural")
     return out

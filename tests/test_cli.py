@@ -67,6 +67,15 @@ class TestExitCodes:
     def test_cube_budget_flag(self, files, capsys):
         assert main(["--max-cubes", "4", "nerve", str(files / "c3.json")]) == 3
 
+    def test_cube_budget_error_names_budget_and_level(self, files, capsys):
+        # levels 0..2 of N_2(C3) hold 3 + 12 + 246 cubes; level 3 breaks 1000
+        argv = ["--max-cubes", "1000", "nerve", files / "c3.json", "--m", "2", "--maxdim", "3"]
+        assert main([str(a) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {"error": "nerve exceeds 1000 total cubes at level 3", "kind": "budget"}
+
     @pytest.mark.parametrize("flag", ["--max-cubes", "--max-maps"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_budget_is_input_error(self, files, capsys, flag, value):
@@ -171,6 +180,13 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["classes"] >= 1
 
+    def test_classes_from_empty_digraph(self, files, capsys):
+        (files / "empty.json").write_text(json.dumps({"vertices": [], "arrows": []}))
+        code, out = run(capsys, "classes", files / "empty.json", files / "c3.json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["maps"], data["classes"]) == (1, 1)
+
     def test_antower(self, files, capsys):
         code, out = run(
             capsys,
@@ -244,6 +260,24 @@ class TestCommands:
         data = json.loads(out)
         assert data["iso_below_top"] is True
         assert data["degrees"]["1"]["matrix"] == [[1]]
+
+    def test_compare_builds_each_complex_once(self, files, capsys, monkeypatch):
+        # the chain-map matrices (both complexes, their checks) are kept on
+        # the cubical map, not rebuilt for every degree
+        import dgh.homology
+
+        calls = []
+        build = dgh.homology.normalized_chain_complex
+
+        def counting(x, *args, **kwargs):
+            calls.append(x)
+            return build(x, *args, **kwargs)
+
+        monkeypatch.setattr(dgh.homology, "normalized_chain_complex", counting)
+        code, out = run(capsys, "compare", files / "p.json", "--maxdim", "3")
+        assert code == 0
+        assert set(json.loads(out)["degrees"]) == {"0", "1", "2"}
+        assert len(calls) == 2
 
     def test_nerve_theorem(self, files, capsys):
         (files / "trivial_cover.json").write_text(

@@ -25,7 +25,12 @@ from dgh.nerve import (
     _merge,
 )
 
-from conftest import line, naive_digraph_maps
+from conftest import (
+    line,
+    naive_digraph_maps,
+    naive_identity_violations,
+    naive_naturality_violations,
+)
 
 
 class TestRealizations:
@@ -155,6 +160,48 @@ class TestValidatorTeeth:
         levels[1][0], levels[1][1] = levels[1][1], levels[1][0]
         with pytest.raises(InvalidCubicalSet):
             CubicalMap(x, x, levels)
+
+    def test_identity_list_matches_per_cube_loop(self, c3):
+        # corrupt a level-3 face table and a level-2 degeneracy table of
+        # N_1(C3), K=3, at several cubes; every identity family is touched
+        x = nerve_levels(c3, 1, 1, 3)
+        assert x.identity_violations() == naive_identity_violations(x) == []
+        face = x.faces[3][(2, 1)]
+        for k in (0, 7, 50, len(face) - 1):
+            face[k] = (face[k] + 1) % len(x.cubes[2])
+        degen = x.degens[2][1]
+        for k in (1, 4):
+            degen[k] = (degen[k] + 5) % len(x.cubes[2])
+        problems = x.identity_violations()
+        assert len(problems) > 10
+        assert problems == naive_identity_violations(x)
+        families = {p.split(":")[0] for p in problems}
+        assert families == {
+            "face-face",
+            "face-degeneracy",
+            "degeneracy-degeneracy",
+            "face-connection",
+            "connection-degeneracy",
+        }
+
+    def test_naturality_list_matches_per_cube_loop(self, c3):
+        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 1, 3)
+        assert cm.naturality_violations() == naive_naturality_violations(cm) == []
+        level = cm.levels[2]
+        level[3], level[9] = level[9], level[3]
+        problems = cm.naturality_violations()
+        assert problems
+        assert problems == naive_naturality_violations(cm)
+
+    def test_missing_cube_is_invalid(self, c3):
+        from dgh.errors import InvalidCubicalSet
+        from dgh.nerve import TruncatedCubicalSet
+
+        x = nerve_levels(c3, 1, 1, 3)
+        cubes = [list(level) for level in x.cubes]
+        del cubes[2][5]
+        with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
+            TruncatedCubicalSet(c3, 1, 1, cubes)
 
 
 class TestIdentitySchema:

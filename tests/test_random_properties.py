@@ -6,7 +6,13 @@ library path derived by entirely different means) on random small digraphs.
 
 from hypothesis import given, settings, strategies as st
 
-from dgh.digraph import Digraph, enumerate_digraph_maps, pi0
+from dgh.digraph import (
+    Digraph,
+    DigraphPair,
+    enumerate_digraph_maps,
+    one_step_pairs,
+    pi0,
+)
 from dgh.covers import in_closure, is_in_closed, out_closure
 from dgh.homology import homology_summary
 from dgh.homotopy import homotopy_classes
@@ -14,6 +20,8 @@ from dgh.nerve import degenerate_cube_test, nerve_levels
 from dgh.triangulation import triangulate
 
 from conftest import (
+    all_pairs_one_step,
+    cycle,
     line,
     naive_components,
     naive_digraph_maps,
@@ -30,6 +38,53 @@ def digraphs(max_vertices=5, max_arrows=10):
         return Digraph(range(n), [(u, v) for (u, v) in raw if u != v])
 
     return build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=7),
+    digraphs(max_vertices=4, max_arrows=7),
+    st.data(),
+)
+def test_one_step_pairs_match_all_pairs_scan(source, target, data):
+    maps = enumerate_digraph_maps(source, target)
+    rel = data.draw(st.lists(st.sampled_from(range(len(source))), unique=True))
+    assert one_step_pairs(source, target, maps, rel) == all_pairs_one_step(
+        target, maps, rel
+    )
+    # the pair list follows the order of `maps`, whatever that order is
+    shuffled = data.draw(st.permutations(maps))
+    assert one_step_pairs(source, target, shuffled, rel) == all_pairs_one_step(
+        target, shuffled, rel
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=7),
+    digraphs(max_vertices=4, max_arrows=7),
+    st.data(),
+)
+def test_one_step_pairs_on_pinned_pair_maps(source, target, data):
+    # the relative box hom of pairs: maps sending a part into a part, with
+    # homotopies fixed on the source part (as in `pair_box_hom`)
+    part = data.draw(st.sets(st.sampled_from(source.vertices)))
+    target_part = data.draw(st.sets(st.sampled_from(target.vertices), min_size=1))
+    p, q = DigraphPair(source, part), DigraphPair(target, target_part)
+    maps = enumerate_digraph_maps(source, target, pinned={v: q.part for v in p.part})
+    rel = [source.index(v) for v in p.part]
+    assert one_step_pairs(source, target, maps, rel) == all_pairs_one_step(
+        target, maps, rel
+    )
+
+
+def test_one_step_pairs_degenerate_inputs():
+    c3 = cycle(3)
+    empty = Digraph([])
+    maps = enumerate_digraph_maps(empty, c3)
+    assert maps == [()]
+    assert one_step_pairs(empty, c3, maps) == all_pairs_one_step(c3, maps) == []
+    assert one_step_pairs(line(2), c3, []) == []
 
 
 @settings(max_examples=40, deadline=None)
