@@ -117,11 +117,6 @@ class NerveComplex:
                     assert sub in self.faces, "nerve faces must be downward closed"
 
     def homology(self, top_dim=None, reduced=False):
-        if not self.faces:
-            from .homology import ChainComplex, homology as _h
-            from .linalg import zeros
-
-            return _h(ChainComplex([0], [zeros(0, 0)]), reduced=reduced)
         return simplicial_homology(self.faces, top_dim=top_dim, reduced=reduced)
 
     def counts(self):

@@ -10,6 +10,8 @@ and is flagged as such everywhere.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .config import MAX_MATRIX_DIM
 from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
@@ -27,56 +29,83 @@ from .linalg import (
 
 
 class ChainComplex:
-    """Integer chain complex: ranks per degree and boundary matrices.
+    """Integer chain complex: ranks per degree and boundary maps.
 
-    boundaries[n] maps degree n to degree n-1 (rows indexed by degree n-1
-    basis, columns by degree n basis); boundaries[0] is the zero map.
+    columns[n][j] is the boundary of the j-th degree-n generator as a sparse
+    column {row: coefficient} over the degree n-1 basis; boundaries[n] is
+    the same map as dense rows (rows indexed by degree n-1, columns by
+    degree n), the form `linalg` reads.  Degree 0 has the zero map.
     """
 
-    def __init__(self, ranks, boundaries):
+    def __init__(self, ranks, columns):
+        """`columns` yields, for n = 1..top, the list of degree-n boundary
+        columns; it is read only after every rank is within the ceiling."""
         self.ranks = list(ranks)
-        self.boundaries = boundaries
+        for n, rank in enumerate(self.ranks):
+            if rank > MAX_MATRIX_DIM:
+                raise BudgetExceeded(
+                    f"chain group {n} has {rank} generators, "
+                    f"over the {MAX_MATRIX_DIM} ceiling"
+                )
         self.top = len(self.ranks) - 1
+        self.columns = [[], *columns]
+        assert list(map(len, self.columns[1:])) == self.ranks[1:]
+        self.boundaries = [zeros(0, self.ranks[0])]
         for n in range(1, self.top + 1):
-            left = boundaries[n]
-            assert len(left) == self.ranks[n - 1] or self.ranks[n - 1] == 0
-        for n in range(1, self.top):
-            comp = matmul(self.boundaries[n], self.boundaries[n + 1])
-            if any(any(row) for row in comp):
-                raise InputError(f"boundary squared is nonzero in degree {n + 1}")
-
-    def boundary(self, n):
-        if n < 1 or n > self.top:
-            return zeros(max(self.ranks[n - 1] if 0 < n <= self.top + 1 else 0, 0), 0)
-        return self.boundaries[n]
+            mat = zeros(self.ranks[n - 1], self.ranks[n])
+            for col, column in enumerate(self.columns[n]):
+                for row, coefficient in column.items():
+                    mat[row][col] = coefficient
+            self.boundaries.append(mat)
+        for n in range(2, self.top + 1):
+            lower = self.columns[n - 1]
+            if any(_compose(lower, column) for column in self.columns[n]):
+                raise InputError(f"boundary squared is nonzero in degree {n}")
 
 
-def normalized_chain_complex(x, max_dim=MAX_MATRIX_DIM):
+def boundary_columns(cells, faces):
+    """One sparse column per cell: the sum of the signed rows that
+    `faces(cell)` yields as (row, sign), a None row (a degenerate face)
+    skipped, with the entries that cancel dropped."""
+    columns = []
+    for cell in cells:
+        column = {}
+        for row, sign in faces(cell):
+            if row is not None:
+                column[row] = column.get(row, 0) + sign
+        columns.append({row: c for row, c in column.items() if c})
+    return columns
+
+
+def _compose(columns, column):
+    """The sparse column sum of c * columns[k] over the entries k: c of
+    `column`: a product of sparse maps, one column at a time."""
+    out = {}
+    for k, c in column.items():
+        for row, entry in columns[k].items():
+            out[row] = out.get(row, 0) + c * entry
+    return {row: c for row, c in out.items() if c}
+
+
+def normalized_chain_complex(x):
     """Chain complex on nondegenerate cubes; also returns the per-degree
     basis (cube indices) used to express induced maps."""
     x.validate_identities()
-    if any(
-        sum(1 for f in flags if f) > max_dim for flags in x.nondegenerate
-    ):
-        raise BudgetExceeded(f"a chain group exceeds {max_dim} generators")
     bases = [x.nondegenerate_cubes(n) for n in range(x.top_dim + 1)]
-    basis_pos = [
-        {cube: k for k, cube in enumerate(level)} for level in bases
-    ]
-    ranks = [len(level) for level in bases]
-    boundaries = [zeros(0, ranks[0])]
-    for n in range(1, x.top_dim + 1):
-        mat = zeros(ranks[n - 1], ranks[n])
-        for col, cube in enumerate(bases[n]):
-            for i in range(1, n + 1):
-                sign = (-1) ** i
-                for eps, s in ((1, sign), (0, -sign)):
-                    face = x.faces[n][(i, eps)][cube]
-                    row = basis_pos[n - 1].get(face)
-                    if row is not None:
-                        mat[row][col] += s
-        boundaries.append(mat)
-    return ChainComplex(ranks, boundaries), bases
+    basis_pos = [dict(zip(level, count())) for level in bases]
+
+    def faces(n):
+        """The signed face tables of level n, read against the degree n-1 basis."""
+        pos = basis_pos[n - 1]
+        signed = [
+            (x.faces[n][(i, eps)], s)
+            for i in range(1, n + 1)
+            for eps, s in ((1, (-1) ** i), (0, -((-1) ** i)))
+        ]
+        return lambda cube: ((pos.get(table[cube]), s) for table, s in signed)
+
+    columns = (boundary_columns(bases[n], faces(n)) for n in range(1, x.top_dim + 1))
+    return ChainComplex([len(level) for level in bases], columns), bases
 
 
 class HomologyGroup:
@@ -210,33 +239,26 @@ class HomologyCoordinates:
 
 
 def chain_map_matrices(cmap):
-    """Per-degree matrices of a cubical map on the nondegenerate bases
-    (degenerate images count zero); raises NotChainMap when the squares
-    with the boundary fail to commute.  The result is kept on `cmap`, so
-    the complexes are built and checked once per map."""
+    """Per-degree sparse columns of a cubical map on the nondegenerate
+    bases: a generator's column is its image, or empty for a degenerate
+    image.  Raises NotChainMap when d(f(x)) and f(d(x)) differ for a
+    source generator x.  The result is kept on `cmap`, so the complexes
+    are built and checked once per map."""
     if cmap.chain_maps is not None:
         return cmap.chain_maps
     src_complex, src_bases = normalized_chain_complex(cmap.source)
     dst_complex, dst_bases = normalized_chain_complex(cmap.target)
-    dst_pos = [
-        {cube: k for k, cube in enumerate(level)} for level in dst_bases
-    ]
-    mats = []
-    for n in range(cmap.source.top_dim + 1):
-        mat = zeros(dst_complex.ranks[n], src_complex.ranks[n])
-        for col, cube in enumerate(src_bases[n]):
-            image = cmap.levels[n][cube]
-            row = dst_pos[n].get(image)
-            if row is not None:
-                mat[row][col] = 1
-        mats.append(mat)
+    maps = []
+    for level, src_basis, dst_basis in zip(cmap.levels, src_bases, dst_bases):
+        pos = dict(zip(dst_basis, count()))
+        images = (pos.get(level[cube]) for cube in src_basis)
+        maps.append(boundary_columns(images, lambda row: ((row, 1),)))
     for n in range(1, cmap.source.top_dim + 1):
-        width = src_complex.ranks[n]
-        left = matmul(dst_complex.boundaries[n], mats[n], cols=width)
-        right = matmul(mats[n - 1], src_complex.boundaries[n], cols=width)
-        if left != right:
-            raise NotChainMap(f"level map does not commute with boundary {n}")
-    cmap.chain_maps = src_complex, dst_complex, mats
+        d_dst, d_src = dst_complex.columns[n], src_complex.columns[n]
+        for image, boundary in zip(maps[n], d_src):
+            if _compose(d_dst, image) != _compose(maps[n - 1], boundary):
+                raise NotChainMap(f"level map does not commute with boundary {n}")
+    cmap.chain_maps = src_complex, dst_complex, maps
     return cmap.chain_maps
 
 
@@ -248,13 +270,14 @@ def induced_homology_map(cmap, degree):
     induced map is surjective (then a surjection between isomorphic
     finitely generated abelian groups is an isomorphism).
     """
-    src_complex, dst_complex, mats = chain_map_matrices(cmap)
+    src_complex, dst_complex, maps = chain_map_matrices(cmap)
     src = HomologyCoordinates(src_complex, degree)
     dst = HomologyCoordinates(dst_complex, degree)
     columns = []
     for cycle in src.generator_cycles():
-        image = mat_vec(mats[degree], cycle)
-        coords = dst.coordinates(image)
+        image = _compose(maps[degree], {k: c for k, c in enumerate(cycle) if c})
+        rank = dst_complex.ranks[degree]
+        coords = dst.coordinates([image.get(row, 0) for row in range(rank)])
         if coords is None:
             raise NotChainMap("image of a cycle is not a cycle")
         free, tor = coords

@@ -80,9 +80,6 @@ class HomotopyClasses:
     def class_of_map(self, images):
         return self.class_of[self._index[tuple(images)]]
 
-    def digraph_map(self, k):
-        return DigraphMap.from_images(self.source, self.target, self.maps[k])
-
 
 def homotopy_classes(
     source,

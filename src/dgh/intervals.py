@@ -48,9 +48,6 @@ class Interval:
     def last(self):
         return len(self.word)
 
-    def endpoints(self):
-        return (0, self.last)
-
     def to_digraph(self):
         arrows = []
         for p, d in enumerate(self.word):

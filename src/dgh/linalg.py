@@ -41,10 +41,9 @@ def identity(n):
     return out
 
 
-def matmul(a, b, cols=None):
-    """Product of row-list matrices; `cols` pins the width when b has no
-    rows (a 0 x c matrix is [] and forgets c)."""
-    cb = len(b[0]) if b else (cols or 0)
+def matmul(a, b):
+    """Product of row-list matrices."""
+    cb = len(b[0]) if b else 0
     out = []
     for row in a:
         new = [0] * cb

@@ -13,12 +13,12 @@ complexes (used for nerves of covers).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, count, product, repeat
+from operator import eq
 
 from .errors import InvalidCubicalSet
-from .homology import ChainComplex, homology
-from .linalg import zeros
-from .nerve import degenerate_cube_test
+from .homology import ChainComplex, boundary_columns, homology
+from .nerve import _drop, _merge
 
 
 def _corner_chains(d):
@@ -51,24 +51,6 @@ def _corner_chains(d):
     return chains
 
 
-class Simplex:
-    """A reduced simplex: (carrier level, carrier cube index, corner chain)."""
-
-    __slots__ = ("level", "cube", "chain")
-
-    def __init__(self, level, cube, chain):
-        self.level = level
-        self.cube = cube
-        self.chain = chain
-
-    def key(self):
-        return (self.level, self.cube, self.chain)
-
-    @property
-    def dim(self):
-        return len(self.chain) - 1
-
-
 class Triangulation:
     """The simplicial chain data of a truncated cubical set.
 
@@ -80,20 +62,27 @@ class Triangulation:
 
     def __init__(self, x):
         self.x = x
-        self.m = x.m
-        self._chain_cache = {}
         keys = [set() for _ in range(x.top_dim + 1)]
         for d in range(x.top_dim + 1):
-            chains = [c for c in _corner_chains(d)]
+            chains = _corner_chains(d)
             for cube in x.nondegenerate_cubes(d):
                 for chain in chains:
                     k = len(chain) - 1
                     if k <= x.top_dim:
                         keys[k].add((d, cube, chain))
         self.simplices = [sorted(level) for level in keys]
-        self.index = [
-            {s: i for i, s in enumerate(level)} for level in self.simplices
-        ]
+        self.index = [dict(zip(level, count())) for level in self.simplices]
+        # each degenerate cube -> (corner map, its parameters, core cube),
+        # read off the degeneracy then the connection tables with the first
+        # witness winning: sigma_i by ascending i, then gamma_(i, eps)
+        self._cores = [{} for _ in range(x.top_dim + 1)]
+        for n in range(1, x.top_dim + 1):
+            witnesses = [(_drop, (i,), table) for i, table in x.degens[n].items()]
+            witnesses += [(_merge, key, table) for key, table in x.connections[n].items()]
+            for op, params, table in reversed(witnesses):
+                self._cores[n].update(
+                    zip(table, zip(repeat(op), repeat(params), count()))
+                )
 
     # -- reduction to the canonical representative -------------------------
 
@@ -101,92 +90,51 @@ class Triangulation:
         """Reduce (cube, corner chain) to its nondegenerate carrier, or
         None when the simplex is degenerate (a repeated chain entry)."""
         x = self.x
-        m = self.m
         while True:
-            prev = None
-            for pt in chain:
-                if pt == prev:
-                    return None
-                prev = pt
-            moved = False
+            if any(map(eq, chain, chain[1:])):
+                return None
             # walk into a facet when every chain corner sits on it
-            for axis in range(level):
-                for eps in (0, 1):
-                    if all(pt[axis] == eps for pt in chain):
-                        face_cube = x.faces[level][(axis + 1, eps)][cube]
-                        chain = tuple(
-                            pt[:axis] + pt[axis + 1 :] for pt in chain
-                        )
-                        level -= 1
-                        cube = face_cube
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                continue
-            if x.nondegenerate[level][cube]:
-                return (level, cube, chain)
-            degen, witness = degenerate_cube_test(
-                x.cubes[level][cube], m, level
+            facet = next(
+                (
+                    (axis, eps)
+                    for axis in range(1, level + 1)
+                    for eps in (0, 1)
+                    if all(pt[axis - 1] == eps for pt in chain)
+                ),
+                None,
             )
-            if not degen:
-                raise InvalidCubicalSet(
-                    "degeneracy tables and fiber test disagree"
-                )
-            if witness[0] == "sigma":
-                i = witness[1]
-                core = self._sigma_core(level, cube, i)
-                chain = tuple(pt[: i - 1] + pt[i:] for pt in chain)
-                level -= 1
-                cube = core
+            if facet is not None:
+                cube = x.faces[level][facet][cube]
+                chain = tuple(_drop(pt, facet[0]) for pt in chain)
+            elif x.nondegenerate[level][cube]:
+                return (level, cube, chain)
             else:
-                _, i, eps = witness
-                core = self._gamma_core(level, cube, i, eps)
-                op = max if eps == 0 else min
-                chain = tuple(
-                    pt[: i - 1] + (op(pt[i - 1], pt[i]),) + pt[i + 1 :]
-                    for pt in chain
-                )
-                level -= 1
-                cube = core
-
-    def _sigma_core(self, level, cube, i):
-        """The (level-1)-cube y with cube = degeneracy_i(y)."""
-        table = self.x.degens[level][i]
-        for k, image in enumerate(table):
-            if image == cube:
-                return k
-        raise InvalidCubicalSet("missing degeneracy core")
-
-    def _gamma_core(self, level, cube, i, eps):
-        table = self.x.connections[level][(i, eps)]
-        for k, image in enumerate(table):
-            if image == cube:
-                return k
-        raise InvalidCubicalSet("missing connection core")
+                # collapse along the witness: the corners follow its grid map
+                op, params, cube = self._cores[level][cube]
+                chain = tuple(op(pt, *params) for pt in chain)
+            level -= 1
 
     # -- chain complex -------------------------------------------------------
 
+    def _faces(self, simplex):
+        """(row, sign) of each reduced face of a simplex; degenerate faces
+        are skipped."""
+        level, cube, chain = simplex
+        index = self.index[len(chain) - 2]
+        for drop in range(len(chain)):
+            reduced = self.reduce(level, cube, chain[:drop] + chain[drop + 1 :])
+            if reduced is None:
+                continue
+            row = index.get(reduced)
+            if row is None:
+                raise InvalidCubicalSet("face reduced to an unknown simplex")
+            yield row, (-1) ** drop
+
     def chain_complex(self):
-        ranks = [len(level) for level in self.simplices]
-        boundaries = [zeros(0, ranks[0])]
-        for k in range(1, len(ranks)):
-            mat = zeros(ranks[k - 1], ranks[k])
-            for col, (level, cube, chain) in enumerate(self.simplices[k]):
-                for drop in range(len(chain)):
-                    sub = chain[:drop] + chain[drop + 1 :]
-                    reduced = self.reduce(level, cube, sub)
-                    if reduced is None:
-                        continue
-                    row = self.index[k - 1].get(reduced)
-                    if row is None:
-                        raise InvalidCubicalSet(
-                            "face reduced to an unknown simplex"
-                        )
-                    mat[row][col] += (-1) ** drop
-            boundaries.append(mat)
-        return ChainComplex(ranks, boundaries)
+        columns = (
+            boundary_columns(level, self._faces) for level in self.simplices[1:]
+        )
+        return ChainComplex([len(level) for level in self.simplices], columns)
 
     def homology(self, reduced=False):
         return homology(self.chain_complex(), reduced=reduced)
@@ -220,22 +168,18 @@ def simplicial_chain_complex(faces, top_dim=None):
             for sub in combinations(f, k):
                 closed.add(sub)
     if not closed:
-        return ChainComplex([0], [zeros(0, 0)])
+        return ChainComplex([0], [])
     max_dim = max(len(f) for f in closed) - 1
     if top_dim is not None:
         max_dim = min(max_dim, top_dim)
     levels = [sorted(f for f in closed if len(f) == k + 1) for k in range(max_dim + 1)]
-    index = [{f: i for i, f in enumerate(level)} for level in levels]
-    ranks = [len(level) for level in levels]
-    boundaries = [zeros(0, ranks[0])]
-    for k in range(1, max_dim + 1):
-        mat = zeros(ranks[k - 1], ranks[k])
-        for col, f in enumerate(levels[k]):
-            for drop in range(len(f)):
-                sub = f[:drop] + f[drop + 1 :]
-                mat[index[k - 1][sub]][col] += (-1) ** drop
-        boundaries.append(mat)
-    return ChainComplex(ranks, boundaries)
+    index = {f: i for level in levels for i, f in enumerate(level)}
+
+    def signed_faces(f):
+        return ((index[f[:drop] + f[drop + 1 :]], (-1) ** drop) for drop in range(len(f)))
+
+    columns = (boundary_columns(level, signed_faces) for level in levels[1:])
+    return ChainComplex([len(level) for level in levels], columns)
 
 
 def simplicial_homology(faces, top_dim=None, reduced=False):

@@ -16,6 +16,7 @@ import pytest
 from dgh.digraph import Digraph, box_product
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
+from dgh.nerve import degenerate_cube_test
 
 
 def cycle(n):
@@ -274,3 +275,134 @@ def naive_naturality_violations(cmap):
                 if L[n][table[c]] != Y.connections[n][key][L[n - 1][c]]:
                     out.append(f"connection {key} at level {n} not natural")
     return out
+
+
+# -- dense chain-complex references ---------------------------------------------
+#
+# Boundaries and chain maps as dense row lists built cell by cell, and the
+# d∘d and commutation checks as dense products: the references for the
+# sparse columns of `dgh.homology.ChainComplex` and `chain_map_matrices`.
+
+
+def dense_product(a, b, width):
+    """The product of row-list matrices, b having `width` columns."""
+    out = []
+    for arow in a:
+        row = [0] * width
+        for x, brow in zip(arow, b):
+            if x:
+                for j, y in enumerate(brow):
+                    row[j] += x * y
+        out.append(row)
+    return out
+
+
+def reference_cubical_boundaries(x):
+    """Dense boundaries of the normalized cubical complex: alternating face
+    sums over the nondegenerate cubes, degenerate faces dropped."""
+    bases = [x.nondegenerate_cubes(n) for n in range(x.top_dim + 1)]
+    out = [[]]
+    for n in range(1, x.top_dim + 1):
+        rows = {cube: k for k, cube in enumerate(bases[n - 1])}
+        mat = [[0] * len(bases[n]) for _ in rows]
+        for col, cube in enumerate(bases[n]):
+            for i in range(1, n + 1):
+                for eps, s in ((1, (-1) ** i), (0, -((-1) ** i))):
+                    face = x.faces[n][(i, eps)][cube]
+                    if face in rows:
+                        mat[rows[face]][col] += s
+        out.append(mat)
+    return out
+
+
+def reference_reduce(x, level, cube, chain):
+    """The canonical representative of (cube, corner chain), or None: the
+    fiber test picks the degeneracy or connection witness and a linear scan
+    of its table finds the core cube."""
+    while True:
+        if any(a == b for a, b in zip(chain, chain[1:])):
+            return None
+        facet = next(
+            (
+                (axis, eps)
+                for axis in range(level)
+                for eps in (0, 1)
+                if all(pt[axis] == eps for pt in chain)
+            ),
+            None,
+        )
+        if facet is not None:
+            axis, eps = facet
+            cube = x.faces[level][(axis + 1, eps)][cube]
+            chain = tuple(pt[:axis] + pt[axis + 1 :] for pt in chain)
+            level -= 1
+            continue
+        if x.nondegenerate[level][cube]:
+            return (level, cube, chain)
+        degenerate, witness = degenerate_cube_test(x.cubes[level][cube], x.m, level)
+        assert degenerate, "degeneracy tables and fiber test disagree"
+        if witness[0] == "sigma":
+            i = witness[1]
+            table = x.degens[level][i]
+            chain = tuple(pt[: i - 1] + pt[i:] for pt in chain)
+        else:
+            _, i, eps = witness
+            table = x.connections[level][(i, eps)]
+            op = max if eps == 0 else min
+            chain = tuple(
+                pt[: i - 1] + (op(pt[i - 1], pt[i]),) + pt[i + 1 :] for pt in chain
+            )
+        cube = table.index(cube)
+        level -= 1
+
+
+def reference_triangulated_boundaries(t):
+    """Dense boundaries of a triangulation's simplices, each face reduced
+    by `reference_reduce`."""
+    out = [[]]
+    for k in range(1, len(t.simplices)):
+        rows = {simplex: k for k, simplex in enumerate(t.simplices[k - 1])}
+        mat = [[0] * len(t.simplices[k]) for _ in rows]
+        for col, (level, cube, chain) in enumerate(t.simplices[k]):
+            for drop in range(len(chain)):
+                face = reference_reduce(t.x, level, cube, chain[:drop] + chain[drop + 1 :])
+                if face is not None:
+                    mat[rows[face]][col] += (-1) ** drop
+        out.append(mat)
+    return out
+
+
+def dense_square_defect(ranks, boundaries):
+    """The first degree n with d_(n-1) d_n nonzero, or None."""
+    for n in range(2, len(ranks)):
+        if any(map(any, dense_product(boundaries[n - 1], boundaries[n], ranks[n]))):
+            return n
+    return None
+
+
+def reference_chain_maps(cmap):
+    """Dense per-degree matrices of a cubical map on the nondegenerate
+    bases, a degenerate image counting zero."""
+    out = []
+    for n, level in enumerate(cmap.levels):
+        src = cmap.source.nondegenerate_cubes(n)
+        dst = {cube: k for k, cube in enumerate(cmap.target.nondegenerate_cubes(n))}
+        mat = [[0] * len(src) for _ in dst]
+        for col, cube in enumerate(src):
+            if level[cube] in dst:
+                mat[dst[level[cube]]][col] = 1
+        out.append(mat)
+    return out
+
+
+def dense_noncommuting_degree(cmap):
+    """The first degree n whose square d f_n = f_(n-1) d fails, by dense
+    products, or None."""
+    src = reference_cubical_boundaries(cmap.source)
+    dst = reference_cubical_boundaries(cmap.target)
+    maps = reference_chain_maps(cmap)
+    for n in range(1, len(maps)):
+        width = len(cmap.source.nondegenerate_cubes(n))
+        if dense_product(dst[n], maps[n], width) != dense_product(maps[n - 1], src[n], width):
+            return n
+    return None

@@ -76,6 +76,24 @@ class TestExitCodes:
         error = json.loads(captured.err)
         assert error == {"error": "nerve exceeds 1000 total cubes at level 3", "kind": "budget"}
 
+    @pytest.mark.parametrize(
+        "argv, degree, count",
+        [
+            # the triangulation of N_1(C3) up to K=4: ranks [3, 2268, 31314, ...]
+            (["--nerve-m", "1", "--maxdim", "4", "--triangulated"], 2, 31314),
+            (["--nerve-m", "2", "--maxdim", "3"], 3, 424755),
+        ],
+        ids=["triangulated", "cubical"],
+    )
+    def test_generator_ceiling_names_degree_and_count(self, files, capsys, argv, degree, count):
+        assert main(["homology", str(files / "c3.json"), *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"chain group {degree} has {count} generators, over the 20000 ceiling",
+            "kind": "budget",
+        }
+
     @pytest.mark.parametrize("flag", ["--max-cubes", "--max-maps"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_budget_is_input_error(self, files, capsys, flag, value):

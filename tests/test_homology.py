@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgh.digraph import Digraph, DigraphMap, box_product, point
-from dgh.errors import InputError, NotConnected
+from dgh.errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from dgh.homology import (
+    ChainComplex,
     GroupPresentation,
     HomologyCoordinates,
     HomologyGroup,
+    boundary_columns,
+    chain_map_matrices,
     homology_summary,
     induced_homology_map,
     normalized_chain_complex,
@@ -26,7 +29,14 @@ from dgh.linalg import (
 from dgh.nerve import nerve_functor_map, nerve_levels
 from dgh.triangulation import simplicial_homology, triangulate
 
-from conftest import cycle, determinant, determinantal_divisor, line
+from conftest import (
+    cycle,
+    dense_noncommuting_degree,
+    dense_square_defect,
+    determinant,
+    determinantal_divisor,
+    line,
+)
 
 
 def Z(rank=1, torsion=()):
@@ -177,10 +187,69 @@ class TestChainComplex:
         )
 
     def test_boundary_squared_rejected(self):
-        from dgh.homology import ChainComplex
-
         with pytest.raises(InputError):
-            ChainComplex([1, 1, 1], [[[0]], [[1]], [[1]]])
+            ChainComplex([1, 1, 1], [[{0: 1}], [{0: 1}]])
+
+    def test_boundary_squared_rejected_in_degree_three(self):
+        assert dense_square_defect([1, 1, 1, 1], [[], [[0]], [[1]], [[1]]]) == 3
+        with pytest.raises(InputError, match="boundary squared is nonzero in degree 3"):
+            ChainComplex([1, 1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_square_check_matches_dense_products(self, data):
+        ranks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+
+        def column(length):
+            entries = data.draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length))
+            return {r: c for r, c in enumerate(entries) if c}
+
+        columns = [
+            [column(ranks[n - 1]) for _ in range(ranks[n])] for n in range(1, len(ranks))
+        ]
+        dense = [[]] + [
+            [[column.get(r, 0) for column in columns[n - 1]] for r in range(ranks[n - 1])]
+            for n in range(1, len(ranks))
+        ]
+        expected = dense_square_defect(ranks, dense)
+        if expected is None:
+            assert ChainComplex(ranks, columns).boundaries == dense
+        else:
+            with pytest.raises(InputError, match=f"nonzero in degree {expected}$"):
+                ChainComplex(ranks, columns)
+
+    def test_generator_ceiling_checked_before_columns_are_read(self):
+        def unread():
+            raise AssertionError("columns read before the ceiling check")
+            yield
+
+        with pytest.raises(BudgetExceeded, match="chain group 1 has 20001 generators"):
+            ChainComplex([1, 20001], unread())
+
+    def test_boundary_columns_sum_and_drop_zeros(self):
+        faces = {"a": [(0, 1), (1, -1), (0, -1), (None, 1)], "b": [(2, 1), (2, 1)]}
+        assert boundary_columns("ab", faces.get) == [{1: -1}, {2: 2}]
+
+
+class TestChainMapCheck:
+    def test_every_single_corruption_of_the_square_identity(self):
+        # each level entry of id_N(square) overwritten with each cube of its
+        # level: rejected exactly when a dense commutation square fails
+        sq = box_product(line(1), line(1))
+        seen = set()
+        for n, size in enumerate(nerve_levels(sq, 1, 1, 2).counts()["cubes"]):
+            for k in range(size):
+                for value in range(size):
+                    cm = nerve_functor_map(DigraphMap.identity(sq), 1, 1, 2)
+                    cm.levels[n][k] = value
+                    expected = dense_noncommuting_degree(cm)
+                    seen.add(expected)
+                    if expected is None:
+                        chain_map_matrices(cm)
+                    else:
+                        with pytest.raises(NotChainMap, match=f"boundary {expected}$"):
+                            chain_map_matrices(cm)
+        assert seen == {None, 1, 2}
 
 
 class TestHomology:

@@ -4,28 +4,34 @@ Each property pits a library path against a brute-force oracle (or a second
 library path derived by entirely different means) on random small digraphs.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dgh.digraph import (
     Digraph,
+    DigraphMap,
     DigraphPair,
     enumerate_digraph_maps,
     one_step_pairs,
     pi0,
 )
 from dgh.covers import in_closure, is_in_closed, out_closure
-from dgh.homology import homology_summary
+from dgh.errors import NotChainMap
+from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.nerve import degenerate_cube_test, nerve_levels
+from dgh.nerve import degenerate_cube_test, nerve_functor_map, nerve_levels
 from dgh.triangulation import triangulate
 
 from conftest import (
     all_pairs_one_step,
     cycle,
+    dense_noncommuting_degree,
     line,
     naive_components,
     naive_digraph_maps,
     naive_one_step,
+    reference_cubical_boundaries,
+    reference_triangulated_boundaries,
 )
 
 
@@ -123,6 +129,44 @@ def test_closure_laws_random(g, data):
         assert set(subset) <= set(c)
         assert set(closure(g, c)) == set(c)
     assert is_in_closed(g, in_closure(g, subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([(1, 2), (1, 3), (2, 2)]),
+)
+def test_boundaries_match_dense_references(g, truncation):
+    # the triangulated reference reduces degenerate cubes by the fiber test
+    # and a linear scan of the tables, not by the inverted tables
+    m, top = truncation
+    x = nerve_levels(g, m, 1, top)
+    complex_, _ = normalized_chain_complex(x)
+    assert complex_.boundaries == reference_cubical_boundaries(x)
+    t = triangulate(x)
+    assert t.chain_complex().boundaries == reference_triangulated_boundaries(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs(max_vertices=4, max_arrows=6), st.data())
+def test_corrupted_chain_map_rejected_exactly_when_dense_check_fails(g, data):
+    # a single level entry is overwritten after the naturality check ran;
+    # the nondegenerate cubes carry the chain map, so they are drawn often
+    target = data.draw(st.sampled_from([g, cycle(3)]))
+    images = data.draw(st.sampled_from(enumerate_digraph_maps(g, target)))
+    cm = nerve_functor_map(DigraphMap.from_images(g, target, images), 1, 1, 2)
+    n = data.draw(st.integers(0, 2))
+    nondegenerate = cm.source.nondegenerate_cubes(n)
+    assume(nondegenerate)
+    cubes = range(len(cm.source.cubes[n]))
+    k = data.draw(st.sampled_from(nondegenerate) | st.sampled_from(cubes))
+    cm.levels[n][k] = data.draw(st.sampled_from(range(len(cm.target.cubes[n]))))
+    expected = dense_noncommuting_degree(cm)
+    if expected is None:
+        chain_map_matrices(cm)
+    else:
+        with pytest.raises(NotChainMap, match=f"boundary {expected}$"):
+            chain_map_matrices(cm)
 
 
 @settings(max_examples=40, deadline=None)

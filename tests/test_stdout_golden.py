@@ -13,6 +13,7 @@ import json
 import pytest
 
 from dgh.cli import main
+from dgh.corpus import o_digraph
 
 ZIGZAG = "><><"  # anti-palindromic, so the antipodal gluing keeps arrow directions
 
@@ -53,9 +54,38 @@ def files(tmp_path):
         ("wedge.json", wedge),
         ("fold.json", fold),
         ("rp2.json", projective_plane()),
+        *o_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
+
+
+def o_files():
+    """The punctured grid O with vertices labelled "rc", its identity map,
+    the cover by rows r <= 2 and r >= 2, and that cover plus the columns
+    c <= 2 and c >= 2 (the members meet in threes, so the cover's nerve
+    has 2-simplices)."""
+    o = o_digraph()
+    label = {(r, c): f"{r}{c}" for r, c in o.vertices}
+    rows = {
+        "top": [label[v] for v in o.vertices if v[0] <= 2],
+        "bottom": [label[v] for v in o.vertices if v[0] >= 2],
+    }
+    columns = {
+        "left": [label[v] for v in o.vertices if v[1] <= 2],
+        "right": [label[v] for v in o.vertices if v[1] >= 2],
+    }
+    return [
+        ("o.json", {
+            "vertices": [label[v] for v in o.vertices],
+            "arrows": [[label[u], label[v]] for u, v in sorted(o.arrows)],
+        }),
+        ("o-id.json", {
+            "source": "o.json", "target": "o.json", "assignment": {x: x for x in label.values()},
+        }),
+        ("o-rows.json", {"members": rows}),
+        ("o-rows-columns.json", {"members": {**rows, **columns}}),
+    ]
 
 
 GOLDEN = [
@@ -171,4 +201,73 @@ TABLES = [
 )
 def test_stdout_is_pinned(files, capsys, argv, stdout):
     assert main([argv[0], str(files / argv[1]), *argv[2:]]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+# Captured before the chain complexes were built from sparse columns.
+NERVE_THEOREM = (
+    '{"all_intersections_contractible_evidence":false,"checked_degrees":[0,1],'
+    '"consistent":false,"digraph_nerve_homology":[{"rank":1,"torsion":[]},{"rank":1,'
+    '"torsion":[]},{"rank":36,"torsion":[]}],"faces":[{"components":1,"empty":false,'
+    '"face":["bottom"],"reduced_homology_below_top":[{"rank":0,"torsion":[]},'
+    '{"rank":0,"torsion":[]}],"size":14,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["bottom","left"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":8,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["bottom","left","right"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":2,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["bottom","left","top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":2,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["bottom","right"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":8,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["bottom","right","top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":2,"weakly_contractible_evidence":true},'
+    '{"components":2,"empty":false,"face":["bottom","top"],"reduced_homology_below_top":[{"rank":1,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":4,"weakly_contractible_evidence":false},'
+    '{"components":1,"empty":false,"face":["left"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":14,"weakly_contractible_evidence":true},'
+    '{"components":2,"empty":false,"face":["left","right"],"reduced_homology_below_top":[{"rank":1,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":4,"weakly_contractible_evidence":false},'
+    '{"components":1,"empty":false,"face":["left","right","top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":2,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["left","top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":8,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["right"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":14,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["right","top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":8,"weakly_contractible_evidence":true},'
+    '{"components":1,"empty":false,"face":["top"],"reduced_homology_below_top":[{"rank":0,'
+    '"torsion":[]},{"rank":0,"torsion":[]}],"size":14,"weakly_contractible_evidence":true}],'
+    '"homology_agrees_below_top":false,"nerve_complex_homology":[{"rank":1,"torsion":[]},'
+    '{"rank":0,"torsion":[]},{"rank":1,"torsion":[]}],"note":"evidence at the computed truncation only; degrees >= top are not read",'
+    '"pass":false}\n'
+)
+
+COVER_EQUIV = (
+    '{"faces":[{"face":["bottom"],"homology_iso_below_top":true,"size":14,"size_prime":14},'
+    '{"face":["bottom","top"],"homology_iso_below_top":true,"size":4,"size_prime":4},'
+    '{"face":["top"],"homology_iso_below_top":true,"size":14,"size_prime":14}],'
+    '"global":{"0":true,"1":true},"global_matrices":{"0":[[1]],"1":[[1]]},"pass":true}\n'
+)
+
+PI1 = (
+    '{"abelianization":{"rank":1,"torsion":[]},"generators":13,"reduced_generators":2,'
+    '"reduced_relators":2,"relators":24}\n'
+)
+
+
+# Report paths no string above reaches: simplicial homology of a cover's
+# nerve, the per-face comparison of two covers, and the pi1 presentation.
+REPORTS = [
+    (["nerve-theorem", "o.json", "o-rows-columns.json"], 1, NERVE_THEOREM),
+    (["check", "cover-equiv", "o-id.json", "o-rows.json", "o-rows.json"], 0, COVER_EQUIV),
+    (["pi1", "o.json", "--base", "00"], 0, PI1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", REPORTS, ids=["nerve-theorem-o", "cover-equiv-o", "pi1-o"]
+)
+def test_report_is_pinned(files, capsys, argv, code, stdout):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == code
     assert capsys.readouterr().out == stdout
