@@ -284,20 +284,20 @@ def pair_box_product(p, q):
     return DigraphPair(amb, part)
 
 
-def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
-    """Yield all digraph maps source -> target as image tuples.
+def _map_search(source, target):
+    """The map enumerator for one (source, target), set up once.
 
-    Backtracks over source vertices in input order with arrow-consistency
-    pruning against already-assigned neighbours; output is lexicographic in
-    target vertex order.  `pinned` optionally restricts the candidates of
-    selected vertices to a given tuple.  Raises BudgetExceeded when more
-    than `budget` maps exist.
+    The set-up is the target's arrows with the diagonal and, per source
+    vertex, its arrows to earlier vertices in input order.  The returned
+    `search(candidates, budget)` backtracks over the source vertices in
+    input order, giving position k the images in `candidates[k]` in their
+    iteration order, with arrow-consistency pruning against the already
+    assigned neighbours; it yields every digraph map with those images as
+    an image tuple, lexicographically in candidate order, and raises
+    BudgetExceeded when more than `budget` maps exist.
     """
     svs = source.vertices
     n = len(svs)
-    if n == 0:
-        yield ()
-        return
     ok = set(target.arrows)
     for v in target.vertices:
         ok.add((v, v))
@@ -311,47 +311,61 @@ def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
             constraints[j].append((i, True))
         else:
             constraints[i].append((j, False))
-    base_candidates = []
-    for k, v in enumerate(svs):
-        if pinned is not None and v in pinned:
-            cand = tuple(pinned[v])
-        else:
-            cand = target.vertices
-        base_candidates.append(cand)
 
-    images = [None] * n
-    count = 0
-    stack = [(0, iter(base_candidates[0]))]
-    while stack:
-        k, candidates = stack[-1]
-        advanced = False
-        for c in candidates:
-            good = True
-            for j, forward in constraints[k]:
-                w = images[j]
-                if forward:
-                    if w != c and (w, c) not in ok:
-                        good = False
+    def search(candidates, budget=INFINITY):
+        if n == 0:
+            yield ()
+            return
+        images = [None] * n
+        count = 0
+        stack = [(0, iter(candidates[0]))]
+        while stack:
+            k, tried = stack[-1]
+            advanced = False
+            for c in tried:
+                good = True
+                for j, forward in constraints[k]:
+                    w = images[j]
+                    if forward:
+                        if w != c and (w, c) not in ok:
+                            good = False
+                            break
+                    else:
+                        if c != w and (c, w) not in ok:
+                            good = False
+                            break
+                if good:
+                    images[k] = c
+                    if k + 1 == n:
+                        count += 1
+                        if count > budget:
+                            raise BudgetExceeded(
+                                f"more than {budget} digraph maps during enumeration"
+                            )
+                        yield tuple(images)
+                    else:
+                        stack.append((k + 1, iter(candidates[k + 1])))
+                        advanced = True
                         break
-                else:
-                    if c != w and (c, w) not in ok:
-                        good = False
-                        break
-            if good:
-                images[k] = c
-                if k + 1 == n:
-                    count += 1
-                    if count > budget:
-                        raise BudgetExceeded(
-                            f"more than {budget} digraph maps during enumeration"
-                        )
-                    yield tuple(images)
-                else:
-                    stack.append((k + 1, iter(base_candidates[k + 1])))
-                    advanced = True
-                    break
-        if not advanced:
-            stack.pop()
+            if not advanced:
+                stack.pop()
+
+    return search
+
+
+def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
+    """Yield all digraph maps source -> target as image tuples.
+
+    Runs `_map_search` with every target vertex as a candidate, so the
+    output is lexicographic in target vertex order.  `pinned` optionally
+    restricts the candidates of selected vertices to a given tuple.
+    Raises BudgetExceeded when more than `budget` maps exist.
+    """
+    candidates = [
+        tuple(pinned[v]) if pinned is not None and v in pinned else target.vertices
+        for v in source.vertices
+    ]
+    yield from _map_search(source, target)(candidates, budget)
 
 
 def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
@@ -374,23 +388,26 @@ def one_step_arrow(target, images_a, images_b, rel_positions=()):
     return all(map(contains, _next_images(target, images_a, rel_positions), images_b))
 
 
-def one_step_pairs(source, target, maps, rel_positions=()):
+def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
     """All index pairs (a, b), a != b, with an arrow maps[a] -> maps[b] in
     the box hom source -> target, relative to the pinned `rel_positions`,
     ordered by a and then by b.
 
     The heads of the arrows out of maps[a] are the digraph maps with image
-    in `_next_images` of maps[a] at every source position: the enumerator
+    in `_next_images` of maps[a] at every source position: one `_map_search`
     generates them from those candidate sets, and each is looked up in
     `maps`.  Their number is at most the product of the set sizes, so the
-    search runs with no map budget.
+    search runs with no map budget.  Raises BudgetExceeded as soon as the
+    pairs out of the maps read so far number more than `budget`.
     """
+    search = _map_search(source, target)
     position = dict(zip(maps, count()))
     pairs = []
     for a, images in enumerate(maps):
-        pinned = dict(zip(source.vertices, _next_images(target, images, rel_positions)))
-        heads = map(position.get, iter_digraph_maps(source, target, INFINITY, pinned))
+        heads = map(position.get, search(_next_images(target, images, rel_positions)))
         pairs.extend((a, b) for b in sorted(b for b in heads if b is not None) if b != a)
+        if len(pairs) > budget:
+            raise BudgetExceeded(f"more than {budget} box-hom arrows")
     return pairs
 
 

@@ -41,12 +41,7 @@ class ChainComplex:
         """`columns` yields, for n = 1..top, the list of degree-n boundary
         columns; it is read only after every rank is within the ceiling."""
         self.ranks = list(ranks)
-        for n, rank in enumerate(self.ranks):
-            if rank > MAX_MATRIX_DIM:
-                raise BudgetExceeded(
-                    f"chain group {n} has {rank} generators, "
-                    f"over the {MAX_MATRIX_DIM} ceiling"
-                )
+        check_ranks(self.ranks)
         self.top = len(self.ranks) - 1
         self.columns = [[], *columns]
         assert list(map(len, self.columns[1:])) == self.ranks[1:]
@@ -61,6 +56,17 @@ class ChainComplex:
             lower = self.columns[n - 1]
             if any(_compose(lower, column) for column in self.columns[n]):
                 raise InputError(f"boundary squared is nonzero in degree {n}")
+
+
+def check_ranks(ranks):
+    """The generator ceiling: BudgetExceeded names the first degree, in
+    degree order, whose rank is over `MAX_MATRIX_DIM`."""
+    for n, rank in enumerate(ranks):
+        if rank > MAX_MATRIX_DIM:
+            raise BudgetExceeded(
+                f"chain group {n} has {rank} generators, "
+                f"over the {MAX_MATRIX_DIM} ceiling"
+            )
 
 
 def boundary_columns(cells, faces):

@@ -2,20 +2,24 @@
 
 An n-cube of the m-nerve of G is a digraph map from the n-fold box power of
 the standard m-interval into G, stored as the tuple of its images over the
-grid {0..m}^n in lexicographic order.  Structure maps (faces, degeneracies,
-connections) are computed by precomposition with the realized coordinate
-maps and memoized into index tables.
+grid {0..m}^n in lexicographic order.  Level n is built from level n-1 by
+the exponential law: its cubes are the m-step walks in the box hom on the
+level-(n-1) cubes, concatenated, and they are counted against the cube
+budget before any of them is built (`nerve_levels`).  Structure maps
+(faces, degeneracies, connections) are computed by precomposition with the
+realized coordinate maps and memoized into index tables.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import compress, count, product
 from operator import itemgetter, ne
 
 from .config import DEFAULT_MAX_CUBES
-from .digraph import Digraph, DigraphMap, enumerate_digraph_maps
+from .digraph import Digraph, DigraphMap, one_step_pairs
 from .errors import BadIndex, BudgetExceeded, InvalidCubicalSet, ParityError
-from .intervals import standard_interval
+from .intervals import FWD, standard_interval
 
 
 # -- realizations ---------------------------------------------------------
@@ -287,15 +291,43 @@ def _mismatches(lhs, rhs):
 def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Enumerate the truncated m-nerve of g up to dimension top_dim.
 
-    Raises BudgetExceeded, naming `budget` and the level being enumerated,
-    when the levels hold more than `budget` cubes in total."""
+    Level 0 is the vertices of g.  Level n >= 1 is built from level n-1 by
+    the exponential law Hom(I_m □ I_m^{n-1}, G) ≅ Hom(I_m, G^{I_m^{n-1}}),
+    where G^{I_m^{n-1}} is the box hom on the maps of level n-1.  Read along
+    its first grid coordinate, a level-n cube is the sequence of its slices
+    c_0 ... c_m, each a level-(n-1) cube; the arrows of the first axis make
+    step k an arrow c_k -> c_{k+1} of the box hom where the interval's word
+    is forward and c_{k+1} -> c_k where it is backward, constant steps
+    included, and the arrows of the other axes are those of each slice.
+    So the level-n cubes are exactly the m-step walks in that box hom.
+
+    Order: the grid is lexicographic with the first coordinate slowest, so
+    a cube's image tuple is the concatenation c_0 + ... + c_m of its
+    slices' tuples.  Level n-1 is sorted (lexicographic in target vertex
+    order) and its tuples have one length, so the concatenations compare as
+    the index sequences of the walks do: generating the walks in
+    lexicographic order of indices lists level n in the enumerator's order
+    (`enumerate_digraph_maps(cube_realization(interval, n), g)`).
+
+    Budget: raises BudgetExceeded, naming `budget` and the level, when the
+    levels hold more than `budget` cubes in total, before any tuple of the
+    offending level is built.  The walks are counted exactly first, as a
+    vector-matrix product over the adjacency.  The adjacency search stops
+    early too: each arrow a -> b, a != b, is its own non-constant walk
+    (a, b, b, ...) or (b, a, a, ...), whichever the first step reads, and
+    the |X_{n-1}| constant walks are the others, so
+    |X_n| >= |X_{n-1}| + #arrows.
+    """
     interval = standard_interval(m, sign)
+    level = list(zip(g.vertices))
     cubes = []
     remaining = budget
     for n in range(top_dim + 1):
-        source = cube_realization(interval, n)
         try:
-            level = enumerate_digraph_maps(source, g, budget=remaining)
+            if n:
+                level = _walk_level(g, interval, n, level, remaining)
+            if len(level) > remaining:
+                raise BudgetExceeded(f"{len(level)} cubes")
         except BudgetExceeded:
             raise BudgetExceeded(
                 f"nerve exceeds {budget} total cubes at level {n}"
@@ -305,32 +337,61 @@ def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     return TruncatedCubicalSet(g, m, sign, cubes)
 
 
-def degenerate_cube_test(images, m, n):
-    """Fiber-constancy test against every realized degeneracy and connection.
+def _walk_level(g, interval, n, prev, remaining):
+    """Level n of the nerve from level n-1 (`prev`): the m-step walks in
+    the box hom on `prev`, or BudgetExceeded when they number more than
+    `remaining`, raised before any walk is built."""
+    word = interval.word
+    if not word:  # m = 0: the one-vertex grid, each level is level 0
+        return list(prev)
+    out, into = _box_hom_lists(
+        cube_realization(interval, n - 1), g, prev, remaining - len(prev)
+    )
+    walks = _walk_count(word, out, into)
+    if walks > remaining:
+        raise BudgetExceeded(f"{walks} walks")
+    return _concatenated_walks(prev, word, out, into)
 
-    Returns (True, witness) with witness ("sigma", i) or ("gamma", i, eps),
-    or (False, None) when the cube is nondegenerate.
-    """
-    grid = _grid(m, n)
-    lookup = dict(zip(grid, images))
 
-    def constant_on_fibers(q):
-        classes = {}
-        for pt in grid:
-            key = q(pt)
-            val = lookup[pt]
-            if classes.setdefault(key, val) != val:
-                return False
-        return True
+def _box_hom_lists(source, g, maps, arrow_budget):
+    """Per map, the sorted indices of its out- and in-neighbours in the box
+    hom source -> g, itself included (the constant step)."""
+    out = [[] for _ in maps]
+    into = [[] for _ in maps]
+    for a, b in one_step_pairs(source, g, maps, budget=arrow_budget):
+        out[a].append(b)
+        into[b].append(a)  # pairs come ordered by a, so `into` is sorted
+    for a in range(len(maps)):
+        insort(out[a], a)
+        insort(into[a], a)
+    return out, into
 
-    for i in range(1, n + 1):
-        if constant_on_fibers(lambda pt, i=i: _drop(pt, i)):
-            return True, ("sigma", i)
-    for i in range(1, n):
-        for eps in (0, 1):
-            if constant_on_fibers(lambda pt, i=i, e=eps: _merge(pt, i, e)):
-                return True, ("gamma", i, eps)
-    return False, None
+
+def _walk_count(word, out, into):
+    """The number of walks whose step k follows `out` where word[k] is
+    forward and `into` where it is backward: all-ones weights pushed back
+    through the steps, last step first."""
+    weights = [1] * len(out)
+    for step in reversed(word):
+        heads = out if step == FWD else into
+        weights = [sum(map(weights.__getitem__, hs)) for hs in heads]
+    return sum(weights)
+
+
+def _concatenated_walks(level, word, out, into):
+    """The walks of `_walk_count` as concatenated image tuples, in
+    lexicographic order of their index sequences.  The walks are built one
+    start at a time; only the prefixes up to the last step are held, with
+    their end index, and the last step emits the image tuples directly."""
+    steps = [out if step == FWD else into for step in word]
+    last = steps.pop()
+    cubes = []
+    for start in range(len(level)):
+        prefixes = [(start, level[start])]
+        for heads in steps:
+            prefixes = [(b, image + level[b]) for a, image in prefixes for b in heads[a]]
+        cubes += [image + level[b] for a, image in prefixes for b in last[a]]
+    return cubes
 
 
 # -- maps of truncated cubical sets ----------------------------------------

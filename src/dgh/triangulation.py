@@ -17,7 +17,7 @@ from itertools import combinations, count, product, repeat
 from operator import eq
 
 from .errors import InvalidCubicalSet
-from .homology import ChainComplex, boundary_columns, homology
+from .homology import ChainComplex, boundary_columns, check_ranks, homology
 from .nerve import _drop, _merge
 
 
@@ -51,6 +51,27 @@ def _corner_chains(d):
     return chains
 
 
+def _simplex_ranks(x, chains):
+    """Rank k: the nondegenerate d-cubes times the chains of k+1 corners in
+    `chains[d]`, summed over d."""
+    ranks = [0] * (x.top_dim + 1)
+    for d, level_chains in enumerate(chains):
+        cubes = sum(x.nondegenerate[d])
+        for chain in level_chains:
+            ranks[len(chain) - 1] += cubes
+    return ranks
+
+
+def _simplex_keys(x, chains):
+    """The sorted simplex keys (d, cube, chain) of each dimension."""
+    keys = [[] for _ in range(x.top_dim + 1)]
+    for d, level_chains in enumerate(chains):
+        for cube in x.nondegenerate_cubes(d):
+            for chain in level_chains:
+                keys[len(chain) - 1].append((d, cube, chain))
+    return [sorted(level) for level in keys]
+
+
 class Triangulation:
     """The simplicial chain data of a truncated cubical set.
 
@@ -62,15 +83,11 @@ class Triangulation:
 
     def __init__(self, x):
         self.x = x
-        keys = [set() for _ in range(x.top_dim + 1)]
-        for d in range(x.top_dim + 1):
-            chains = _corner_chains(d)
-            for cube in x.nondegenerate_cubes(d):
-                for chain in chains:
-                    k = len(chain) - 1
-                    if k <= x.top_dim:
-                        keys[k].add((d, cube, chain))
-        self.simplices = [sorted(level) for level in keys]
+        chains = [_corner_chains(d) for d in range(x.top_dim + 1)]
+        # the generator ceiling, checked on the counts before any key is
+        # built: a chain of d+1 corners at most, so no chain is over top_dim
+        check_ranks(_simplex_ranks(x, chains))
+        self.simplices = _simplex_keys(x, chains)
         self.index = [dict(zip(level, count())) for level in self.simplices]
         # each degenerate cube -> (corner map, its parameters, core cube),
         # read off the degeneracy then the connection tables with the first

@@ -16,8 +16,36 @@ import pytest
 from dgh.digraph import Digraph, box_product
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
-from dgh.nerve import degenerate_cube_test
+from dgh.nerve import _drop, _grid, _merge
 
+
+
+def degenerate_cube_test(images, m, n):
+    """Fiber-constancy test against every realized degeneracy and connection.
+
+    Returns (True, witness) with witness ("sigma", i) or ("gamma", i, eps),
+    or (False, None) when the cube is nondegenerate.
+    """
+    grid = _grid(m, n)
+    lookup = dict(zip(grid, images))
+
+    def constant_on_fibers(q):
+        classes = {}
+        for pt in grid:
+            key = q(pt)
+            val = lookup[pt]
+            if classes.setdefault(key, val) != val:
+                return False
+        return True
+
+    for i in range(1, n + 1):
+        if constant_on_fibers(lambda pt, i=i: _drop(pt, i)):
+            return True, ("sigma", i)
+    for i in range(1, n):
+        for eps in (0, 1):
+            if constant_on_fibers(lambda pt, i=i, e=eps: _merge(pt, i, e)):
+                return True, ("gamma", i, eps)
+    return False, None
 
 def cycle(n):
     return Digraph(range(n), [(i, (i + 1) % n) for i in range(n)])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dgh import triangulation
 from dgh.cli import main
 
 
@@ -76,6 +77,18 @@ class TestExitCodes:
         error = json.loads(captured.err)
         assert error == {"error": "nerve exceeds 1000 total cubes at level 3", "kind": "budget"}
 
+    def test_cube_budget_trips_before_level_four_is_built(self, files, capsys):
+        # level 3 of N_2(C3) holds 426,342 cubes, and each has about 20,000
+        # box-hom neighbours: the arrow bound breaks the default budget
+        argv = ["nerve", files / "c3.json", "--m", "2", "--maxdim", "4"]
+        assert main([str(a) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "nerve exceeds 1000000 total cubes at level 4",
+            "kind": "budget",
+        }
+
     @pytest.mark.parametrize(
         "argv, degree, count",
         [
@@ -85,7 +98,11 @@ class TestExitCodes:
         ],
         ids=["triangulated", "cubical"],
     )
-    def test_generator_ceiling_names_degree_and_count(self, files, capsys, argv, degree, count):
+    def test_generator_ceiling_names_degree_and_count(
+        self, files, capsys, monkeypatch, argv, degree, count
+    ):
+        built = []
+        monkeypatch.setattr(triangulation, "_simplex_keys", lambda *args: built.append(args))
         assert main(["homology", str(files / "c3.json"), *argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -93,6 +110,7 @@ class TestExitCodes:
             "error": f"chain group {degree} has {count} generators, over the 20000 ceiling",
             "kind": "budget",
         }
+        assert built == []  # the ceiling trips on counted ranks, before any simplex key
 
     @pytest.mark.parametrize("flag", ["--max-cubes", "--max-maps"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from dgh import nerve
 from dgh.digraph import DigraphMap, box_product, is_isomorphic, point
 from dgh.errors import BadIndex, BudgetExceeded, ParityError
 from dgh.intervals import standard_interval
@@ -10,7 +11,6 @@ from dgh.nerve import (
     check_rho_properties,
     comparison_map,
     cube_realization,
-    degenerate_cube_test,
     horn_realization,
     horn_vertices,
     kan_filler_phi,
@@ -26,6 +26,7 @@ from dgh.nerve import (
 )
 
 from conftest import (
+    degenerate_cube_test,
     line,
     naive_digraph_maps,
     naive_identity_violations,
@@ -123,6 +124,56 @@ class TestNerveLevels:
     def test_budget(self, c3):
         with pytest.raises(BudgetExceeded):
             nerve_levels(c3, 1, 1, 2, budget=10)
+
+    # N_2(C3) holds 3 + 12 + 246 cubes up to level 2, and the box hom on
+    # the 246 level-2 cubes has 9,744 arrows besides the diagonal, so level
+    # 3 holds at least 246 + 9,744 cubes; it holds 426,342
+    LEVELS_0_TO_2 = 3 + 12 + 246
+    ARROW_BOUND = 246 + 9744
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        original = getattr(nerve, name)
+
+        def spied(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(nerve, name, spied)
+        return calls
+
+    def test_arrow_bound_trips_before_the_walk_count(self, c3, monkeypatch):
+        counted = self.spy(monkeypatch, "_walk_count")
+        built = self.spy(monkeypatch, "_concatenated_walks")
+        budget = self.LEVELS_0_TO_2 + self.ARROW_BOUND - 1
+        with pytest.raises(BudgetExceeded, match=f"nerve exceeds {budget} total cubes at level 3$"):
+            nerve_levels(c3, 2, 1, 3, budget=budget)
+        assert counted == ["_walk_count"] * 2  # levels 1 and 2 only
+        assert built == ["_concatenated_walks"] * 2
+
+    def test_walk_count_trips_before_the_level_is_built(self, c3, monkeypatch):
+        counted = self.spy(monkeypatch, "_walk_count")
+        built = self.spy(monkeypatch, "_concatenated_walks")
+        for budget in (
+            self.LEVELS_0_TO_2 + self.ARROW_BOUND,
+            self.LEVELS_0_TO_2 + 426342 - 1,
+        ):
+            counted.clear()
+            built.clear()
+            with pytest.raises(BudgetExceeded, match=f"{budget} total cubes at level 3$"):
+                nerve_levels(c3, 2, 1, 3, budget=budget)
+            assert len(counted) == 3
+            assert len(built) == 2
+        x = nerve_levels(c3, 2, 1, 3, budget=self.LEVELS_0_TO_2 + 426342)
+        assert x.counts()["cubes"] == [3, 12, 246, 426342]
+
+    def test_zero_step_levels_repeat_level_zero(self, c3, monkeypatch):
+        searched = self.spy(monkeypatch, "one_step_pairs")
+        x = nerve_levels(c3, 0, 1, 3)
+        assert x.cubes == [[(0,), (1,), (2,)]] * 4
+        assert searched == []
+        with pytest.raises(BudgetExceeded, match="at level 2$"):
+            nerve_levels(c3, 0, 1, 3, budget=8)
 
     def test_opposite_orientation_duality(self, c3):
         # maps from the reversed interval power match maps into the

@@ -16,15 +16,17 @@ from dgh.digraph import (
     pi0,
 )
 from dgh.covers import in_closure, is_in_closed, out_closure
-from dgh.errors import NotChainMap
+from dgh.errors import BudgetExceeded, NotChainMap
 from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.nerve import degenerate_cube_test, nerve_functor_map, nerve_levels
-from dgh.triangulation import triangulate
+from dgh.intervals import standard_interval
+from dgh.nerve import cube_realization, nerve_functor_map, nerve_levels
+from dgh.triangulation import _corner_chains, _simplex_ranks, triangulate
 
 from conftest import (
     all_pairs_one_step,
     cycle,
+    degenerate_cube_test,
     dense_noncommuting_degree,
     line,
     naive_components,
@@ -91,6 +93,64 @@ def test_one_step_pairs_degenerate_inputs():
     assert maps == [()]
     assert one_step_pairs(empty, c3, maps) == all_pairs_one_step(c3, maps) == []
     assert one_step_pairs(line(2), c3, []) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=7),
+    digraphs(max_vertices=4, max_arrows=7),
+    st.data(),
+)
+def test_one_step_pairs_budget_is_exact(source, target, data):
+    maps = enumerate_digraph_maps(source, target)
+    pairs = one_step_pairs(source, target, maps)
+    budget = data.draw(st.integers(-1, len(pairs) + 1))
+    if len(pairs) > budget:
+        with pytest.raises(BudgetExceeded):
+            one_step_pairs(source, target, maps, budget=budget)
+    else:
+        assert one_step_pairs(source, target, maps, budget=budget) == pairs
+
+
+NERVE_ORACLE_BUDGET = 50_000
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=8),
+    st.integers(0, 3),
+    st.sampled_from([1, -1]),
+)
+def test_walk_levels_are_the_enumerated_cube_maps(g, m, sign):
+    # the levels are enumerated by backtracking over the grid, one level at
+    # a time, while they fit the budget (up to level 4)
+    interval = standard_interval(m, sign)
+    enumerated = []
+    remaining = NERVE_ORACLE_BUDGET
+    for n in range(5):
+        try:
+            level = enumerate_digraph_maps(cube_realization(interval, n), g, remaining)
+        except BudgetExceeded:
+            break
+        remaining -= len(level)
+        enumerated.append(level)
+    top = len(enumerated) - 1
+    x = nerve_levels(g, m, sign, top, NERVE_ORACLE_BUDGET)
+    assert x.cubes == enumerated
+    if top < 4:  # the next level is over the budget, for both
+        with pytest.raises(BudgetExceeded, match=f"at level {top + 1}$"):
+            nerve_levels(g, m, sign, top + 1, NERVE_ORACLE_BUDGET)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([(1, 2), (1, 3), (2, 2)]),
+)
+def test_counted_simplex_ranks_match_the_keys(g, truncation):
+    x = nerve_levels(g, *truncation[:1], 1, truncation[1])
+    chains = [_corner_chains(d) for d in range(x.top_dim + 1)]
+    assert _simplex_ranks(x, chains) == list(map(len, triangulate(x).simplices))
 
 
 @settings(max_examples=40, deadline=None)

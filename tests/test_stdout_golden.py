@@ -8,6 +8,7 @@ same under several PYTHONHASHSEED values; the `--tables` strings were
 captured before the tables were built as composed index maps.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -271,3 +272,18 @@ def test_report_is_pinned(files, capsys, argv, code, stdout):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+# The backward-first interval (`--sign -`): the out-fan at m = 3, K = 2,
+# cubes [3, 19, 3181].  Its 31,720 bytes of `--tables` stdout are pinned by
+# their SHA-256, captured while each level was still enumerated by
+# backtracking over the grid, and equal under PYTHONHASHSEED 0, 1, 2, 7.
+SIGN_MINUS_TABLES_SHA256 = "9df1807c8834563e669cb9eff02ff63325ff070c636f769ab819e2bd55b22f0c"
+
+
+def test_backward_first_tables_are_pinned(files, capsys):
+    argv = ["nerve", str(files / "fan.json"), "--m", "3", "--maxdim", "2", "--sign", "-", "--tables"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"cubes":[3,19,3181]' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGN_MINUS_TABLES_SHA256
