@@ -56,9 +56,9 @@ def _simplex_ranks(x, chains):
     `chains[d]`, summed over d."""
     ranks = [0] * (x.top_dim + 1)
     for d, level_chains in enumerate(chains):
-        cubes = sum(x.nondegenerate[d])
+        n_cubes = sum(x.nondegenerate[d])
         for chain in level_chains:
-            ranks[len(chain) - 1] += cubes
+            ranks[len(chain) - 1] += n_cubes
     return ranks
 
 
