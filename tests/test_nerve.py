@@ -135,9 +135,9 @@ class TestNerveLevels:
         calls = []
         original = getattr(nerve, name)
 
-        def spied(*args):
+        def spied(*args, **kwargs):
             calls.append(name)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(nerve, name, spied)
         return calls
