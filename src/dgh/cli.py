@@ -116,15 +116,6 @@ def dimension(text):
     return value
 
 
-def _tuple_vertex(g, text):
-    # coordinate tuples print as "(0, 1)"; accept "0:1" shorthand too
-    if ":" in text:
-        coords = tuple(int(c) for c in text.split(":"))
-        if coords in g._index:
-            return coords
-    return parse_vertex(g, text)
-
-
 # -- commands -----------------------------------------------------------------------
 
 
@@ -216,7 +207,7 @@ def cmd_homology(args, cfg):
 def cmd_pi1(args, cfg):
     g = load_digraph(args.digraph)
     x = nerve_levels(g, args.nerve_m, 1, max(args.maxdim, 2), cfg.max_cubes)
-    base = _tuple_vertex(g, args.base)
+    base = parse_vertex(g, args.base)
     pres = pi1_presentation(x, base)
     reduced = pres.tietze_reduced()
     ab = pres.abelianization()

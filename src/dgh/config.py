@@ -10,6 +10,8 @@ from .errors import InputError
 DEFAULT_MAX_CUBES = 10**6
 #: ceiling on the maps of one enumeration
 DEFAULT_MAX_MAPS = 10**5
+#: ceiling on the base maps of `coverings.check_unique_lifting_all_horns`
+MAX_HORN_BASE_MAPS = 10**7
 #: ceiling on one side of a boundary matrix (arbitrary-precision entries
 #: make runtime the only concern)
 MAX_MATRIX_DIM = 20000

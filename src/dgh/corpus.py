@@ -5,6 +5,7 @@ from __future__ import annotations
 from .digraph import Digraph, box_product, disjoint_union
 from .covers import out_closure
 from .intervals import standard_interval
+from .nerve import boundary_vertices
 
 
 def cycle(n):
@@ -24,16 +25,14 @@ def grid_4x4():
 
 
 def boundary_4x4():
-    g = grid_4x4()
-    return g.induced([v for v in g.vertices if v[0] in (0, 4) or v[1] in (0, 4)])
+    return grid_4x4().induced(boundary_vertices(4, 2))
 
 
 def o_digraph():
     """Out-closure of the boundary inside the 4x4 zigzag grid: the full
     grid with the center vertex (a source) removed."""
     g = grid_4x4()
-    boundary = [v for v in g.vertices if v[0] in (0, 4) or v[1] in (0, 4)]
-    return g.induced(out_closure(g, boundary))
+    return g.induced(out_closure(g, boundary_vertices(4, 2)))
 
 
 def fan_out():

@@ -9,10 +9,11 @@ evaluated independently so their agreement can be tested.
 
 from __future__ import annotations
 
-from .config import DEFAULT_MAX_MAPS
+from .config import DEFAULT_MAX_MAPS, MAX_HORN_BASE_MAPS
 from .digraph import (
     Digraph,
     DigraphMap,
+    UnionFind,
     distances_from,
     enumerate_digraph_maps,
     iter_digraph_maps,
@@ -247,19 +248,11 @@ def check_lifting_hypotheses(a, b):
         if any((u, v) not in linked for u in ins for v in ins):
             weakest = "connected"
             # chain the agreement relation
-            comp = {v: v for v in ins}
-
-            def find(v):
-                while comp[v] != v:
-                    comp[v] = comp[comp[v]]
-                    v = comp[v]
-                return v
-
+            position = {v: k for k, v in enumerate(ins)}
+            uf = UnionFind(len(ins))
             for u, v in linked:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    comp[ru] = rv
-            if len({find(v) for v in ins}) > 1:
+                uf.union(position[u], position[v])
+            if len(set(map(uf.find, range(len(ins))))) > 1:
                 weakest = False
                 break
     result["2"] = weakest
@@ -472,7 +465,7 @@ def horn_inclusion(side, n, i, eps):
     return horn, cube
 
 
-def check_unique_lifting_all_horns(p, side, n, budget=10**7):
+def check_unique_lifting_all_horns(p, side, n):
     """Unique lifting against every (i, eps) horn of one cube, sharing the
     base-map enumeration and the spread across horns.
 
@@ -502,7 +495,7 @@ def check_unique_lifting_all_horns(p, side, n, budget=10**7):
     reports = {
         key: {"squares": 0, "unique": True, "pass": True} for key in horn_list
     }
-    for beta in iter_digraph_maps(cube, p.target, budget=budget):
+    for beta in iter_digraph_maps(cube, p.target, budget=MAX_HORN_BASE_MAPS):
         for anchor in fibers.get(beta[0], []):
             if _spread(cube_plan, lifts, steps, beta, 0, anchor) is not None:
                 for key in horn_list:

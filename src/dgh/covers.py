@@ -28,9 +28,7 @@ from .triangulation import simplicial_homology
 
 def _closure(g, part, neighbours):
     out = set(part)
-    for v in out:
-        if v not in g._index:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+    g.check_vertices(out)
     queue = deque(out)
     while queue:
         v = queue.popleft()
@@ -91,19 +89,6 @@ class SubdigraphFamily:
             common &= set(self.members[name])
         return tuple(v for v in self.ambient.vertices if v in common)
 
-    def restricted(self, vertex_subset, new_ambient=None):
-        """The family intersected with a vertex subset (new ambient is the
-        induced subdigraph by default)."""
-        keep = set(vertex_subset)
-        ambient = new_ambient or self.ambient.induced(keep)
-        return SubdigraphFamily(
-            ambient,
-            {
-                name: tuple(v for v in vs if v in keep)
-                for name, vs in self.members.items()
-            },
-        )
-
 
 class NerveComplex:
     """Abstract simplicial complex of nonempty member intersections."""
@@ -116,14 +101,8 @@ class NerveComplex:
                 for sub in combinations(f, k):
                     assert sub in self.faces, "nerve faces must be downward closed"
 
-    def homology(self, top_dim=None, reduced=False):
-        return simplicial_homology(self.faces, top_dim=top_dim, reduced=reduced)
-
-    def counts(self):
-        sizes = {}
-        for f in self.faces:
-            sizes[len(f) - 1] = sizes.get(len(f) - 1, 0) + 1
-        return sizes
+    def homology(self):
+        return simplicial_homology(self.faces)
 
 
 def nerve_complex(family):

@@ -17,8 +17,7 @@ threads; operations are pure functions of their inputs.
 from __future__ import annotations
 
 from collections import deque
-from itertools import count, product
-from operator import contains
+from itertools import count
 
 from .config import DEFAULT_MAX_MAPS
 from .errors import (
@@ -94,6 +93,11 @@ class Digraph:
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v!r}") from None
 
+    def check_vertices(self, vertices):
+        """Raise UnknownVertex on the first of `vertices` that is not a vertex."""
+        for v in vertices:
+            self.index(v)
+
     def is_arrow(self, u, v):
         """Arrow-or-equality query; degenerate arrows answer True."""
         return u == v or (u, v) in self.arrows
@@ -113,17 +117,10 @@ class Digraph:
     def opposite(self):
         return Digraph(self.vertices, ((v, u) for u, v in self.arrows))
 
-    def symmetrize(self):
-        both = set(self.arrows)
-        both.update((v, u) for u, v in self.arrows)
-        return Digraph(self.vertices, both)
-
     def induced(self, subset):
         """Induced subdigraph on `subset`, kept in ambient vertex order."""
         chosen = set(subset)
-        for v in chosen:
-            if v not in self._index:
-                raise UnknownVertex(f"unknown vertex {v!r}")
+        self.check_vertices(chosen)
         verts = tuple(v for v in self.vertices if v in chosen)
         arrows = [(u, v) for (u, v) in self.arrows if u in chosen and v in chosen]
         return Digraph(verts, arrows)
@@ -188,11 +185,6 @@ class DigraphMap:
     def constant(cls, source, target, value):
         return cls(source, target, {v: value for v in source.vertices})
 
-    @classmethod
-    def from_images(cls, source, target, images):
-        """Build from a tuple of images listed in source vertex order."""
-        return cls(source, target, dict(zip(source.vertices, images)))
-
     def __call__(self, v):
         return self.assignment[v]
 
@@ -233,9 +225,7 @@ class DigraphPair:
     def __init__(self, ambient, part):
         self.ambient = ambient
         chosen = set(part)
-        for v in chosen:
-            if v not in ambient._index:
-                raise UnknownVertex(f"unknown vertex {v!r}")
+        ambient.check_vertices(chosen)
         self.part = tuple(v for v in ambient.vertices if v in chosen)
 
     def __eq__(self, other):
@@ -261,17 +251,6 @@ def box_product(g, h):
             arrows.append(((a, b), (a2, b)))
         for b2 in h.successors(b):
             arrows.append(((a, b), (a, b2)))
-    return Digraph(verts, arrows)
-
-
-def categorical_product(g, h):
-    """Product digraph: both coordinates move by arrow-or-equality, not both equal."""
-    verts = [(a, b) for a in g.vertices for b in h.vertices]
-    arrows = []
-    for a, b in verts:
-        for a2, b2 in product((a,) + g.successors(a), (b,) + h.successors(b)):
-            if (a2, b2) != (a, b):
-                arrows.append(((a, b), (a2, b2)))
     return Digraph(verts, arrows)
 
 
@@ -383,11 +362,6 @@ def _next_images(target, images, rel_positions=()):
     return allowed
 
 
-def one_step_arrow(target, images_a, images_b, rel_positions=()):
-    """Arrow test in the (relative) box hom on raw image tuples."""
-    return all(map(contains, _next_images(target, images_a, rel_positions), images_b))
-
-
 def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
     """All index pairs (a, b), a != b, with an arrow maps[a] -> maps[b] in
     the box hom source -> target, relative to the pinned `rel_positions`,
@@ -455,6 +429,24 @@ def uncurry(g, h, k, images):
 # -- connectivity and distance -----------------------------------------
 
 
+class UnionFind:
+    """Disjoint sets on 0..n-1; each root is the least member of its set."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
 def pi0(g):
     """Weak (orientation-ignoring) connected components.
 
@@ -487,24 +479,8 @@ def pi0(g):
 
 def distance(g, u, v):
     """Length of the shortest directed path u -> v, or INFINITY."""
-    if u not in g._index:
-        raise UnknownVertex(f"unknown vertex {u!r}")
-    if v not in g._index:
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        for y in g.successors(x):
-            if y not in dist:
-                if y == v:
-                    return d
-                dist[y] = d
-                queue.append(y)
-    return INFINITY
+    g.check_vertices((u, v))
+    return distances_from(g, u).get(v, INFINITY)
 
 
 def distances_from(g, u):
@@ -544,9 +520,6 @@ def pushout_along_induced_inclusion(g, h_part, phi):
     image of h' in g' is isomorphic to the complement of h_part in g.
     """
     part = set(h_part)
-    for v in part:
-        if v not in g._index:
-            raise UnknownVertex(f"unknown vertex {v!r}")
     induced_h = g.induced(part)
     if phi.source != induced_h:
         raise NotInduced(
@@ -583,46 +556,3 @@ def pushout_along_induced_inclusion(g, h_part, phi):
         h_prime, result, {v: v for v in h_prime.vertices}, _trusted=True
     )
     return result, phi_prime, incl
-
-
-# -- isomorphism (small inputs only; used by tests and reports) ----------
-
-
-def is_isomorphic(g, h):
-    """Backtracking isomorphism test; intended for small digraphs."""
-    if len(g.vertices) != len(h.vertices) or len(g.arrows) != len(h.arrows):
-        return False
-    gin = {v: len(g.predecessors(v)) for v in g.vertices}
-    gout = {v: len(g.successors(v)) for v in g.vertices}
-    hin = {v: len(h.predecessors(v)) for v in h.vertices}
-    hout = {v: len(h.successors(v)) for v in h.vertices}
-    gv = list(g.vertices)
-    used = set()
-    match = {}
-
-    def extend(k):
-        if k == len(gv):
-            return True
-        v = gv[k]
-        for w in h.vertices:
-            if w in used or gin[v] != hin[w] or gout[v] != hout[w]:
-                continue
-            good = True
-            for u in gv[:k]:
-                mu = match[u]
-                if ((u, v) in g.arrows) != ((mu, w) in h.arrows):
-                    good = False
-                    break
-                if ((v, u) in g.arrows) != ((w, mu) in h.arrows):
-                    good = False
-                    break
-            if good:
-                match[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                used.remove(w)
-                del match[v]
-        return False
-
-    return extend(0)

@@ -11,43 +11,20 @@ from __future__ import annotations
 
 from .config import DEFAULT_MAX_MAPS
 from .digraph import (
-    Digraph,
     DigraphMap,
+    DigraphPair,
     INFINITY,
+    UnionFind,
     box_hom,
     distance,
     distances_from,
     enumerate_digraph_maps,
-    one_step_arrow,
     one_step_pairs,
+    pair_box_hom,
 )
 from .errors import BadIndex, InputError, NotInClosed
 from .intervals import BASEPOINT, TowerSpec, sphere_digraph, standard_interval
-from .nerve import cube_realization
-
-
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
-def one_step_homotopy(phi, psi, rel_part=()):
-    """Is there an arrow phi -> psi in the (relative) box hom?"""
-    if phi.source != psi.source or phi.target != psi.target:
-        raise InputError("one-step homotopy needs a parallel pair of maps")
-    positions = [phi.source.index(v) for v in rel_part]
-    return one_step_arrow(phi.target, phi.image_tuple(), psi.image_tuple(), positions)
+from .nerve import boundary_vertices, cube_realization
 
 
 class HomotopyClasses:
@@ -151,12 +128,6 @@ class AnTower:
         return (start, len(self.stages))
 
 
-def _boundary_part(cube, side):
-    if side == 0:
-        return list(cube.vertices)
-    return [v for v in cube.vertices if any(c in (0, side) for c in v)]
-
-
 def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
     """Stage s holds pointed relative classes of maps from the n-fold box
     power of the stage interval (boundary pinned to the basepoint); the
@@ -176,7 +147,7 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
     for s in range(1, max_stage + 1):
         interval = tower.interval(s)
         cube = cube_realization(interval, n)
-        part = _boundary_part(cube, interval.n_arrows)
+        part = boundary_vertices(interval.n_arrows, n)
         stages.append(
             homotopy_classes(cube, g, rel_part=part, target_part=(base,), budget=budget)
         )
@@ -223,15 +194,12 @@ def path_stage(g, m, sign=1, budget=DEFAULT_MAX_MAPS):
     return paths, p0, p1
 
 
-def loop_stage(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
+def loop_stage(g, base, m, sign=1):
     """Pointed maps from the stage-m circle (boundary-collapsed interval
-    power) into (g, base), with one-step arrows."""
-    amb = sphere_digraph(standard_interval(m, sign), 1).ambient
-    maps = enumerate_digraph_maps(
-        amb, g, budget=budget, pinned={BASEPOINT: (base,)}
-    )
-    pairs = one_step_pairs(amb, g, maps, (amb.index(BASEPOINT),))
-    return Digraph(maps, [(maps[a], maps[b]) for a, b in pairs])
+    power) into (g, base), with one-step arrows: the relative box hom of
+    the pointed pairs."""
+    circle = sphere_digraph(standard_interval(m, sign), 1)
+    return pair_box_hom(circle, DigraphPair(g, (base,))).ambient
 
 
 def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
@@ -250,7 +218,7 @@ def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
         if p0.assignment[t] == base and p1.assignment[t] == base
     ]
     pullback = paths.induced(fiber)
-    loops = loop_stage(g, base, m, sign, budget)
+    loops = loop_stage(g, base, m, sign)
     circle = sphere_digraph(standard_interval(m, sign), 1)
     amb = circle.ambient
 

@@ -123,15 +123,6 @@ def truncation(kind, n, sign=1):
     return out
 
 
-def central_power(n, k):
-    """k-fold central truncation I_{n+2k} -> I_n for even k: clamp(x - k, 0, n)."""
-    if k % 2 != 0 or k < 0:
-        raise BadIndex("central powers are taken an even number of times")
-    src = standard_interval(n + 2 * k).to_digraph()
-    dst = standard_interval(n).to_digraph()
-    return DigraphMap(src, dst, {x: min(max(x - k, 0), n) for x in range(n + 2 * k + 1)})
-
-
 # -- shrinkings ----------------------------------------------------------
 
 
@@ -277,7 +268,7 @@ def sphere_digraph(j, n):
     For n = 0 this is two points by convention (basepoint plus one vertex),
     matching the use of pointed classes for dimension zero.
     """
-    from .nerve import cube_realization  # no cycle at call time
+    from .nerve import boundary_vertices, cube_realization  # no cycle at call time
 
     if n < 0:
         raise BadIndex("sphere dimension must be >= 0")
@@ -285,8 +276,7 @@ def sphere_digraph(j, n):
         amb = Digraph((BASEPOINT, "pt"))
         return DigraphPair(amb, (BASEPOINT,))
     cube = cube_realization(j, n)
-    k = j.n_arrows
-    boundary = [v for v in cube.vertices if any(c in (0, k) for c in v)]
+    boundary = boundary_vertices(j.n_arrows, n)
     target = Digraph((BASEPOINT,))
     collapse = DigraphMap.constant(cube.induced(boundary), target, BASEPOINT)
     quotient, _, _ = pushout_along_induced_inclusion(cube, boundary, collapse)

@@ -15,6 +15,8 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 

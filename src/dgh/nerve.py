@@ -19,7 +19,7 @@ from operator import itemgetter, ne
 from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap, one_step_pairs
 from .errors import BadIndex, BudgetExceeded, InvalidCubicalSet, ParityError
-from .intervals import FWD, standard_interval
+from .intervals import FWD, standard_interval, truncation
 
 
 # -- realizations ---------------------------------------------------------
@@ -47,16 +47,13 @@ def cube_realization(j, n):
 
 
 def boundary_vertices(side, n):
+    """The grid points of {0..side}^n with some coordinate at 0 or side, in
+    the vertex order of `cube_realization`."""
     return [
         v
         for v in product(range(side + 1), repeat=n)
         if any(c in (0, side) for c in v)
     ]
-
-
-def boundary_realization(side, n, sign=1):
-    cube = cube_realization(standard_interval(side, sign), n)
-    return cube.induced(boundary_vertices(side, n))
 
 
 def horn_vertices(side, n, i, eps):
@@ -447,19 +444,9 @@ def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
 _COMPARISON_DELTAS = {"r": 1, "l": 1, "c2": 4}
 
 
-def comparison_assignment(kind, m):
-    """Vertex assignment of the truncation I_{m+delta} -> I_m used by `kind`."""
-    if kind == "r":
-        return {x: min(x, m) for x in range(m + 2)}
-    if kind == "l":
-        return {x: max(x - 1, 0) for x in range(m + 2)}
-    if kind == "c2":
-        return {x: min(max(x - 2, 0), m) for x in range(m + 5)}
-    raise BadIndex(f"unknown comparison kind {kind!r}")
-
-
 def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
-    """Precomposition with a truncation power: N_m G -> N_{m+delta} G.
+    """Precomposition with the truncation I_{m+delta} -> I_m of
+    `intervals.truncation`: N_m G -> N_{m+delta} G.
 
     'r' keeps the orientation, 'l' flips it, 'c2' keeps it and jumps by 4.
     """
@@ -467,7 +454,7 @@ def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     new_sign = -sign if kind == "l" else sign
     src = nerve_levels(g, m, sign, top_dim, budget)
     dst = nerve_levels(g, m + delta, new_sign, top_dim, budget)
-    t = comparison_assignment(kind, m)
+    t = truncation(kind, m, sign).assignment
     levels = []
     for n in range(top_dim + 1):
         small_ix = src._grid_index[n]
@@ -576,18 +563,10 @@ def rho(m, n, j):
     return DigraphMap(domain, target, {v: image(v) for v in domain.vertices})
 
 
-def rho_bar(m, n, j):
-    """rho composed with capping the last cube coordinate to {0, 1, 2}."""
-    _check_rho_args(m, n, j)
-    big = standard_interval(m + 2)
-    small = standard_interval(m)
-    domain = cube_realization(big, n + 1)
-    target = mixed_realization([big] * (j + 1) + [small] * (n - j - 1))
-    image = rho_bar_function(m, n, j)
-    return DigraphMap(domain, target, {v: image(v) for v in domain.vertices})
-
-
 def rho_bar_function(m, n, j):
+    """rho composed with capping the last cube coordinate to {0, 1, 2}, as
+    a function on grid points."""
+
     def image(v):
         last = min(v[n], 2)
         out = list(v[:j])

@@ -12,12 +12,14 @@ from . import corpus
 from .digraph import (
     Digraph,
     DigraphMap,
+    DigraphPair,
     box_hom,
     box_product,
     curry,
     disjoint_union,
     enumerate_digraph_maps,
     pair_box_hom,
+    pair_box_product,
     pushout_along_induced_inclusion,
     uncurry,
 )
@@ -44,7 +46,13 @@ from .homotopy import (
     verify_ddr,
     verify_oddr,
 )
-from .intervals import all_intervals, enumerate_shrinkings, standard_interval
+from .intervals import (
+    all_intervals,
+    enumerate_shrinkings,
+    is_shrinking,
+    standard_interval,
+    truncation,
+)
 from .nerve import (
     check_rho_properties,
     comparison_map,
@@ -54,6 +62,10 @@ from .nerve import (
     kan_filler_phi,
     kan_filler_report,
     nerve_levels,
+    _drop,
+    _grid,
+    _insert,
+    _merge,
 )
 
 
@@ -133,14 +145,14 @@ def suite_kan():
 # -- shrinkings ------------------------------------------------------------------
 
 
-def suite_shrinkings(max_src_arrows=5, max_dst_arrows=4):
+def suite_shrinkings():
     checks = []
     worst = 0
     failures = []
     pairs = 0
-    for j in all_intervals(max_src_arrows):
+    for j in all_intervals(5):
         src = j.to_digraph()
-        for j2 in all_intervals(max_dst_arrows):
+        for j2 in all_intervals(4):
             shr = enumerate_shrinkings(j, j2)
             if len(shr) < 2:
                 continue
@@ -164,8 +176,6 @@ def suite_shrinkings(max_src_arrows=5, max_dst_arrows=4):
         )
     )
     # composition closure on short intervals
-    from .intervals import is_shrinking
-
     ok = True
     for j in all_intervals(3):
         for j2 in all_intervals(3):
@@ -462,22 +472,15 @@ def suite_currying():
     checks.append(_check("curry-uncurry-inverse", ok_inverse))
     # class-level bijection on tiny pointed instances
     ok_classes = True
-    from .digraph import DigraphPair
-
     i1 = graphs["i1"]
     for gname in ("i1", "i2"):
         for kname in ("i1", "c3"):
             p = DigraphPair(graphs[gname], [graphs[gname].vertices[0]])
             q = DigraphPair(i1, [0])
             r = DigraphPair(graphs[kname], [graphs[kname].vertices[0]])
-            prod = box_product(p.ambient, q.ambient)
-            part = [
-                v
-                for v in prod.vertices
-                if v[0] in set(p.part) or v[1] in set(q.part)
-            ]
+            pq = pair_box_product(p, q)
             left = homotopy_classes(
-                prod, r.ambient, rel_part=part, target_part=r.part
+                pq.ambient, r.ambient, rel_part=pq.part, target_part=r.part
             )
             hom_pair = pair_box_hom(q, r)
             right = homotopy_classes(
@@ -516,8 +519,8 @@ def suite_omega():
 # -- union / pushout ------------------------------------------------------------------
 
 
-def in_closed_splittings(g, limit=None):
-    """Unordered pairs of proper in-closed parts covering g."""
+def in_closed_splittings(g):
+    """The first six unordered pairs of proper in-closed parts covering g."""
     parts = _in_closed_subsets(g)
     out = []
     whole = set(g.vertices)
@@ -527,7 +530,7 @@ def in_closed_splittings(g, limit=None):
                 continue
             if set(a) | set(b) == whole and set(a) != whole and set(b) != whole:
                 out.append((a, b))
-                if limit and len(out) >= limit:
+                if len(out) == 6:
                     return out
     return out
 
@@ -558,7 +561,7 @@ def suite_union():
         "fan_pt",
     ):
         g = graphs[gname]
-        for a, b in in_closed_splittings(g, limit=6):
+        for a, b in in_closed_splittings(g):
             splittings.append((gname, g, a, b))
     o = corpus.o_digraph()
     grid = corpus.grid_4x4()
@@ -770,9 +773,7 @@ def suite_comparison():
         checks.append(_check(f"c2* injective+H0-iso {gname} (K=1)", ok))
     # the 4-step jump commutes with every realized structure map, checked
     # pointwise on grid vertices (sides 4 -> 8)
-    from .nerve import _grid, _insert, _merge, _drop, comparison_assignment
-
-    t = comparison_assignment("c2", 4)
+    t = truncation("c2", 4).assignment
     ok = True
     for n in (1, 2, 3):
         for pt in _grid(8, n - 1):

@@ -153,16 +153,8 @@ class Triangulation:
         )
         return ChainComplex([len(level) for level in self.simplices], columns)
 
-    def homology(self, reduced=False):
-        return homology(self.chain_complex(), reduced=reduced)
-
-    def value_keys(self, k):
-        """Simplex keys with the carrier cube given by value, for comparing
-        triangulations of sub-nerves living inside a common ambient nerve."""
-        return {
-            (level, self.x.cubes[level][cube], chain)
-            for (level, cube, chain) in self.simplices[k]
-        }
+    def homology(self):
+        return homology(self.chain_complex())
 
 
 def triangulate(x):
@@ -172,7 +164,7 @@ def triangulate(x):
 # -- abstract simplicial complexes ---------------------------------------------
 
 
-def simplicial_chain_complex(faces, top_dim=None):
+def simplicial_chain_complex(faces):
     """Chain complex of an abstract simplicial complex.
 
     `faces` is an iterable of vertex tuples/frozensets; the downward
@@ -187,8 +179,6 @@ def simplicial_chain_complex(faces, top_dim=None):
     if not closed:
         return ChainComplex([0], [])
     max_dim = max(len(f) for f in closed) - 1
-    if top_dim is not None:
-        max_dim = min(max_dim, top_dim)
     levels = [sorted(f for f in closed if len(f) == k + 1) for k in range(max_dim + 1)]
     index = {f: i for level in levels for i, f in enumerate(level)}
 
@@ -199,5 +189,5 @@ def simplicial_chain_complex(faces, top_dim=None):
     return ChainComplex([len(level) for level in levels], columns)
 
 
-def simplicial_homology(faces, top_dim=None, reduced=False):
-    return homology(simplicial_chain_complex(faces, top_dim), reduced=reduced)
+def simplicial_homology(faces):
+    return homology(simplicial_chain_complex(faces))

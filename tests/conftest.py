@@ -13,10 +13,17 @@ from operator import contains
 
 import pytest
 
-from dgh.digraph import Digraph, box_product
+from dgh.digraph import Digraph, DigraphMap, box_product
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
-from dgh.nerve import _drop, _grid, _merge
+from dgh.nerve import (
+    _drop,
+    _grid,
+    _merge,
+    cube_realization,
+    mixed_realization,
+    rho_bar_function,
+)
 
 
 
@@ -116,6 +123,65 @@ def all_pairs_one_step(target, maps, rel_positions=()):
             if a != b and all(map(contains, allowed, images_b))
         )
     return pairs
+
+
+def is_isomorphic(g, h):
+    """Backtracking isomorphism test; intended for small digraphs."""
+    if len(g.vertices) != len(h.vertices) or len(g.arrows) != len(h.arrows):
+        return False
+    gin = {v: len(g.predecessors(v)) for v in g.vertices}
+    gout = {v: len(g.successors(v)) for v in g.vertices}
+    hin = {v: len(h.predecessors(v)) for v in h.vertices}
+    hout = {v: len(h.successors(v)) for v in h.vertices}
+    gv = list(g.vertices)
+    used = set()
+    match = {}
+
+    def extend(k):
+        if k == len(gv):
+            return True
+        v = gv[k]
+        for w in h.vertices:
+            if w in used or gin[v] != hin[w] or gout[v] != hout[w]:
+                continue
+            good = True
+            for u in gv[:k]:
+                mu = match[u]
+                if ((u, v) in g.arrows) != ((mu, w) in h.arrows):
+                    good = False
+                    break
+                if ((v, u) in g.arrows) != ((w, mu) in h.arrows):
+                    good = False
+                    break
+            if good:
+                match[v] = w
+                used.add(w)
+                if extend(k + 1):
+                    return True
+                used.remove(w)
+                del match[v]
+        return False
+
+    return extend(0)
+
+
+def rho_bar(m, n, j):
+    """The rho-bar map (rho after capping the last cube coordinate to
+    {0, 1, 2}) as a DigraphMap, which checks the map property."""
+    big, small = standard_interval(m + 2), standard_interval(m)
+    domain = cube_realization(big, n + 1)
+    target = mixed_realization([big] * (j + 1) + [small] * (n - j - 1))
+    image = rho_bar_function(m, n, j)
+    return DigraphMap(domain, target, {v: image(v) for v in domain.vertices})
+
+
+def value_keys(t, k):
+    """The k-simplex keys of the triangulation t with the carrier cube given
+    by value, for comparing triangulations of sub-nerves inside a common
+    ambient nerve."""
+    return {
+        (level, t.x.cubes[level][cube], chain) for (level, cube, chain) in t.simplices[k]
+    }
 
 
 def naive_components(vertices, edges):

@@ -102,7 +102,7 @@ def test_criterion_3_boundary_inclusion(o_digraph, boundary44):
 
 def test_criterion_4_shrinking_homotopy():
     with Stopwatch("4 (shrinking homotopy)", 30):
-        rep = suite_shrinkings(5, 4)
+        rep = suite_shrinkings()
         assert rep["pass"]
 
 

@@ -153,6 +153,31 @@ class TestExitCodes:
         assert main([a.format(dir=files, bad=files / name) for a in argv]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "{dir}"],
+            ["info", "{dir}/bin.json"],
+            ["compare", "{dir}/dot-source.json"],
+        ],
+        ids=["directory", "not-utf8", "map-source-directory"],
+    )
+    def test_unreadable_file_is_input_error(self, files, capsys, argv):
+        (files / "bin.json").write_bytes(b"\xff\xfe\x00")
+        (files / "dot-source.json").write_text(
+            json.dumps({"source": ".", "target": "c3.json", "assignment": {}})
+        )
+        assert main([a.format(dir=files) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "input"
+
+    def test_non_integer_coordinate_base_is_unknown_vertex(self, files, capsys):
+        assert main(["pi1", str(files / "c3.json"), "--base", "a:b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "unknown vertex 'a:b'"
+
     def test_integer_labelled_map(self, files, capsys):
         (files / "c3int.json").write_text(
             json.dumps({"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2], [2, 0]]})

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -10,12 +11,10 @@ from dgh.digraph import (
     INFINITY,
     box_hom,
     box_product,
-    categorical_product,
     curry,
     disjoint_union,
     distance,
     enumerate_digraph_maps,
-    is_isomorphic,
     pair_box_product,
     pi0,
     point,
@@ -30,9 +29,11 @@ from dgh.errors import (
     NotInduced,
     UnknownVertex,
 )
+from dgh.cli import main
+from dgh.covers import in_closure
 from dgh.intervals import standard_interval
 
-from conftest import cycle, floyd_warshall, line, naive_digraph_maps
+from conftest import cycle, floyd_warshall, is_isomorphic, line, naive_digraph_maps
 
 
 class TestConstruction:
@@ -58,12 +59,6 @@ class TestConstruction:
     def test_opposite_involution(self):
         g = cycle(4)
         assert g.opposite().opposite() == g
-
-    def test_symmetrize_idempotent(self):
-        g = line(1)
-        s = g.symmetrize()
-        assert s.arrows == frozenset({(0, 1), (1, 0)})
-        assert s.symmetrize() == s
 
     def test_induced_boundary_grid(self):
         grid = box_product(line(4), line(4))
@@ -139,12 +134,6 @@ class TestBoxProduct:
                 if moves_left or moves_right:
                     expected += 1
         assert len(prod.arrows) == expected == 12
-
-    def test_box_subdigraph_of_product(self):
-        g, h = cycle(3), line(2)
-        box = box_product(g, h)
-        full = categorical_product(g, h)
-        assert box.arrows <= full.arrows
 
     def test_pair_box_product_boundary(self):
         i2 = standard_interval(2)
@@ -339,6 +328,49 @@ class TestConnectivityDistance:
                     assert distance(g, u, w) <= distance(g, u, v) + distance(
                         g, v, w
                     )
+
+
+C3_JSON = {"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2], [2, 0]]}
+
+
+class TestVertexMembership:
+    """Every library entry point that takes vertices checks them in one
+    place, `Digraph.check_vertices`; the CLI call that takes the same
+    vertices from the command line exits 2 with the same message."""
+
+    @pytest.mark.parametrize(
+        "call, argv",
+        [
+            (lambda g: g.induced([0, "z"]), ["check", "oddr", "{g}", "--part", "z", "--eta", "{g}"]),
+            (lambda g: DigraphPair(g, ["z"]), ["classes", "{g}", "{g}", "--rel", "z"]),
+            (lambda g: distance(g, 0, "z"), ["check", "ddr", "{g}", "--part", "z", "--eta", "{g}"]),
+            (lambda g: distance(g, "z", 0), ["pi1", "{g}", "--base", "z"]),
+            (
+                lambda g: pushout_along_induced_inclusion(g, [0, "z"], DigraphMap.identity(g)),
+                ["antower", "{g}", "--base", "z"],
+            ),
+            (lambda g: in_closure(g, ["z"]), ["classes", "{g}", "{g}", "--target-part", "z"]),
+        ],
+        ids=["induced", "pair", "distance-target", "distance-source", "pushout", "in-closure"],
+    )
+    def test_unknown_vertex(self, c3, monkeypatch, capsys, tmp_path, call, argv):
+        checked = []
+        check_vertices = Digraph.check_vertices
+
+        def spy(g, vertices):
+            checked.append(list(vertices))
+            return check_vertices(g, checked[-1])
+
+        monkeypatch.setattr(Digraph, "check_vertices", spy)
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 'z'$"):
+            call(c3)
+        assert any("z" in vertices for vertices in checked)
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps(C3_JSON))
+        assert main([a.format(g=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "unknown vertex 'z'"
 
 
 class TestHomComponents:

@@ -36,6 +36,7 @@ from conftest import (
     determinant,
     determinantal_divisor,
     line,
+    value_keys,
 )
 
 
@@ -385,7 +386,7 @@ class TestTriangulation:
         t_cols = triangulate(nerve_levels(o_digraph.induced(cols01), 1, 1, 2))
         t_both = triangulate(nerve_levels(o_digraph.induced(both), 1, 1, 2))
         for k in (0, 1, 2):
-            assert t_both.value_keys(k) == t_rows.value_keys(k) & t_cols.value_keys(k)
+            assert value_keys(t_both, k) == value_keys(t_rows, k) & value_keys(t_cols, k)
 
     def test_simplicial_complex_homology(self):
         square_cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]

@@ -3,20 +3,20 @@ import pytest
 from dgh.digraph import (
     Digraph,
     DigraphMap,
+    box_hom,
     box_product,
     enumerate_digraph_maps,
-    is_isomorphic,
+    one_step_pairs,
     pi0,
     point,
 )
-from dgh.errors import BudgetExceeded, NotInClosed
+from dgh.errors import BudgetExceeded, NotInClosed, UnknownVertex
 from dgh.homotopy import (
     DdrWitness,
     an_tower,
     homotopy_classes,
     loop_stage,
     loop_stage_pullback_check,
-    one_step_homotopy,
     path_stage,
     verify_ddr,
     verify_oddr,
@@ -25,7 +25,13 @@ from dgh.intervals import BASEPOINT, sphere_digraph, standard_interval
 from dgh.nerve import nerve_functor_map
 from dgh.homology import induced_homology_map
 
-from conftest import line, naive_components, naive_digraph_maps, naive_one_step
+from conftest import (
+    is_isomorphic,
+    line,
+    naive_components,
+    naive_digraph_maps,
+    naive_one_step,
+)
 
 
 def oracle_classes(source, target, rel=(), target_part=None):
@@ -50,30 +56,51 @@ def oracle_classes(source, target, rel=(), target_part=None):
     return maps, naive_components(maps, edges)
 
 
+def naive_pairs(source, target, maps, rel_positions=()):
+    """The pairs a != b with a one-step arrow maps[a] -> maps[b] that fixes
+    the pinned positions, by `naive_one_step` on every ordered pair."""
+    return [
+        (a, b)
+        for a, f in enumerate(maps)
+        for b, g in enumerate(maps)
+        if a != b
+        and all(f[p] == g[p] for p in rel_positions)
+        and naive_one_step(source, target, f, g)
+    ]
+
+
 class TestOneStep:
     def test_reflexive(self, c3):
-        f = DigraphMap(line(1), c3, {0: 0, 1: 1})
-        assert one_step_homotopy(f, f)
+        # the constant step is implicit: the box hom answers it as an arrow,
+        # and one_step_pairs never lists it
+        i1 = line(1)
+        maps = enumerate_digraph_maps(i1, c3)
+        hom = box_hom(i1, c3)
+        assert all(hom.is_arrow(f, f) for f in maps)
+        assert all(a != b for a, b in one_step_pairs(i1, c3, maps))
+        assert naive_one_step(i1, c3, maps[0], maps[0])
 
     def test_constants_into_interval(self):
-        i1 = line(1)
-        c0 = DigraphMap.constant(point(), i1, 0)
-        c1 = DigraphMap.constant(point(), i1, 1)
-        assert one_step_homotopy(c0, c1)
-        assert not one_step_homotopy(c1, c0)
+        # the constant maps at 0 and 1: one arrow, 0 -> 1, and no loop
+        assert one_step_pairs(point(), line(1), [(0,), (1,)]) == [(0, 1)]
+
+    def test_paths_into_cycle_match_brute_force(self, c3):
+        i2 = line(2)
+        maps = enumerate_digraph_maps(i2, c3)
+        assert one_step_pairs(i2, c3, maps) == naive_pairs(i2, c3, maps)
+        assert one_step_pairs(i2, c3, maps, (0, 2)) == naive_pairs(i2, c3, maps, (0, 2))
 
     def test_rotated_loops_match_brute_force(self, c3):
         # at stage 6 a single winding-one loop exists (all forward steps
-        # forced), so the rotation pair lives at stage 8
+        # forced), so the rotation pairs live at stage 8
         circle = sphere_digraph(standard_interval(8), 1)
         amb = circle.ambient
         maps = enumerate_digraph_maps(amb, c3, pinned={BASEPOINT: (0,)})
         winding_one = [t for t in maps if _winding(amb, t) == 1]
         assert len(winding_one) >= 2
-        f, g = winding_one[:2]
-        fm = DigraphMap.from_images(amb, c3, f)
-        gm = DigraphMap.from_images(amb, c3, g)
-        assert one_step_homotopy(fm, gm) == naive_one_step(amb, c3, f, g)
+        rel = (amb.index(BASEPOINT),)
+        pairs = one_step_pairs(amb, c3, winding_one, rel)
+        assert pairs and pairs == naive_pairs(amb, c3, winding_one, rel)
 
 
 def _winding(sphere_ambient, images):
@@ -194,6 +221,10 @@ class TestPathLoop:
             if images[0] == 0 and images[2] == 0
         )
         assert len(loops.vertices) == expected == 2
+
+    def test_loop_stage_unknown_base(self, c3):
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 9$"):
+            loop_stage(c3, 9, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_pullback_identity(self, c3, m):

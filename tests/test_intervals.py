@@ -12,7 +12,6 @@ from dgh.intervals import (
     all_intervals,
     cantor_interval,
     cantor_projection,
-    central_power,
     enumerate_shrinkings,
     is_shrinking,
     sphere_digraph,
@@ -94,13 +93,11 @@ class TestTruncations:
         assert c2.image_tuple() == ll.image_tuple()
         assert c2.source == standard_interval(8).to_digraph()
 
-    def test_central_power_matches_c2(self):
-        assert central_power(4, 2).image_tuple() == truncation("c2", 4).image_tuple()
-
-    def test_central_power_clamp_formula(self):
-        cp = central_power(2, 2)  # 6 -> 2
-        for x in range(7):
-            assert cp.assignment[x] == min(max(x - 2, 0), 2)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_c2_is_the_central_clamp(self, n):
+        # the assignment `nerve.comparison_map` reads for its 4-step jump
+        c2 = truncation("c2", n).assignment
+        assert c2 == {x: min(max(x - 2, 0), n) for x in range(n + 5)}
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):

@@ -3,11 +3,11 @@ from itertools import product
 import pytest
 
 from dgh import nerve
-from dgh.digraph import DigraphMap, box_product, is_isomorphic, point
+from dgh.digraph import DigraphMap, box_product, point
 from dgh.errors import BadIndex, BudgetExceeded, ParityError
 from dgh.intervals import standard_interval
 from dgh.nerve import (
-    boundary_realization,
+    boundary_vertices,
     check_rho_properties,
     comparison_map,
     cube_realization,
@@ -18,7 +18,6 @@ from dgh.nerve import (
     nerve_functor_map,
     nerve_levels,
     rho,
-    rho_bar,
     _drop,
     _grid,
     _insert,
@@ -27,10 +26,12 @@ from dgh.nerve import (
 
 from conftest import (
     degenerate_cube_test,
+    is_isomorphic,
     line,
     naive_digraph_maps,
     naive_identity_violations,
     naive_naturality_violations,
+    rho_bar,
 )
 
 
@@ -78,7 +79,7 @@ class TestHorns:
 
     def test_horn_strictly_inside_boundary(self):
         horn = set(horn_vertices(4, 2, 1, 0))
-        boundary = set(boundary_realization(4, 2).vertices)
+        boundary = set(boundary_vertices(4, 2))
         assert horn < boundary
 
     def test_bad_index(self):

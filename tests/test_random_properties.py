@@ -21,7 +21,7 @@ from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_
 from dgh.homotopy import homotopy_classes
 from dgh.intervals import standard_interval
 from dgh.nerve import cube_realization, nerve_functor_map, nerve_levels
-from dgh.triangulation import _corner_chains, _simplex_ranks, triangulate
+from dgh.triangulation import _corner_chains, _simplex_keys, _simplex_ranks, triangulate
 
 from conftest import (
     all_pairs_one_step,
@@ -150,7 +150,9 @@ def test_walk_levels_are_the_enumerated_cube_maps(g, m, sign):
 def test_counted_simplex_ranks_match_the_keys(g, truncation):
     x = nerve_levels(g, *truncation[:1], 1, truncation[1])
     chains = [_corner_chains(d) for d in range(x.top_dim + 1)]
-    assert _simplex_ranks(x, chains) == list(map(len, triangulate(x).simplices))
+    # the keys `Triangulation` stores, built without its generator ceiling,
+    # which some of these nerves pass (20,948 2-simplices on 4 vertices)
+    assert _simplex_ranks(x, chains) == list(map(len, _simplex_keys(x, chains)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,7 +216,8 @@ def test_corrupted_chain_map_rejected_exactly_when_dense_check_fails(g, data):
     # the nondegenerate cubes carry the chain map, so they are drawn often
     target = data.draw(st.sampled_from([g, cycle(3)]))
     images = data.draw(st.sampled_from(enumerate_digraph_maps(g, target)))
-    cm = nerve_functor_map(DigraphMap.from_images(g, target, images), 1, 1, 2)
+    phi = DigraphMap(g, target, dict(zip(g.vertices, images)))
+    cm = nerve_functor_map(phi, 1, 1, 2)
     n = data.draw(st.integers(0, 2))
     nondegenerate = cm.source.nondegenerate_cubes(n)
     assume(nondegenerate)
