@@ -16,7 +16,6 @@ from .digraph import (
     INFINITY,
     UnionFind,
     box_hom,
-    distance,
     distances_from,
     enumerate_digraph_maps,
     one_step_pairs,
@@ -185,10 +184,10 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
 # -- path and loop stages ------------------------------------------------------
 
 
-def path_stage(g, m, sign=1, budget=DEFAULT_MAX_MAPS):
+def path_stage(g, m, sign=1):
     """The box hom from the standard m-interval with both endpoint
     evaluations; stage 0 is g itself with identity evaluations."""
-    paths = box_hom(standard_interval(m, sign).to_digraph(), g, budget)
+    paths = box_hom(standard_interval(m, sign).to_digraph(), g)
     p0 = DigraphMap(paths, g, {t: t[0] for t in paths.vertices}, _trusted=True)
     p1 = DigraphMap(paths, g, {t: t[-1] for t in paths.vertices}, _trusted=True)
     return paths, p0, p1
@@ -202,7 +201,7 @@ def loop_stage(g, base, m, sign=1):
     return pair_box_hom(circle, DigraphPair(g, (base,))).ambient
 
 
-def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
+def loop_stage_pullback_check(g, base, m, sign=1):
     """Exact finite-stage check that the loop stage is the pullback of the
     endpoint evaluations against the basepoint inclusion.
 
@@ -211,7 +210,7 @@ def loop_stage_pullback_check(g, base, m, sign=1, budget=DEFAULT_MAX_MAPS):
     independently from the collapsed circle.  They must agree under the
     canonical vertex bijection (restrict a loop to the interval's interior).
     """
-    paths, p0, p1 = path_stage(g, m, sign, budget)
+    paths, p0, p1 = path_stage(g, m, sign)
     fiber = [
         t
         for t in paths.vertices
@@ -306,7 +305,7 @@ def verify_ddr(witness):
     # shortest paths from the part factor through the eta-orbit.
     ok_iter = True
     witness_iter = None
-    orbit_n = {}
+    landing = {}  # v outside the part -> (where its eta-orbit lands, steps)
     for v in g.vertices:
         x, steps = v, 0
         seen = set()
@@ -320,29 +319,22 @@ def verify_ddr(witness):
             steps += 1
         if not ok_iter:
             break
-        orbit_n[v] = max(steps, 1)
+        if steps:
+            landing[v] = (x, steps)
     if ok_iter:
-        for v in g.vertices:
-            if v in part:
-                continue
-            nv = orbit_n[v]
-            top = v
-            for _ in range(nv):
-                top = eta[top]
-            for h in witness.part:
-                d_v = distance(g, h, v)
-                if d_v == INFINITY:
-                    if distance(g, h, top) != INFINITY:
-                        ok_iter = False
-                        witness_iter = (repr(h), repr(v))
-                        break
-                    continue
-                if distance(g, h, top) + nv != d_v:
+        # One BFS per h; the witness is the first failing (v, h) with v in
+        # vertex order, then h in part order.
+        outside = list(landing)
+        first = len(outside)
+        for h in witness.part:
+            dist = distances_from(g, h)
+            for i, v in enumerate(outside[:first]):
+                top, n = landing[v]
+                if dist.get(top, INFINITY) + n != dist.get(v, INFINITY):
                     ok_iter = False
                     witness_iter = (repr(h), repr(v))
+                    first = i
                     break
-            if not ok_iter:
-                break
     set_cond("iterate-reformulation", ok_iter, witness_iter)
 
     # Given the first two conditions, the distance condition and the

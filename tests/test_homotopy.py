@@ -26,6 +26,7 @@ from dgh.nerve import nerve_functor_map
 from dgh.homology import induced_homology_map
 
 from conftest import (
+    floyd_warshall,
     is_isomorphic,
     line,
     naive_components,
@@ -260,6 +261,54 @@ class TestDdr:
         assert not rep["conditions"]["distance-step"]["pass"]
         assert not rep["conditions"]["iterate-reformulation"]["pass"]
         assert rep["conditions"]["reformulation-agrees"]["pass"]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            box_product(line(1), line(2)),
+            Digraph(range(5), [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4)]),
+        ],
+        ids=["box-1x2", "two-sources"],
+    )
+    def test_iterate_witness_is_the_first_failing_pair(self, g):
+        """On every in-closed part and every endomap: the iterate verdict
+        and witness against Floyd-Warshall distances, the witness being the
+        first failing (v, h) with v in vertex order, then h in part order."""
+        dist = floyd_warshall(g)
+
+        def expected(part, eta):
+            landing = {}
+            for v in g.vertices:
+                x, n = v, 0
+                while x not in part:
+                    x, n = eta[x], n + 1
+                    if n > len(g.vertices):
+                        return repr(v)
+                landing[v] = (x, n)
+            for v in g.vertices:
+                top, n = landing[v]
+                for h in part:
+                    if v not in part and dist[h, top] + n != dist[h, v]:
+                        return (repr(h), repr(v))
+            return None
+
+        verts = list(g.vertices)
+        parts = [
+            [v for i, v in enumerate(verts) if bits >> i & 1]
+            for bits in range(1, 1 << len(verts))
+        ]
+        parts = [p for p in parts if all(u in p for u, v in g.arrows if v in p)]
+        checked = 0
+        for part in parts:
+            for images in enumerate_digraph_maps(g, g):
+                eta = dict(zip(verts, images))
+                cond = verify_ddr(DdrWitness(g, part, eta))["conditions"]
+                want = expected(part, eta)
+                assert cond["iterate-reformulation"] == (
+                    {"pass": True} if want is None else {"pass": False, "witness": want}
+                )
+                checked += isinstance(want, tuple)
+        assert checked
 
     def test_cylinder_oddr(self, c3):
         cyl = box_product(c3, line(1))

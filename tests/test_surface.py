@@ -2,8 +2,9 @@
 
 Every public function, class and method of the package must be referenced
 by name somewhere in `src/dgh` outside its own definition (as a name, an
-attribute, an import alias or an identifier string), be named in
-README.md, or be named by the benchmark's layer tracer
+attribute, an import alias or an identifier string), open an inline code
+span of README.md (`name(...)` or `Class.name(...)`), or be a qualified
+name in the `LAYERS` table of the benchmark's layer tracer
 (`perfbench/spans.py`).  A test helper belongs in `tests/conftest.py`.
 """
 
@@ -45,11 +46,27 @@ def _public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
+def readme_names():
+    """The name called at the start of an inline code span of README.md:
+    `wedge` for `Interval.wedge(other)`."""
+    return set(re.findall(r"`(?:\w+\.)*(\w+)\(", (ROOT / "README.md").read_text()))
+
+
+def traced_names():
+    """The last part of each qualified name in spans.py's LAYERS table."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    return {row.elts[1].value.rsplit(".", 1)[-1] for row in table.elts}
+
+
 def unreferenced_names():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum(map(_references, trees.values()), Counter())
-    named = (ROOT / "README.md").read_text() + (ROOT / "perfbench" / "spans.py").read_text()
-    words = set(re.findall(r"\w+", named))
+    words = readme_names() | traced_names()
     out = []
     for module, tree in trees.items():
         for qualname, node in _public_definitions(tree):
