@@ -21,6 +21,7 @@ from .intervals import Interval, enumerate_shrinkings
 from .io import load_assignment, load_cover, load_digraph, load_map, parse_vertex
 from .nerve import (
     check_rho_properties,
+    horn_inclusion,
     kan_filler_report,
     nerve_functor_map,
     nerve_levels,
@@ -34,7 +35,6 @@ from .covers import (
 )
 from .coverings import (
     check_unique_lifting,
-    horn_inclusion,
     is_l_covering,
     is_one_covering,
 )
@@ -222,7 +222,7 @@ def cmd_pi1(args, cfg):
 
 def cmd_compare(args, cfg):
     phi = load_map(args.map)
-    cm = nerve_functor_map(phi, args.nerve_m, 1, args.maxdim, cfg.max_cubes)
+    cm = nerve_functor_map(phi, args.nerve_m, args.maxdim, cfg.max_cubes)
     degrees = {}
     all_iso = True
     for n in range(args.maxdim):
@@ -298,7 +298,7 @@ def cmd_nerve_theorem(args, cfg):
 
 def cmd_check_covering(args, cfg):
     p = load_map(args.map)
-    report = is_l_covering(p, args.l, full_report=True)
+    report = is_l_covering(p, args.l)
     ok, witness = is_one_covering(p, with_witness=True)
     report["one_covering"] = ok
     if witness:
@@ -313,8 +313,7 @@ def cmd_check_lifting(args, cfg):
     except ValueError:
         raise InputError("--horn expects n,i,eps,side") from None
     horn, cube = horn_inclusion(side, n, i, eps)
-    return check_unique_lifting(p, horn, cube, budget=cfg.max_maps,
-                                skip_hypotheses=True)
+    return check_unique_lifting(p, horn, cube, budget=cfg.max_maps)
 
 
 def cmd_check_kan(args, cfg):

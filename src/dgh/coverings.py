@@ -9,6 +9,8 @@ evaluated independently so their agreement can be tested.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .config import DEFAULT_MAX_MAPS, MAX_HORN_BASE_MAPS
 from .digraph import (
     Digraph,
@@ -17,9 +19,10 @@ from .digraph import (
     distances_from,
     enumerate_digraph_maps,
     iter_digraph_maps,
+    pi0,
     power_digraph,
 )
-from .errors import BadIndex, HypothesesFail, InputError
+from .errors import BadIndex, InputError
 from .nerve import cube_realization, horn_vertices
 from .intervals import standard_interval
 
@@ -35,6 +38,43 @@ def _steps(g):
     return set(g.arrows) | {(v, v) for v in g.vertices}
 
 
+def _step_groups(p):
+    """(x, y, forward) -> the source vertices w over y with an arrow or
+    equality x -> w (forward) or w -> x (backward), in source order."""
+    g = p.source
+    order = g._index.__getitem__
+    table = {}
+    for x in g.vertices:
+        for forward, neighbours in (
+            (True, g.successors(x)),
+            (False, g.predecessors(x)),
+        ):
+            for w in sorted((x, *neighbours), key=order):
+                table.setdefault((x, p.assignment[w], forward), []).append(w)
+    return table
+
+
+def _covering_witness(p, groups):
+    """The first one-arrow diagram without a unique lift, or None; the
+    lifts are read from `groups` (`_step_groups(p)`)."""
+    h = p.target
+    for v in p.source.vertices:
+        pv = p.assignment[v]
+        # k = 0: arrows-or-equality pv -> h2, lift must start at v
+        # k = 1: arrows-or-equality h2 -> pv, lift must end at v
+        for endpoint, forward, others in (
+            (0, True, h.successors(pv)),
+            (1, False, h.predecessors(pv)),
+        ):
+            for h2 in (pv, *others):
+                lifts = len(groups.get((v, h2, forward), ()))
+                if lifts != 1:
+                    edge = (pv, h2) if forward else (h2, pv)
+                    return {"vertex": v, "edge": edge, "endpoint": endpoint,
+                            "lifts": lifts}
+    return None
+
+
 def is_one_covering(p, with_witness=False):
     """Unique lifting of arrows-or-equality through each endpoint.
 
@@ -42,33 +82,8 @@ def is_one_covering(p, with_witness=False):
     the target hitting p(g) at endpoint k must lift uniquely to a map
     hitting g at k.
     """
-    g, h = p.source, p.target
-    fibers = _fibers(p)
-    for v in g.vertices:
-        pv = p.assignment[v]
-        # k = 0: arrows-or-equality pv -> h2, lift must start at v
-        for h2 in (pv,) + tuple(h.successors(pv)):
-            lifts = [
-                w
-                for w in fibers.get(h2, [])
-                if g.is_arrow(v, w)
-            ]
-            if len(lifts) != 1:
-                witness = {"vertex": v, "edge": (pv, h2), "endpoint": 0,
-                           "lifts": len(lifts)}
-                return (False, witness) if with_witness else False
-        # k = 1: arrows-or-equality h2 -> pv, lift must end at v
-        for h2 in (pv,) + tuple(h.predecessors(pv)):
-            lifts = [
-                w
-                for w in fibers.get(h2, [])
-                if g.is_arrow(w, v)
-            ]
-            if len(lifts) != 1:
-                witness = {"vertex": v, "edge": (h2, pv), "endpoint": 1,
-                           "lifts": len(lifts)}
-                return (False, witness) if with_witness else False
-    return (True, None) if with_witness else True
+    witness = _covering_witness(p, _step_groups(p))
+    return (witness is None, witness) if with_witness else witness is None
 
 
 def _power_map(p, k):
@@ -91,7 +106,26 @@ def _paths_up_to(g, length):
     return out
 
 
-def is_l_covering(p, l, full_report=False):
+def _fiber_bijections(p, l, dist_g):
+    """Condition (4) of `is_l_covering`; `dist_g` maps each source vertex
+    to its `distances_from`."""
+    fibers = _fibers(p)
+    for a in p.target.vertices:
+        for b, d in distances_from(p.target, a).items():
+            if d > l:
+                continue
+            matches = []
+            for x in fibers.get(a, []):
+                near = [y for y in fibers.get(b, []) if dist_g[x].get(y, l + 1) <= l]
+                if len(near) != 1 or dist_g[x][near[0]] != d:
+                    return False
+                matches.append(near[0])
+            if sorted(matches, key=repr) != sorted(fibers.get(b, []), key=repr):
+                return False
+    return True
+
+
+def is_l_covering(p, l):
     """Evaluate the definition and its three characterizations independently.
 
     (1) every distance power up to l is a 1-covering;
@@ -102,8 +136,8 @@ def is_l_covering(p, l, full_report=False):
     (4) unique near-fiber bijections: matched points realize the base
         distance and every other fiber point is farther than l.
 
-    All four verdicts must agree (their disagreement is reported, never
-    reconciled).
+    All four verdicts must agree: a disagreement is reported as
+    `conditions_agree: false` and fails the report, never reconciled.
     """
     if l < 1:
         raise BadIndex("the covering index must be >= 1")
@@ -125,67 +159,28 @@ def is_l_covering(p, l, full_report=False):
     cond3 = is_one_covering(p)
     if cond3:
         paths = _paths_up_to(g, l)
-        for a in paths:
-            for b in paths:
-                same_start = a[0] == b[0] and p.assignment[a[-1]] == p.assignment[b[-1]]
-                same_end = a[-1] == b[-1] and p.assignment[a[0]] == p.assignment[b[0]]
-                if same_start or same_end:
-                    if a[0] != b[0] or a[-1] != b[-1]:
-                        cond3 = False
-                        break
-            if not cond3:
-                break
-
-    fibers = _fibers(p)
-    cond4 = True
-    dist_h = {v: distances_from(h, v) for v in h.vertices}
-    for a in h.vertices:
-        for b, d in dist_h[a].items():
-            if d > l:
-                continue
-            matches = {}
-            for x in fibers.get(a, []):
-                near = [
-                    y
-                    for y in fibers.get(b, [])
-                    if dist_g[x].get(y, None) is not None and dist_g[x][y] <= l
-                ]
-                exact = [y for y in near if dist_g[x][y] == d]
-                if len(exact) != 1 or len(near) != 1:
-                    cond4 = False
-                    break
-                matches[x] = exact[0]
-            if not cond4:
-                break
-            if sorted(matches.values(), key=repr) != sorted(
-                fibers.get(b, []), key=repr
-            ):
-                cond4 = False
-                break
-        if not cond4:
-            break
+        cond3 = not any(
+            a[0] != b[0] or a[-1] != b[-1]
+            for a in paths
+            for b in paths
+            if (a[0] == b[0] and p.assignment[a[-1]] == p.assignment[b[-1]])
+            or (a[-1] == b[-1] and p.assignment[a[0]] == p.assignment[b[0]])
+        )
 
     verdicts = {
         "power-one-coverings": cond1,
         "top-power-and-preimage": cond2,
         "path-pair-rigidity": cond3,
-        "fiber-bijections": cond4,
+        "fiber-bijections": _fiber_bijections(p, l, dist_g),
     }
     agree = len(set(verdicts.values())) == 1
-    if full_report:
-        return {
-            "l": l,
-            "conditions": verdicts,
-            "conditions_agree": agree,
-            "is_l_covering": cond1,
-            "pass": cond1 and agree,
-        }
-    if not agree:
-        raise InputError(
-            f"covering characterizations disagree: {verdicts} (library bug "
-            "or an unconsidered edge case; please report)"
-        )
-    return cond1
+    return {
+        "l": l,
+        "conditions": verdicts,
+        "conditions_agree": agree,
+        "is_l_covering": cond1,
+        "pass": cond1 and agree,
+    }
 
 
 # -- unique right lifting -----------------------------------------------------
@@ -194,21 +189,10 @@ def is_l_covering(p, l, full_report=False):
 def _sub_digraph_union(cube, vertex_sets):
     """Union of induced subdigraphs of `cube` (vertices and arrows unioned);
     not induced in general."""
-    verts = []
-    seen = set()
-    for vs in vertex_sets:
-        for v in vs:
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
-    arrows = set()
-    for vs in vertex_sets:
-        s = set(vs)
-        arrows.update(
-            (u, v) for (u, v) in cube.arrows if u in s and v in s
-        )
-    verts = [v for v in cube.vertices if v in seen]
-    return Digraph(verts, arrows)
+    sets = [set(vs) for vs in vertex_sets]
+    seen = set().union(*sets)
+    arrows = [a for a in cube.arrows if any(a[0] in s and a[1] in s for s in sets)]
+    return Digraph([v for v in cube.vertices if v in seen], arrows)
 
 
 def check_lifting_hypotheses(a, b):
@@ -277,26 +261,6 @@ def check_lifting_hypotheses_dual(a, b):
     return check_lifting_hypotheses(a.opposite(), b.opposite())
 
 
-def unique_lift_count(p, a, b, alpha, beta):
-    """Number of maps b -> source restricting to alpha on a and projecting
-    to beta (exhaustive; small b only)."""
-    count = 0
-    pinned = {v: (alpha[v],) for v in a.vertices}
-    for images in enumerate_digraph_maps(b, p.source, pinned=pinned):
-        if all(
-            p.assignment[x] == beta[v]
-            for v, x in zip(b.vertices, images)
-        ):
-            count += 1
-    return count
-
-
-def _weakly_connected(d):
-    from .digraph import pi0
-
-    return len(pi0(d)) <= 1
-
-
 def _spread_plan(d, root, position):
     """How to spread a lift over the weakly connected digraph d from root.
 
@@ -323,24 +287,9 @@ def _spread_plan(d, root, position):
     return schedule, [(position[u], position[v]) for u, v in d.arrows]
 
 
-def _step_lifts(p):
-    """(x, y, forward) -> the one vertex w over y with an arrow or equality
-    x -> w (forward) or w -> x (backward), for every x and y that have
-    exactly one such w."""
-    g = p.source
-    table = {}
-    for x in g.vertices:
-        for forward, neighbours in (
-            (True, g.successors(x)),
-            (False, g.predecessors(x)),
-        ):
-            over = {}
-            for w in (x, *neighbours):
-                over.setdefault(p.assignment[w], []).append(w)
-            for y, ws in over.items():
-                if len(ws) == 1:
-                    table[x, y, forward] = ws[0]
-    return table
+def _step_lifts(groups):
+    """The one-element entries of `_step_groups`, as (x, y, forward) -> w."""
+    return {key: ws[0] for key, ws in groups.items() if len(ws) == 1}
 
 
 def _spread(plan, lifts, steps, beta, root, anchor):
@@ -371,98 +320,82 @@ def _spread(plan, lifts, steps, beta, root, anchor):
     return None
 
 
-def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS, skip_hypotheses=False,
-                         method="auto"):
-    """Enumerate all commutative squares (maps b -> target together with
-    compatible partial lifts on a) and verify exactly one diagonal exists.
+def _squares_by_enumeration(p, a, b, budget=DEFAULT_MAX_MAPS):
+    """The lifting check by listing: for each base map beta: b -> target
+    (at most `budget` of them), pin every vertex of b to the fiber over its
+    image; the squares are then the maps a -> source, and the lifts the
+    maps b -> source, each counted against the square it restricts to.
 
-    For user-supplied pairs the lifting hypotheses (or their dual) are
-    checked first and a failure raises HypothesesFail; horn inclusions
-    skip that (the hypotheses hold along the slab filtration instead).
-
-    When p is a verified 1-covering and both digraphs are weakly connected,
-    lifts are determined by their value at one anchor vertex, so squares
-    and lift counts spread in linear time; otherwise the check falls back
-    to exhaustive enumeration.
+    `a.vertices[0]` is enumerated first, so the squares of one base map
+    come out anchor by anchor.  Any p, a and b will do; this is the oracle
+    of the spread in `check_unique_lifting`.
     """
-    if not skip_hypotheses:
-        direct = check_lifting_hypotheses(a, b)
-        if not direct["pass"]:
-            dual = check_lifting_hypotheses_dual(a, b)
-            if not dual["pass"]:
-                failed = next(
-                    (k for k in ("subdigraph", "1", "2", "3") if not direct[k]),
-                    "?",
-                )
-                raise HypothesesFail(failed)
     report = {"squares": 0, "unique": True, "pass": True}
-    g = p.source
     fibers = _fibers(p)
-    fast = (
-        method != "brute"
-        and a.vertices
-        and is_one_covering(p)
-        and _weakly_connected(a)
-        and _weakly_connected(b)
-    )
-    a0 = a.vertices[0] if a.vertices else None
-    if fast:
-        lifts, steps = _step_lifts(p), _steps(g)
-        root = b.index(a0)
-        plan_a = _spread_plan(a, a0, b._index)
-        plan_b = _spread_plan(b, a0, b._index)
-    for beta_images in enumerate_digraph_maps(b, p.target, budget=budget):
-        if fast:
-            for anchor in fibers.get(beta_images[root], []):
-                if _spread(plan_a, lifts, steps, beta_images, root, anchor) is None:
-                    continue
-                report["squares"] += 1
-                if _spread(plan_b, lifts, steps, beta_images, root, anchor) is None:
-                    report["unique"] = False
-                    report["pass"] = False
-                    report["witness"] = {
-                        "beta": [repr(x) for x in beta_images],
-                        "anchor": repr(anchor),
-                        "lifts": 0,
-                    }
-                    return report
-        else:
-            beta = dict(zip(b.vertices, beta_images))
-            restricted = {v: beta[v] for v in a.vertices}
-            seen_alphas = []
-            for anchor in (fibers.get(beta[a0], []) if a.vertices else [None]):
-                pinned = {
-                    v: tuple(
-                        x
-                        for x in g.vertices
-                        if p.assignment[x] == restricted[v]
-                    )
-                    for v in a.vertices
+    restrict = [b.index(v) for v in a.vertices]
+    for beta in enumerate_digraph_maps(b, p.target, budget=budget):
+        over = {v: fibers.get(y, ()) for v, y in zip(b.vertices, beta)}
+        lifts = Counter(
+            tuple(images[k] for k in restrict)
+            for images in enumerate_digraph_maps(b, p.source, pinned=over)
+        )
+        for alpha in iter_digraph_maps(a, p.source, pinned=over):
+            report["squares"] += 1
+            if lifts[alpha] != 1:
+                report["unique"] = False
+                report["pass"] = False
+                report["witness"] = {
+                    "beta": [repr(x) for x in beta],
+                    "alpha": [repr(x) for x in alpha],
+                    "lifts": lifts[alpha],
                 }
-                if a.vertices:
-                    pinned[a0] = (anchor,)
-                for images in enumerate_digraph_maps(a, g, pinned=pinned):
-                    seen_alphas.append(dict(zip(a.vertices, images)))
-            for alpha in seen_alphas:
-                report["squares"] += 1
-                count = unique_lift_count(p, a, b, alpha, beta)
-                if count != 1:
-                    report["unique"] = False
-                    report["pass"] = False
-                    report["witness"] = {
-                        "beta": [repr(x) for x in beta_images],
-                        "alpha": [repr(alpha[v]) for v in a.vertices],
-                        "lifts": count,
-                    }
-                    return report
+                return report
     return report
 
 
-def horn_inclusion(side, n, i, eps):
-    """The horn realization inside the full cube, as (subdigraph, cube)."""
-    cube = cube_realization(standard_interval(side), n)
-    horn = cube.induced(horn_vertices(side, n, i, eps))
-    return horn, cube
+def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
+    """Count the commutative squares (maps b -> target together with
+    compatible partial lifts on a) and verify each has exactly one diagonal.
+
+    The lifting hypotheses are not checked here: for horn inclusions they
+    hold along the slab filtration instead (`check_two_covering_filtration`).
+
+    When a is non-empty, p is a verified 1-covering and a and b are each
+    weakly connected, a lift is determined by its value at one anchor
+    vertex, so squares and lifts spread in linear time; otherwise the check
+    lists them (`_squares_by_enumeration`).  At most `budget` base maps.
+    """
+    b.check_vertices(a.vertices)
+    groups = _step_groups(p)
+    if not (
+        a.vertices
+        and _covering_witness(p, groups) is None
+        and len(pi0(a)) == 1
+        and len(pi0(b)) == 1
+    ):
+        return _squares_by_enumeration(p, a, b, budget)
+    report = {"squares": 0, "unique": True, "pass": True}
+    fibers = _fibers(p)
+    lifts, steps = _step_lifts(groups), _steps(p.source)
+    a0 = a.vertices[0]
+    root = b.index(a0)
+    plan_a = _spread_plan(a, a0, b._index)
+    plan_b = _spread_plan(b, a0, b._index)
+    for beta_images in enumerate_digraph_maps(b, p.target, budget=budget):
+        for anchor in fibers.get(beta_images[root], []):
+            if _spread(plan_a, lifts, steps, beta_images, root, anchor) is None:
+                continue
+            report["squares"] += 1
+            if _spread(plan_b, lifts, steps, beta_images, root, anchor) is None:
+                report["unique"] = False
+                report["pass"] = False
+                report["witness"] = {
+                    "beta": [repr(x) for x in beta_images],
+                    "anchor": repr(anchor),
+                    "lifts": 0,
+                }
+                return report
+    return report
 
 
 def check_unique_lifting_all_horns(p, side, n):
@@ -478,12 +411,13 @@ def check_unique_lifting_all_horns(p, side, n):
     """
     if n < 2:
         raise BadIndex("the shared-anchor route needs n >= 2; use the generic check")
-    if not is_one_covering(p):
+    groups = _step_groups(p)
+    if _covering_witness(p, groups) is not None:
         raise InputError("the shared-anchor route needs a verified 1-covering")
     cube = cube_realization(standard_interval(side), n)
     horn_list = [(i, eps) for i in range(1, n + 1) for eps in (0, 1)]
     fibers = _fibers(p)
-    lifts, steps = _step_lifts(p), _steps(p.source)
+    lifts, steps = _step_lifts(groups), _steps(p.source)
     origin = cube.vertices[0]
     cube_plan = _spread_plan(cube, origin, cube._index)
     horn_plans = {

@@ -22,7 +22,7 @@ from .errors import (
     UnknownVertex,
 )
 from .homology import homology_summary, induced_homology_map
-from .nerve import nerve_levels
+from .nerve import nerve_functor_map, nerve_levels
 from .triangulation import simplicial_homology
 
 
@@ -241,7 +241,7 @@ def nerve_theorem_pipeline(g, family, top_dim=2, budget=DEFAULT_MAX_CUBES):
     return report
 
 
-def check_union_pushout(g, part_a, part_b, top_dim=2, budget=DEFAULT_MAX_CUBES):
+def check_union_pushout(g, part_a, part_b):
     """Level-wise amalgamation: the nerve cube sets of g must be exactly the
     union of the two sub-nerves over the intersection sub-nerve."""
     sa, sb = set(part_a), set(part_b)
@@ -256,11 +256,11 @@ def check_union_pushout(g, part_a, part_b, top_dim=2, budget=DEFAULT_MAX_CUBES):
     report["every_arrow_in_a_part"] = arrows_covered
     if not arrows_covered:
         report["pass"] = False
-    whole = nerve_levels(g, 1, 1, top_dim, budget)
-    na = nerve_levels(g.induced(sa), 1, 1, top_dim, budget)
-    nb = nerve_levels(g.induced(sb), 1, 1, top_dim, budget)
-    nab = nerve_levels(g.induced(sa & sb), 1, 1, top_dim, budget)
-    for n in range(top_dim + 1):
+    whole = nerve_levels(g, 1, 1, 2)
+    na = nerve_levels(g.induced(sa), 1, 1, 2)
+    nb = nerve_levels(g.induced(sb), 1, 1, 2)
+    nab = nerve_levels(g.induced(sa & sb), 1, 1, 2)
+    for n in range(3):
         total = set(whole.cubes[n])
         ca = set(na.cubes[n])
         cb = set(nb.cubes[n])
@@ -313,7 +313,7 @@ def check_cover_equivalence(
         restricted = DigraphMap(
             g_sub, g_sub_prime, {v: phi.assignment[v] for v in sub}
         )
-        cm = _nerve_map(restricted, top_dim, budget)
+        cm = nerve_functor_map(restricted, 1, top_dim, budget)
         verdict = all(
             induced_homology_map(cm, n)["iso"] for n in range(top_dim)
         )
@@ -321,7 +321,7 @@ def check_cover_equivalence(
         if not verdict:
             report["pass"] = False
         report["faces"].append(entry)
-    global_map = _nerve_map(phi, top_dim, budget)
+    global_map = nerve_functor_map(phi, 1, top_dim, budget)
     global_info = {n: induced_homology_map(global_map, n) for n in range(top_dim)}
     report["global"] = {str(n): info["iso"] for n, info in global_info.items()}
     report["global_matrices"] = {
@@ -332,13 +332,7 @@ def check_cover_equivalence(
     return report
 
 
-def _nerve_map(phi, top_dim, budget):
-    from .nerve import nerve_functor_map
-
-    return nerve_functor_map(phi, 1, 1, top_dim, budget)
-
-
-def pushout_closure_identity(g, part, phi, top_dim=2, budget=DEFAULT_MAX_CUBES):
+def pushout_closure_identity(g, part, phi):
     """Out-closures commute with pushouts along in-closed parts, and the
     nerve square of the two closures amalgamates level-wise."""
     part = tuple(part)
@@ -366,12 +360,12 @@ def pushout_closure_identity(g, part, phi, top_dim=2, budget=DEFAULT_MAX_CUBES):
         report["pass"] = False
     # level-wise nerve pushout: cubes of g' are covered by the images of the
     # cubes of g and of the pushed-out closure, glued over the cubes of o
-    n_g = nerve_levels(g, 1, 1, top_dim, budget)
-    n_gp = nerve_levels(g_prime, 1, 1, top_dim, budget)
-    n_o = nerve_levels(o, 1, 1, top_dim, budget)
-    n_op = nerve_levels(induced_closure, 1, 1, top_dim, budget)
+    n_g = nerve_levels(g, 1, 1, 2)
+    n_gp = nerve_levels(g_prime, 1, 1, 2)
+    n_o = nerve_levels(o, 1, 1, 2)
+    n_op = nerve_levels(induced_closure, 1, 1, 2)
     report["levels"] = []
-    for n in range(top_dim + 1):
+    for n in range(3):
         img_g = {
             tuple(phi_prime.assignment[v] for v in cube) for cube in n_g.cubes[n]
         }

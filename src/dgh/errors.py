@@ -57,14 +57,6 @@ class IndexMismatch(InputError):
     """Two families whose member names do not line up."""
 
 
-class HypothesesFail(DghError):
-    """A lifting-lemma hypothesis that fails; carries the violated clause."""
-
-    def __init__(self, clause, detail=""):
-        self.clause = clause
-        super().__init__(f"hypothesis ({clause}) fails{': ' + detail if detail else ''}")
-
-
 class InvalidCubicalSet(DghError):
     """A truncated cubical set whose structure tables violate an identity."""
 

@@ -68,10 +68,11 @@ def horn_vertices(side, n, i, eps):
     return out
 
 
-def horn_realization(side, n, i, eps, sign=1):
-    """All faces of the side^n cube except the (i, eps) one, as a subdigraph."""
-    cube = cube_realization(standard_interval(side, sign), n)
-    return cube.induced(horn_vertices(side, n, i, eps))
+def horn_inclusion(side, n, i, eps):
+    """All faces of the side^n cube except the (i, eps) one, as the induced
+    subdigraph `horn` of `cube`; returns (horn, cube)."""
+    cube = cube_realization(standard_interval(side), n)
+    return cube.induced(horn_vertices(side, n, i, eps)), cube
 
 
 # -- grid coordinate maps ---------------------------------------------------
@@ -429,10 +430,10 @@ class CubicalMap:
         return all(len(set(level)) == len(level) for level in self.levels)
 
 
-def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
+def nerve_functor_map(phi, m=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Postcomposition with a digraph map, as a map of truncated nerves."""
-    src = nerve_levels(phi.source, m, sign, top_dim, budget)
-    dst = nerve_levels(phi.target, m, sign, top_dim, budget)
+    src = nerve_levels(phi.source, m, 1, top_dim, budget)
+    dst = nerve_levels(phi.target, m, 1, top_dim, budget)
     image = phi.assignment.__getitem__
     levels = [
         _index_table(dst.index[n], (tuple(map(image, c)) for c in src.cubes[n]), n)
@@ -444,17 +445,16 @@ def nerve_functor_map(phi, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
 _COMPARISON_DELTAS = {"r": 1, "l": 1, "c2": 4}
 
 
-def comparison_map(kind, g, m, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
+def comparison_map(kind, g, m, top_dim=2):
     """Precomposition with the truncation I_{m+delta} -> I_m of
     `intervals.truncation`: N_m G -> N_{m+delta} G.
 
     'r' keeps the orientation, 'l' flips it, 'c2' keeps it and jumps by 4.
     """
     delta = _COMPARISON_DELTAS[kind]
-    new_sign = -sign if kind == "l" else sign
-    src = nerve_levels(g, m, sign, top_dim, budget)
-    dst = nerve_levels(g, m + delta, new_sign, top_dim, budget)
-    t = truncation(kind, m, sign).assignment
+    src = nerve_levels(g, m, 1, top_dim)
+    dst = nerve_levels(g, m + delta, -1 if kind == "l" else 1, top_dim)
+    t = truncation(kind, m).assignment
     levels = []
     for n in range(top_dim + 1):
         small_ix = src._grid_index[n]
@@ -478,7 +478,7 @@ def kan_filler_phi(m, n, i, eps):
     if m < 0 or n < 1 or not 1 <= i <= n or eps not in (0, 1):
         raise BadIndex(f"bad filler index (m={m}, n={n}, i={i}, eps={eps})")
     domain = cube_realization(standard_interval(6 * m), n)
-    horn = horn_realization(2 * m, n, i, eps)
+    horn, _ = horn_inclusion(2 * m, n, i, eps)
 
     def clamp_band(x):
         return min(max(x, 2 * m), 4 * m)

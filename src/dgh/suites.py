@@ -34,7 +34,6 @@ from .covers import (
 from .coverings import (
     check_two_covering_filtration,
     check_unique_lifting,
-    horn_inclusion,
     is_l_covering,
     is_one_covering,
 )
@@ -51,7 +50,7 @@ from .nerve import (
     check_rho_properties,
     comparison_map,
     cube_realization,
-    horn_realization,
+    horn_inclusion,
     horn_vertices,
     kan_filler_phi,
     kan_filler_report,
@@ -109,7 +108,7 @@ def suite_kan():
     for gname, g in corpus.tiny_corpus().items():
         for i in (1, 2):
             for eps in (0, 1):
-                horn = horn_realization(2, 2, i, eps)
+                horn, _ = horn_inclusion(2, 2, i, eps)
                 phi = kan_filler_phi(1, 2, i, eps)
                 ok = True
                 for h_images in enumerate_digraph_maps(horn, g):
@@ -401,7 +400,7 @@ def suite_ddr():
     for name, witness in _ddr_examples():
         sub = witness.ambient.induced(witness.part)
         incl = DigraphMap(sub, witness.ambient, {v: v for v in witness.part})
-        cm = nerve_functor_map(incl, 1, 1, 2)
+        cm = nerve_functor_map(incl, 1, 2)
         if not all(induced_homology_map(cm, deg)["iso"] for deg in (0, 1)):
             evidence_ok = False
     checks.append(_check("ddr-homology-evidence", evidence_ok))
@@ -578,7 +577,7 @@ def suite_union():
     ok = True
     first_bad = None
     for name, g, a, b in splittings:
-        rep = check_union_pushout(g, a, b, 2)
+        rep = check_union_pushout(g, a, b)
         if not rep["pass"]:
             ok = False
             first_bad = first_bad or name
@@ -600,7 +599,7 @@ def suite_union():
     ):
         sub = g.induced(part)
         phi = DigraphMap(sub, pt, {v: "*" for v in part})
-        rep = pushout_closure_identity(g, part, phi, 2)
+        rep = pushout_closure_identity(g, part, phi)
         if not rep["pass"]:
             ok_po = False
     checks.append(_check("out-closure-commutes-with-pushout", ok_po))
@@ -620,8 +619,8 @@ def suite_covering():
     c3 = corpus.cycle(3)
     c6 = corpus.cycle(6)
     p = DigraphMap(c6, c3, {i: i % 3 for i in range(6)})
-    rep2 = is_l_covering(p, 2, full_report=True)
-    rep3 = is_l_covering(p, 3, full_report=True)
+    rep2 = is_l_covering(p, 2)
+    rep3 = is_l_covering(p, 3)
     checks.append(_check("c6-c3-is-2-covering", rep2["pass"]))
     checks.append(
         _check(
@@ -630,7 +629,7 @@ def suite_covering():
         )
     )
     ident = DigraphMap(c3, c3, {i: i for i in range(3)})
-    repi = is_l_covering(ident, 4, full_report=True)
+    repi = is_l_covering(ident, 4)
     checks.append(_check("identity-all-l", repi["pass"]))
     fold = DigraphMap(
         disjoint_union(c3, c3),
@@ -647,7 +646,7 @@ def suite_covering():
         DigraphMap(corpus.line(3), c3, {0: 0, 1: 1, 2: 1, 3: 2}),
     ]
     for cand in candidates:
-        r = is_l_covering(cand, 2, full_report=True)
+        r = is_l_covering(cand, 2)
         if not r["conditions_agree"]:
             ok = False
     checks.append(_check("characterizations-agree-on-non-coverings", ok))
@@ -656,7 +655,7 @@ def suite_covering():
         for i in range(1, n + 1):
             for eps in (0, 1):
                 horn, cube = horn_inclusion(side, n, i, eps)
-                rep = check_unique_lifting(p, horn, cube, skip_hypotheses=True)
+                rep = check_unique_lifting(p, horn, cube)
                 checks.append(
                     _check(
                         f"unique-lift horn(n={n},i={i},eps={eps},side={side})",
@@ -748,7 +747,7 @@ def suite_comparison():
     for gname, *kinds in cases:
         g = corpus.small_corpus()[gname]
         for kind, m in kinds:
-            cm = comparison_map(kind, g, m, 1, 2)
+            cm = comparison_map(kind, g, m, 2)
             inj = cm.is_injective()
             iso01 = all(
                 induced_homology_map(cm, deg)["iso"] for deg in (0, 1)
@@ -760,7 +759,7 @@ def suite_comparison():
     # (level-2 maps from a 36-cell grid), so it is checked at truncation 1
     for gname in ("i1", "c3"):
         g = corpus.small_corpus()[gname]
-        cm = comparison_map("c2", g, 1, 1, 1)
+        cm = comparison_map("c2", g, 1, 1)
         ok = cm.is_injective() and induced_homology_map(cm, 0)["iso"]
         checks.append(_check(f"c2* injective+H0-iso {gname} (K=1)", ok))
     # the 4-step jump commutes with every realized structure map, checked

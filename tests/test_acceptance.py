@@ -17,11 +17,16 @@ from dgh.covers import (
 from dgh.coverings import (
     check_unique_lifting,
     check_unique_lifting_all_horns,
-    horn_inclusion,
     is_l_covering,
 )
 from dgh.homology import HomologyGroup
-from dgh.nerve import check_rho_properties, kan_filler_report, nerve_functor_map, nerve_levels
+from dgh.nerve import (
+    check_rho_properties,
+    horn_inclusion,
+    kan_filler_report,
+    nerve_functor_map,
+    nerve_levels,
+)
 from dgh.suites import run_suite, suite_shrinkings, suite_union
 from dgh.triangulation import triangulate
 
@@ -86,7 +91,7 @@ def test_criterion_3_boundary_inclusion(o_digraph, boundary44):
         incl = DigraphMap(
             boundary44, o_digraph, {v: v for v in boundary44.vertices}
         )
-        cm = nerve_functor_map(incl, 1, 1, 2)
+        cm = nerve_functor_map(incl, 1, 2)
         for deg in (0, 1):
             assert induced_homology_map(cm, deg)["iso"]
         restricted = SubdigraphFamily(
@@ -139,16 +144,14 @@ def test_criterion_7_union_pushout():
 def test_criterion_8_two_covering(c3, c6):
     with Stopwatch("8 (distance covering)", 120):
         p = DigraphMap(c6, c3, {i: i % 3 for i in range(6)})
-        rep2 = is_l_covering(p, 2, full_report=True)
+        rep2 = is_l_covering(p, 2)
         assert rep2["pass"] and all(rep2["conditions"].values())
-        rep3 = is_l_covering(p, 3, full_report=True)
+        rep3 = is_l_covering(p, 3)
         assert not rep3["is_l_covering"] and rep3["conditions_agree"]
         for side in (2, 4):
             for eps in (0, 1):
                 horn, cube = horn_inclusion(side, 1, 1, eps)
-                assert check_unique_lifting(
-                    p, horn, cube, skip_hypotheses=True
-                )["pass"]
+                assert check_unique_lifting(p, horn, cube)["pass"]
             assert check_unique_lifting_all_horns(p, side, 2)["pass"]
 
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgh import triangulation
 from dgh.cli import main
@@ -202,6 +207,64 @@ class TestExitCodes:
             capsys, "check", "cover", files / "c3.json", files / "cover.json"
         )
         assert code == 1
+
+
+# JSON the loaders may meet: nested null, bool, int, float and string values,
+# lists, and objects keyed by the input formats' own keys, mixed with
+# near-valid digraph, map and cover files.  Strings come from a short list
+# that names the fuzzed files, so a map's "source" and "target" can point
+# at them.
+FILES = ["f.json", "g.json", "h.json"]
+LABELS = st.sampled_from(["0", "1", "a", "", *FILES]) | st.integers(0, 2)
+KEYS = st.sampled_from(
+    ["vertices", "arrows", "source", "target", "assignment", "members", "0", "a"]
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | LABELS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+VERTEX = st.sampled_from(["0", "1", "a"]) | st.integers(0, 1)
+ITEM = st.one_of(VERTEX, VERTEX, LABELS, JSON)
+DIGRAPH = st.fixed_dictionaries({
+    "vertices": st.lists(ITEM, max_size=4, unique_by=repr),
+    "arrows": st.lists(st.lists(ITEM, min_size=2, max_size=2), max_size=4),
+})
+DOCUMENT = st.one_of(
+    JSON,
+    DIGRAPH,
+    st.fixed_dictionaries({
+        "source": st.sampled_from(FILES) | ITEM,
+        "target": st.sampled_from(FILES) | ITEM,
+        "assignment": st.dictionaries(st.sampled_from(["0", "1", "a"]), ITEM, max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "members": st.dictionaries(st.sampled_from(["a", "b"]), st.lists(ITEM, max_size=3) | ITEM,
+                                   max_size=2),
+    }),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(DOCUMENT, DOCUMENT, DIGRAPH, st.sampled_from(["0", "0,1", "a", "z"]))
+    def test_random_json_never_escapes(self, f, g, h, part):
+        with tempfile.TemporaryDirectory() as tmp:
+            f_path, g_path, h_path = (Path(tmp, name) for name in FILES)
+            for path, data in ((f_path, f), (g_path, g), (h_path, h)):
+                path.write_text(json.dumps(data))
+            for argv in (
+                ["info", f_path],
+                ["compare", f_path],
+                ["check", "cover", h_path, g_path],
+                ["check", "ddr", h_path, "--part", part, "--eta", g_path],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+                assert code in (0, 1, 2, 3), argv
+                if code == 2:
+                    assert out.getvalue() == "", argv
 
 
 class TestDeterminism:

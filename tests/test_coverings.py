@@ -1,17 +1,18 @@
 import pytest
 
 from dgh.digraph import Digraph, DigraphMap, disjoint_union, distance, power_digraph
-from dgh.errors import BadIndex, HypothesesFail
+from dgh.errors import BadIndex, UnknownVertex
 from dgh.coverings import (
+    _squares_by_enumeration,
     check_lifting_hypotheses,
+    check_lifting_hypotheses_dual,
     check_two_covering_filtration,
     check_unique_lifting,
     check_unique_lifting_all_horns,
-    horn_inclusion,
     is_l_covering,
     is_one_covering,
-    unique_lift_count,
 )
+from dgh.nerve import horn_inclusion
 
 from conftest import cycle, line
 
@@ -43,19 +44,19 @@ class TestOneCovering:
 
 class TestLCovering:
     def test_two_covering(self, fold):
-        rep = is_l_covering(fold, 2, full_report=True)
+        rep = is_l_covering(fold, 2)
         assert rep["pass"]
         assert all(rep["conditions"].values())
 
     def test_fails_at_three(self, fold):
-        rep = is_l_covering(fold, 3, full_report=True)
+        rep = is_l_covering(fold, 3)
         assert not rep["is_l_covering"]
         assert rep["conditions_agree"]
         assert not any(rep["conditions"].values())
 
     def test_identity_any_l(self, c3):
         for l in (1, 2, 3, 4):
-            assert is_l_covering(DigraphMap.identity(c3), l)
+            assert is_l_covering(DigraphMap.identity(c3), l)["pass"]
 
     def test_bad_index(self, fold):
         with pytest.raises(BadIndex):
@@ -78,28 +79,26 @@ class TestLCovering:
 class TestUniqueLifting:
     def test_point_horn_path_lifting(self, fold):
         horn, cube = horn_inclusion(2, 1, 1, 0)
-        rep = check_unique_lifting(fold, horn, cube, skip_hypotheses=True)
+        rep = check_unique_lifting(fold, horn, cube)
         assert rep["pass"] and rep["squares"] > 0
 
     def test_square_horns_side_two(self, fold):
         for i in (1, 2):
             for eps in (0, 1):
                 horn, cube = horn_inclusion(2, 2, i, eps)
-                rep = check_unique_lifting(fold, horn, cube, skip_hypotheses=True)
+                rep = check_unique_lifting(fold, horn, cube)
                 assert rep["pass"], (i, eps, rep)
 
     def test_identity_covering_lift_is_bottom(self, c3):
         p = DigraphMap.identity(c3)
         horn, cube = horn_inclusion(2, 1, 1, 1)
-        rep = check_unique_lifting(p, horn, cube, skip_hypotheses=True)
+        rep = check_unique_lifting(p, horn, cube)
         assert rep["pass"]
 
     def test_fast_path_matches_brute_force(self, fold):
         horn, cube = horn_inclusion(2, 2, 1, 0)
-        fast = check_unique_lifting(fold, horn, cube, skip_hypotheses=True)
-        brute = check_unique_lifting(
-            fold, horn, cube, skip_hypotheses=True, method="brute"
-        )
+        fast = check_unique_lifting(fold, horn, cube)
+        brute = _squares_by_enumeration(fold, horn, cube)
         assert fast["pass"] == brute["pass"] is True
         assert fast["squares"] == brute["squares"]
 
@@ -107,28 +106,25 @@ class TestUniqueLifting:
         # a path lifts through C6 -> C3, but the closed triangle does not
         a = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         b = cycle(3)
-        fast = check_unique_lifting(fold, a, b, skip_hypotheses=True)
-        brute = check_unique_lifting(fold, a, b, skip_hypotheses=True, method="brute")
+        fast = check_unique_lifting(fold, a, b)
+        brute = _squares_by_enumeration(fold, a, b)
         assert fast["pass"] is brute["pass"] is False
         assert fast["unique"] is brute["unique"] is False
         assert fast["squares"] == brute["squares"]
         assert fast["witness"]["beta"] == brute["witness"]["beta"]
+
+    def test_vertex_outside_b_is_unknown(self, fold):
+        a = Digraph([0, 9], [(0, 9)])
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 9$"):
+            check_unique_lifting(fold, a, cycle(3))
 
     def test_all_horns_match_one_horn_checks(self, fold):
         shared = check_unique_lifting_all_horns(fold, 2, 2)
         for i in (1, 2):
             for eps in (0, 1):
                 horn, cube = horn_inclusion(2, 2, i, eps)
-                rep = check_unique_lifting(fold, horn, cube, skip_hypotheses=True)
+                rep = check_unique_lifting(fold, horn, cube)
                 assert shared["horns"][f"{i},{eps}"]["squares"] == rep["squares"]
-
-    def test_brute_count_agrees_on_one_square(self, fold):
-        horn, cube = horn_inclusion(2, 1, 1, 0)
-        beta = DigraphMap.constant(cube, fold.target, 0)
-        alpha = {horn.vertices[0]: 0}
-        assert unique_lift_count(fold, horn, cube, alpha, dict(
-            (v, 0) for v in cube.vertices
-        )) == 1
 
 
 class TestHypotheses:
@@ -137,12 +133,12 @@ class TestHypotheses:
         rep = check_lifting_hypotheses(horn, cube)
         assert rep["1"] and rep["3"]
 
-    def test_failure_raises_with_clause(self, fold):
+    def test_failure_raises_with_clause(self):
         # an isolated extra vertex in B breaks reachability from A
         b = Digraph(["a", "b", "x"], [("a", "b")])
         a = b.induced(["a"])
-        with pytest.raises(HypothesesFail):
-            check_unique_lifting(fold, a, b)
+        assert check_lifting_hypotheses(a, b)["1"] is False
+        assert check_lifting_hypotheses_dual(a, b)["pass"] is False
 
     def test_filtration(self):
         for side in (2, 4):

@@ -155,23 +155,23 @@ def o_cover_restricted(boundary):
 class TestUnionPushout:
     def test_three_vertex_fan(self):
         g = Digraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
-        rep = check_union_pushout(g, ["a", "b"], ["b", "c"], 2)
+        rep = check_union_pushout(g, ["a", "b"], ["b", "c"])
         assert rep["pass"]
 
     def test_degenerate_whole(self, c3):
-        rep = check_union_pushout(c3, c3.vertices, c3.vertices, 2)
+        rep = check_union_pushout(c3, c3.vertices, c3.vertices)
         assert rep["pass"]
 
     def test_o_halves(self, o_digraph):
         top = [v for v in o_digraph.vertices if v[0] <= 2]
         bottom = [v for v in o_digraph.vertices if v[0] >= 2]
-        rep = check_union_pushout(o_digraph, top, bottom, 2)
+        rep = check_union_pushout(o_digraph, top, bottom)
         assert rep["pass"]
 
     def test_rejects_non_in_closed(self):
         g = line(1)
         with pytest.raises(NotInClosed):
-            check_union_pushout(g, [0], [1], 2)
+            check_union_pushout(g, [0], [1])
 
 
 class TestCoverEquivalence:
@@ -212,7 +212,7 @@ class TestPushoutClosureIdentity:
         g = Digraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
         part = ("a", "b")
         sub = g.induced(part)
-        rep = pushout_closure_identity(g, part, DigraphMap.identity(sub), 2)
+        rep = pushout_closure_identity(g, part, DigraphMap.identity(sub))
         assert rep["pass"]
 
     def test_collapse_boundary_in_grid(self, grid44):
@@ -220,16 +220,16 @@ class TestPushoutClosureIdentity:
             v for v in grid44.vertices if v[0] in (0, 4) or v[1] in (0, 4)
         )
         phi = DigraphMap.constant(grid44.induced(boundary), point(), "*")
-        rep = pushout_closure_identity(grid44, boundary, phi, 2)
+        rep = pushout_closure_identity(grid44, boundary, phi)
         assert rep["pass"]
 
     def test_small_corpus_triples(self):
         g = line(2)
         phi = DigraphMap.constant(g.induced((0,)), point(), "*")
-        assert pushout_closure_identity(g, (0,), phi, 2)["pass"]
+        assert pushout_closure_identity(g, (0,), phi)["pass"]
 
     def test_rejects_non_in_closed(self):
         g = line(1)
         phi = DigraphMap.constant(g.induced((1,)), point(), "*")
         with pytest.raises(NotInClosed):
-            pushout_closure_identity(g, (1,), phi, 2)
+            pushout_closure_identity(g, (1,), phi)

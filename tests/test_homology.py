@@ -241,7 +241,7 @@ class TestChainMapCheck:
         for n, size in enumerate(nerve_levels(sq, 1, 1, 2).counts()["cubes"]):
             for k in range(size):
                 for value in range(size):
-                    cm = nerve_functor_map(DigraphMap.identity(sq), 1, 1, 2)
+                    cm = nerve_functor_map(DigraphMap.identity(sq), 1, 2)
                     cm.levels[n][k] = value
                     expected = dense_noncommuting_degree(cm)
                     seen.add(expected)
@@ -286,7 +286,7 @@ class TestHomology:
 
 class TestInducedMaps:
     def test_identity(self, c3):
-        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 1, 2)
+        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 2)
         info = induced_homology_map(cm, 1)
         assert info["iso"] and info["matrix"] == [[1]]
 
@@ -294,7 +294,7 @@ class TestInducedMaps:
         incl = DigraphMap(
             boundary44, o_digraph, {v: v for v in boundary44.vertices}
         )
-        cm = nerve_functor_map(incl, 1, 1, 2)
+        cm = nerve_functor_map(incl, 1, 2)
         for deg in (0, 1):
             info = induced_homology_map(cm, deg)
             assert info["iso"]
@@ -302,7 +302,7 @@ class TestInducedMaps:
 
     def test_constant_kills_h1(self, c3):
         const = DigraphMap.constant(c3, c3, 0)
-        cm = nerve_functor_map(const, 1, 1, 2)
+        cm = nerve_functor_map(const, 1, 2)
         info = induced_homology_map(cm, 1)
         assert info["matrix"] == [[0]]
         assert not info["iso"]
@@ -311,8 +311,8 @@ class TestInducedMaps:
         rot = DigraphMap(c3, c3, {0: 1, 1: 2, 2: 0})
         from dgh.linalg import matmul
 
-        cm_rot = nerve_functor_map(rot, 1, 1, 2)
-        cm_sq = nerve_functor_map(rot.compose(rot), 1, 1, 2)
+        cm_rot = nerve_functor_map(rot, 1, 2)
+        cm_sq = nerve_functor_map(rot.compose(rot), 1, 2)
         m1 = induced_homology_map(cm_rot, 1)["matrix"]
         m2 = induced_homology_map(cm_sq, 1)["matrix"]
         assert matmul(m1, m1) == m2

@@ -154,6 +154,11 @@ class TestHomotopyClasses:
         with pytest.raises(BudgetExceeded):
             homotopy_classes(line(3), c3, budget=3)
 
+    @pytest.mark.parametrize("rel_part", [(0,), ()])
+    def test_unknown_target_part(self, c3, rel_part):
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 'z'$"):
+            homotopy_classes(line(1), c3, rel_part=rel_part, target_part=("z",))
+
     def test_relative_refines_absolute(self, c3):
         src = line(2)
         rel = homotopy_classes(src, c3, rel_part=(0,), target_part=(0,))
@@ -171,6 +176,10 @@ class TestAnTower:
         g = Digraph(["a", "b", "c"], [("a", "b")])
         tower = an_tower(g, "a", 0, "r", 3)
         assert tower.class_counts() == [2, 2, 2]
+
+    def test_unknown_basepoint(self, c3):
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 'z'$"):
+            an_tower(c3, "z", 0, "r", 2)
 
     def test_point_target_trivial(self):
         for n in (0, 1, 2):
@@ -325,6 +334,6 @@ class TestDdr:
         sq = box_product(line(1), line(1))
         part = [(0, 0)]
         incl = DigraphMap(sq.induced(part), sq, {(0, 0): (0, 0)})
-        cm = nerve_functor_map(incl, 1, 1, 2)
+        cm = nerve_functor_map(incl, 1, 2)
         for deg in (0, 1):
             assert induced_homology_map(cm, deg)["iso"]

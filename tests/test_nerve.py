@@ -11,7 +11,7 @@ from dgh.nerve import (
     check_rho_properties,
     comparison_map,
     cube_realization,
-    horn_realization,
+    horn_inclusion,
     horn_vertices,
     kan_filler_phi,
     kan_filler_report,
@@ -55,9 +55,10 @@ class TestRealizations:
 
 class TestHorns:
     def test_dimension_one_single_endpoint(self):
-        horn = horn_realization(2, 1, 1, 0)
+        horn, cube = horn_inclusion(2, 1, 1, 0)
         assert horn.vertices == ((2,),)
-        horn = horn_realization(2, 1, 1, 1)
+        assert cube.vertices == ((0,), (1,), (2,))
+        horn, _ = horn_inclusion(2, 1, 1, 1)
         assert horn.vertices == ((0,),)
 
     @pytest.mark.parametrize("side", [2, 4])
@@ -84,9 +85,9 @@ class TestHorns:
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):
-            horn_realization(2, 2, 3, 0)
+            horn_inclusion(2, 2, 3, 0)
         with pytest.raises(BadIndex):
-            horn_realization(2, 0, 1, 0)
+            horn_inclusion(2, 0, 1, 0)
 
 
 class TestNerveLevels:
@@ -237,7 +238,7 @@ class TestValidatorTeeth:
         }
 
     def test_naturality_list_matches_per_cube_loop(self, c3):
-        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 1, 3)
+        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 3)
         assert cm.naturality_violations() == naive_naturality_violations(cm) == []
         level = cm.levels[2]
         level[3], level[9] = level[9], level[3]
@@ -305,7 +306,7 @@ class TestIdentitySchema:
 
 class TestNerveFunctorMap:
     def test_identity(self, c3):
-        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 1, 2)
+        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 2)
         for level in cm.levels:
             assert level == list(range(len(level)))
 
@@ -313,31 +314,31 @@ class TestNerveFunctorMap:
         incl = DigraphMap(
             boundary44, o_digraph, {v: v for v in boundary44.vertices}
         )
-        cm = nerve_functor_map(incl, 1, 1, 2)
+        cm = nerve_functor_map(incl, 1, 2)
         assert cm.is_injective()
 
     def test_functoriality_composite(self, c3):
         f = DigraphMap(line(1), c3, {0: 0, 1: 1})
         g = DigraphMap(c3, c3, {0: 1, 1: 2, 2: 0})
-        cf = nerve_functor_map(f, 1, 1, 2)
-        cg = nerve_functor_map(g, 1, 1, 2)
-        cgf = nerve_functor_map(g.compose(f), 1, 1, 2)
+        cf = nerve_functor_map(f, 1, 2)
+        cg = nerve_functor_map(g, 1, 2)
+        cgf = nerve_functor_map(g.compose(f), 1, 2)
         for n in range(3):
             assert [cg.levels[n][k] for k in cf.levels[n]] == cgf.levels[n]
 
 
 class TestComparisonMaps:
     def test_level_zero_bijection(self, c3):
-        cm = comparison_map("r", c3, 1, 1, 2)
+        cm = comparison_map("r", c3, 1, 2)
         assert sorted(cm.levels[0]) == list(range(len(c3.vertices)))
 
     def test_injective_all_kinds(self, c3):
         for kind in ("r", "l"):
-            assert comparison_map(kind, c3, 1, 1, 2).is_injective()
-        assert comparison_map("c2", point(), 1, 1, 2).is_injective()
+            assert comparison_map(kind, c3, 1, 2).is_injective()
+        assert comparison_map("c2", point(), 1, 2).is_injective()
 
     def test_c2_sign_and_step(self):
-        cm = comparison_map("c2", point(), 1, 1, 1)
+        cm = comparison_map("c2", point(), 1, 1)
         assert cm.target.m == 5
         assert cm.target.sign == 1
 

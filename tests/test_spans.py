@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from dgh.coverings import check_unique_lifting, horn_inclusion
+from dgh.coverings import check_unique_lifting
 from dgh.digraph import DigraphMap, enumerate_digraph_maps
 from dgh.homology import normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.nerve import nerve_levels
+from dgh.nerve import horn_inclusion, nerve_levels
 from dgh.triangulation import triangulate
 
 from conftest import cycle, line
@@ -70,6 +70,6 @@ def test_counters_read_real_results(spans, c3):
     assert counts["homotopy.edges"] == len(classes.edges) > 0
 
     fold = DigraphMap(cycle(6), c3, {i: i % 3 for i in range(6)})
-    report = check_unique_lifting(fold, *horn_inclusion(2, 1, 1, 0), skip_hypotheses=True)
+    report = check_unique_lifting(fold, *horn_inclusion(2, 1, 1, 0))
     spans._count_squares(counts, (), {}, report)
     assert counts["coverings.squares"] == report["squares"] > 0

@@ -56,6 +56,7 @@ def files(tmp_path):
         ("fold.json", fold),
         ("rp2.json", projective_plane()),
         *o_files(),
+        *non_covering_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -86,6 +87,26 @@ def o_files():
         }),
         ("o-rows.json", {"members": rows}),
         ("o-rows-columns.json", {"members": {**rows, **columns}}),
+    ]
+
+
+def non_covering_files():
+    """Two maps into C3 that are not 1-coverings: the interval 0->1<-2->3
+    sent to 0, 1, 1, 2, and the constant map from C6."""
+    c6 = {"vertices": [str(i) for i in range(6)],
+          "arrows": [[str(i), str((i + 1) % 6)] for i in range(6)]}
+    i3 = {"vertices": ["0", "1", "2", "3"], "arrows": [["0", "1"], ["2", "1"], ["2", "3"]]}
+    return [
+        ("c6.json", c6),
+        ("i3.json", i3),
+        ("i3-c3.json", {
+            "source": "i3.json", "target": "c3.json",
+            "assignment": {"0": "0", "1": "1", "2": "1", "3": "2"},
+        }),
+        ("c6-point.json", {
+            "source": "c6.json", "target": "c3.json",
+            "assignment": {str(i): "0" for i in range(6)},
+        }),
     ]
 
 
@@ -287,3 +308,30 @@ def test_backward_first_tables_are_pinned(files, capsys):
     out = capsys.readouterr().out
     assert '"cubes":[3,19,3181]' in out
     assert hashlib.sha256(out.encode()).hexdigest() == SIGN_MINUS_TABLES_SHA256
+
+
+# Lifting through maps that are not 1-coverings, which takes the enumeration
+# path of `check_unique_lifting` (witness `alpha` and `lifts`), and the
+# covering report of one of them.  SHA-256 of stdout, captured while the
+# enumeration ran one search per anchor and square, and equal under
+# PYTHONHASHSEED 0 and 1.
+NON_COVERING = [
+    (["check", "lifting", "i3-c3.json", "--horn", "2,2,1,2"],
+     '"squares":44', "9aee8c7d073839eb143741997650ff688d0413e9668b22faa22116c4d1cac933"),
+    (["check", "lifting", "c6-point.json", "--horn", "2,1,0,2"],
+     '"lifts":3', "270a2bd829284e08b9720d1f4adf989bb97a2cf739c009b15c73779526453d12"),
+    (["check", "covering", "i3-c3.json", "--l", "2"],
+     '"one_covering":false', "76234f1d99d57bf6c953bbd350ff94faa022be6b555a5ce91c6a7f9e4a762539"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment, sha256", NON_COVERING,
+    ids=["lifting-i3-no-lift", "lifting-c6-point-three-lifts", "covering-i3"],
+)
+def test_non_covering_reports_are_pinned(files, capsys, argv, fragment, sha256):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert fragment in out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
