@@ -14,7 +14,7 @@ import sys
 
 from .config import DEFAULT_MAX_CUBES, DEFAULT_MAX_MAPS, RunConfig
 from .digraph import INFINITY, pi0
-from .errors import BudgetExceeded, DghError, InputError
+from .errors import BudgetExceeded, DghError, InputError, InternalError
 from .homology import homology_summary, induced_homology_map, pi1_presentation
 from .homotopy import DdrWitness, an_tower, homotopy_classes, verify_ddr, verify_oddr
 from .intervals import Interval, enumerate_shrinkings
@@ -474,6 +474,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"}), file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(json.dumps({"error": str(exc), "kind": "internal"}), file=sys.stderr)
+        return 2
     except DghError as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return 2

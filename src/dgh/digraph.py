@@ -16,8 +16,11 @@ threads; operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from itertools import count
+from functools import reduce
+from itertools import compress, count
+from operator import and_, contains, getitem, ne, or_
 
 from .config import DEFAULT_MAX_MAPS
 from .errors import (
@@ -263,20 +266,22 @@ def pair_box_product(p, q):
     return DigraphPair(amb, part)
 
 
-def _map_search(source, target):
-    """The map enumerator for one (source, target), set up once.
+def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
+    """Yield all digraph maps source -> target as image tuples.
 
-    The set-up is the target's arrows with the diagonal and, per source
-    vertex, its arrows to earlier vertices in input order.  The returned
-    `search(candidates, budget)` backtracks over the source vertices in
-    input order, giving position k the images in `candidates[k]` in their
-    iteration order, with arrow-consistency pruning against the already
-    assigned neighbours; it yields every digraph map with those images as
-    an image tuple, lexicographically in candidate order, and raises
-    BudgetExceeded when more than `budget` maps exist.
+    Backtracks over the source vertices in input order, giving each one
+    every target vertex as a candidate in target order (or, for a vertex
+    in `pinned`, the tuple given there), with arrow-consistency pruning
+    against the already assigned neighbours; so the output is
+    lexicographic in candidate order.  Raises BudgetExceeded when more
+    than `budget` maps exist.
     """
     svs = source.vertices
     n = len(svs)
+    candidates = [
+        tuple(pinned[v]) if pinned is not None and v in pinned else target.vertices
+        for v in svs
+    ]
     ok = set(target.arrows)
     for v in target.vertices:
         ok.add((v, v))
@@ -290,61 +295,42 @@ def _map_search(source, target):
             constraints[j].append((i, True))
         else:
             constraints[i].append((j, False))
-
-    def search(candidates, budget=INFINITY):
-        if n == 0:
-            yield ()
-            return
-        images = [None] * n
-        count = 0
-        stack = [(0, iter(candidates[0]))]
-        while stack:
-            k, tried = stack[-1]
-            advanced = False
-            for c in tried:
-                good = True
-                for j, forward in constraints[k]:
-                    w = images[j]
-                    if forward:
-                        if w != c and (w, c) not in ok:
-                            good = False
-                            break
-                    else:
-                        if c != w and (c, w) not in ok:
-                            good = False
-                            break
-                if good:
-                    images[k] = c
-                    if k + 1 == n:
-                        count += 1
-                        if count > budget:
-                            raise BudgetExceeded(
-                                f"more than {budget} digraph maps during enumeration"
-                            )
-                        yield tuple(images)
-                    else:
-                        stack.append((k + 1, iter(candidates[k + 1])))
-                        advanced = True
+    if n == 0:
+        yield ()
+        return
+    images = [None] * n
+    found = 0
+    stack = [(0, iter(candidates[0]))]
+    while stack:
+        k, tried = stack[-1]
+        advanced = False
+        for c in tried:
+            good = True
+            for j, forward in constraints[k]:
+                w = images[j]
+                if forward:
+                    if w != c and (w, c) not in ok:
+                        good = False
                         break
-            if not advanced:
-                stack.pop()
-
-    return search
-
-
-def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
-    """Yield all digraph maps source -> target as image tuples.
-
-    Runs `_map_search` with every target vertex as a candidate, so the
-    output is lexicographic in target vertex order.  `pinned` optionally
-    restricts the candidates of selected vertices to a given tuple.
-    Raises BudgetExceeded when more than `budget` maps exist.
-    """
-    candidates = [
-        tuple(pinned[v]) if pinned is not None and v in pinned else target.vertices
-        for v in source.vertices
-    ]
-    yield from _map_search(source, target)(candidates, budget)
+                else:
+                    if c != w and (c, w) not in ok:
+                        good = False
+                        break
+            if good:
+                images[k] = c
+                if k + 1 == n:
+                    found += 1
+                    if found > budget:
+                        raise BudgetExceeded(
+                            f"more than {budget} digraph maps during enumeration"
+                        )
+                    yield tuple(images)
+                else:
+                    stack.append((k + 1, iter(candidates[k + 1])))
+                    advanced = True
+                    break
+        if not advanced:
+            stack.pop()
 
 
 def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
@@ -352,14 +338,39 @@ def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None)
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
-def _next_images(target, images, rel_positions=()):
-    """Per source position, the images one box-hom step after `images` may
-    take: the image itself or one of its successors, and only the image
-    itself at a pinned position."""
-    allowed = [{x, *target.successors(x)} for x in images]
-    for p in rel_positions:
-        allowed[p] = {images[p]}
-    return allowed
+def _image_bitsets(target, maps, n):
+    """Per source position x < n, in order: {v: the set of b with
+    maps[b][x] == v}, as a bitset over the indices of `maps` (see
+    `one_step_pairs`), for every target vertex v that occurs at x.
+
+    A target vertex is coded by its base-128 digits, one ASCII character
+    each, since str.translate is fast on ASCII strings only.  The codes at
+    x are one string.  Per digit place, each digit that occurs there is
+    translated to "1" and every other digit to "0", which reads as the
+    bitset of that digit; the set of v is the AND over its digits.  A
+    vertex whose digits all occur at x without the vertex itself gets the
+    empty set.
+    """
+    depth = 1
+    while 128**depth < len(target.vertices):
+        depth += 1
+    digits = {
+        v: [chr(k // 128**d % 128) for d in range(depth)]
+        for k, v in enumerate(target.vertices)
+    }
+    code = {v: "".join(ds) for v, ds in digits.items()}
+    picks = {chr(j): "0" * j + "1" + "0" * (127 - j) for j in range(128)}
+    for x in range(n):
+        column = "".join([code[images[x]] for images in maps])
+        places = [
+            {j: int(c.translate(picks[j]), 2) for j in set(c)}
+            for c in (column[d::depth] for d in range(depth))
+        ]
+        yield {
+            v: reduce(and_, map(getitem, places, ds))
+            for v, ds in digits.items()
+            if all(map(contains, places, ds))
+        }
 
 
 def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
@@ -367,21 +378,49 @@ def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
     the box hom source -> target, relative to the pinned `rel_positions`,
     ordered by a and then by b.
 
-    The heads of the arrows out of maps[a] are the digraph maps with image
-    in `_next_images` of maps[a] at every source position: one `_map_search`
-    generates them from those candidate sets, and each is looked up in
-    `maps`.  Their number is at most the product of the set sizes, so the
-    search runs with no map budget.  Raises BudgetExceeded as soon as the
-    pairs out of the maps read so far number more than `budget`.
+    The pairs come from bitsets over the indices of `maps`: a set is an
+    int whose binary numeral, zero-padded to len(maps) digits, has a 1 as
+    digit b, counted from 0 at the left, when b is a member.  Let T[x][u]
+    be the set of b with maps[b][x] equal to u or to a successor of u
+    (only equal to u at a pinned position x).  The heads of the arrows out
+    of maps[a] are then the AND over the source positions x of
+    T[x][maps[a][x]], less a itself.  The running AND is kept at every
+    depth and redone only from the first position where maps[a] differs
+    from maps[a-1]; in a lexicographic list, such as the enumerator's,
+    that is mostly the last few positions.  `maps` may come in any order
+    and need not be distinct (every copy of a head is listed); the order
+    affects only speed.  T holds a set of len(maps) bits per source
+    position and target vertex occurring there.  Raises BudgetExceeded as
+    soon as the pairs out of the maps read so far number more than
+    `budget`.
     """
-    search = _map_search(source, target)
-    position = dict(zip(maps, count()))
+    n = len(source.vertices)
+    width = len(maps)
+    pinned = set(rel_positions)
+    table = []
+    for x, equal in enumerate(_image_bitsets(target, maps, n)):
+        if x not in pinned:
+            equal = {
+                u: reduce(or_, [equal.get(w, 0) for w in target.successors(u)], eq)
+                for u, eq in equal.items()
+            }
+        table.append(equal)
+    ids = list(range(width))  # the pairs share these, not one new int per pair
+    numeral = f"0{width}b"
+    rows = [(1 << width) - 1] * (n + 1)  # rows[x]: the AND over positions < x
+    ones = re.compile("1").finditer
+    previous = ()
     pairs = []
-    for a, images in enumerate(maps):
-        heads = map(position.get, search(_next_images(target, images, rel_positions)))
-        pairs.extend((a, b) for b in sorted(b for b in heads if b is not None) if b != a)
+    for a, images in zip(ids, maps):
+        # the first position where images differs from the previous map
+        start = next(compress(count(), map(ne, images, previous)), len(previous))
+        for x in range(start, n):
+            rows[x + 1] = rows[x] & table[x][images[x]]
+        bits = format(rows[n] & ~(1 << (width - 1 - a)), numeral)
+        pairs.extend([(a, ids[m.start()]) for m in ones(bits)])
         if len(pairs) > budget:
             raise BudgetExceeded(f"more than {budget} box-hom arrows")
+        previous = images
     return pairs
 
 

@@ -1,6 +1,7 @@
 """Typed errors shared across the library.
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 2,
+kind "input"; InternalError (and subclasses) -> 2, kind "internal";
 BudgetExceeded -> 3.  Failed checks are reported, not raised.
 """
 
@@ -57,11 +58,16 @@ class IndexMismatch(InputError):
     """Two families whose member names do not line up."""
 
 
-class InvalidCubicalSet(DghError):
+class InternalError(DghError):
+    """A failed invariant of the library's own constructions: a defect of
+    the program, not of its input."""
+
+
+class InvalidCubicalSet(InternalError):
     """A truncated cubical set whose structure tables violate an identity."""
 
 
-class NotChainMap(DghError):
+class NotChainMap(InternalError):
     """A level map that does not commute with the boundary."""
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgh import triangulation
+from dgh import nerve, triangulation
 from dgh.cli import main
 
 
@@ -176,6 +176,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "input"
+
+    def test_failed_internal_invariant_is_internal_error(self, files, capsys, monkeypatch):
+        # a corrupted face table breaks the cubical identities, which the
+        # homology pipeline checks before it builds the complex
+        build = nerve.TruncatedCubicalSet._build_tables
+
+        def corrupted(self):
+            build(self)
+            self.faces[1][(1, 0)] = [0] * len(self.cubes[1])
+
+        monkeypatch.setattr(nerve.TruncatedCubicalSet, "_build_tables", corrupted)
+        assert main(["homology", str(files / "c3.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "face-face: (2, 1, 1, 0, 1, 2)",
+            "kind": "internal",
+        }
 
     def test_non_integer_coordinate_base_is_unknown_vertex(self, files, capsys):
         assert main(["pi1", str(files / "c3.json"), "--base", "a:b"]) == 2

@@ -4,6 +4,8 @@ Each property pits a library path against a brute-force oracle (or a second
 library path derived by entirely different means) on random small digraphs.
 """
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,8 +21,8 @@ from dgh.covers import in_closure, is_in_closed, out_closure
 from dgh.errors import BudgetExceeded, NotChainMap
 from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.intervals import standard_interval
-from dgh.nerve import cube_realization, nerve_functor_map, nerve_levels
+from dgh.intervals import TowerSpec, standard_interval
+from dgh.nerve import boundary_vertices, cube_realization, nerve_functor_map, nerve_levels
 from dgh.triangulation import _corner_chains, _simplex_keys, _simplex_ranks, triangulate
 
 from conftest import (
@@ -93,6 +95,69 @@ def test_one_step_pairs_degenerate_inputs():
     assert maps == [()]
     assert one_step_pairs(empty, c3, maps) == all_pairs_one_step(c3, maps) == []
     assert one_step_pairs(line(2), c3, []) == []
+
+
+@pytest.mark.parametrize("order", ["enumerated", "reversed", "shuffled"])
+def test_one_step_pairs_on_nerve_level_two(order):
+    # the 246 cubes of level 2 of N_2(C3), over 9 grid positions: sets wider
+    # than a machine word, and reversed or shuffled, consecutive maps share
+    # little of their prefix
+    c3 = cycle(3)
+    maps = nerve_levels(c3, 2, 1, 2).cubes[2]
+    assert len(maps) == 246
+    if order == "reversed":
+        maps = maps[::-1]
+    elif order == "shuffled":
+        maps = random.Random(7).sample(maps, len(maps))
+    source = cube_realization(standard_interval(2), 2)
+    assert one_step_pairs(source, c3, maps) == all_pairs_one_step(c3, maps)
+
+
+def test_one_step_pairs_on_pinned_tower_stage():
+    # stage 8 of the r tower at n = 1, as `an_tower` builds it: 86 maps into
+    # C3 with the boundary pinned to a basepoint
+    c3 = cycle(3)
+    interval = TowerSpec("r").interval(8)
+    source = cube_realization(interval, 1)
+    part = boundary_vertices(interval.n_arrows, 1)
+    maps = enumerate_digraph_maps(source, c3, pinned={v: (0,) for v in part})
+    assert len(maps) == 86
+    rel = [source.index(v) for v in part]
+    pairs = all_pairs_one_step(c3, maps, rel)
+    assert pairs
+    for budget in (-1, 0, len(pairs) // 2, len(pairs) - 1):
+        with pytest.raises(BudgetExceeded):
+            one_step_pairs(source, c3, maps, rel, budget=budget)
+    for budget in (len(pairs), len(pairs) + 1):
+        assert one_step_pairs(source, c3, maps, rel, budget=budget) == pairs
+
+
+@pytest.mark.parametrize("size", [128, 129, 300])
+def test_one_step_pairs_on_targets_past_one_code_digit(size):
+    # a target vertex is coded by base-128 digits, one digit up to 128
+    # vertices and two past it: a cycle with chords, from a sample of the
+    # maps out of I_2
+    target = Digraph(
+        range(size),
+        {(v, w) for v in range(size) for w in ((v + 1) % size, (v * 129 + 5) % size) if v != w},
+    )
+    maps = random.Random(size).sample(enumerate_digraph_maps(line(2), target), 300)
+    for rel in ((), (1,)):
+        assert one_step_pairs(line(2), target, maps, rel) == all_pairs_one_step(
+            target, maps, rel
+        )
+
+
+def test_one_step_pairs_lists_every_copy_of_a_repeated_map():
+    # maps[k] repeats maps[0]: each copy is a head of the other, and every
+    # head of one is listed under both indices
+    c3, i2 = cycle(3), line(2)
+    maps = enumerate_digraph_maps(i2, c3)
+    k = len(maps)
+    repeated = maps + maps[::3]
+    pairs = one_step_pairs(i2, c3, repeated)
+    assert pairs == all_pairs_one_step(c3, repeated)
+    assert (0, k) in pairs and (k, 0) in pairs
 
 
 @settings(max_examples=40, deadline=None)
