@@ -5,16 +5,39 @@ the standard m-interval into G, stored as the tuple of its images over the
 grid {0..m}^n in lexicographic order.  Level n is built from level n-1 by
 the exponential law: its cubes are the m-step walks in the box hom on the
 level-(n-1) cubes, concatenated, and they are counted against the cube
-budget before any of them is built (`nerve_levels`).  Structure maps
-(faces, degeneracies, connections) are computed by precomposition with the
-realized coordinate maps and memoized into index tables.
+budget before any of them is built (`nerve_levels`).
+
+The structure tables are index lists read off the walks.  A level-n cube x
+is the walk d_0 ... d_m of its slices (x with first coordinate k is the
+level-(n-1) cube d_k), and level n lists the walks in lexicographic order,
+so the position of x is the rank of its walk,
+
+    start[d_0] + pos_0[d_0, d_1] + ... + pos_{m-1}[d_{m-1}, d_m],
+
+where start[a] counts the walks that begin before a, and pos_k[a, b] sums,
+over the heads b' < b of a at step k, the number of walk completions from
+b' (`_rank_tables`; one small table per step over the box-hom arrows and
+the constant steps, none over the cubes).  Read slice by slice:
+
+    d_{1,0} x = d_0 and d_{1,1} x = d_m                (the walk ends)
+    d_{i,eps} x = (d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m)   for i >= 2
+    (phi_* x)   = (phi_* d_0, ..., phi_* d_m)          (`nerve_functor_map`)
+    (t^* x)     = (t^* d_t(0), ..., t^* d_t(m+delta))  (`comparison_map`)
+
+so each of these tables maps the walks of level n through a table on level
+n-1 and ranks the results (`TruncatedCubicalSet._walk_positions`).  The
+degeneracies and connections, X_{n-1} -> X_n, read each cube at the rows
+of the realized coordinate maps and `locate` the image tuple: its slices
+are looked up in level n-1 and their walk is ranked.  A mapped walk with a
+step that is not an arrow is not a cube, and is reported as a structure
+map leaving the enumerated level.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from itertools import compress, count, product
-from operator import itemgetter, ne
+from itertools import accumulate, chain, compress, count, product, repeat
+from operator import add, itemgetter, ne, sub
 
 from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap, one_step_pairs
@@ -101,22 +124,45 @@ def _merge(pt, i, eps):
 class TruncatedCubicalSet:
     """Cube lists for dimensions 0..K plus face/degeneracy/connection tables.
 
-    cubes[n]      : list of image tuples over the level-n grid
-    faces[n]      : {(i, eps): index list}, X_n -> X_{n-1},   1 <= i <= n
-    degens[n]     : {i: index list},        X_{n-1} -> X_n,   1 <= i <= n
-    connections[n]: {(i, eps): index list}, X_{n-1} -> X_n,   1 <= i <= n-1
+    cubes[n]        : list of image tuples over the level-n grid
+    steps[n]        : n >= 1, the walk adjacency of level n in interval-word
+                      order: steps[n][k][a] lists, sorted, the level-(n-1)
+                      cubes that step k of a walk may take from cube a, the
+                      constant step included (None at n = 0)
+    index[n]        : {image tuple: position} for the levels below the top,
+                      and always level 0
+    faces[n]        : {(i, eps): index list}, X_n -> X_{n-1},   1 <= i <= n
+    degens[n]       : {i: index list},        X_{n-1} -> X_n,   1 <= i <= n
+    connections[n]  : {(i, eps): index list}, X_{n-1} -> X_n,   1 <= i <= n-1
+    nondegenerate[n]: a flag per level-n cube
+
+    A level-n cube is the walk d_0 ... d_m of its slices in level n-1, and
+    the level lists the walks in lexicographic order, so a cube's position
+    is the rank of its walk,
+
+        start[d_0] + pos_0[d_0, d_1] + ... + pos_{m-1}[d_{m-1}, d_m],
+
+    with start and pos_k kept in `_ranks[n]`, from `_rank_tables` over the
+    arrows of each step of steps[n] listed flat (`_arrows[n]`).  The face
+    tables map the walks slice by slice (`_walk_positions`): d_{1,0} x = d_0
+    and d_{1,1} x = d_m are the walk ends, and for i >= 2 the slices of
+    d_{i,eps} x are d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m.  Degeneracies and
+    connections, on the small side X_{n-1} -> X_n, read each cube at the
+    grid rows of the coordinate map and locate the image tuple as `locate`
+    does.
     """
 
-    def __init__(self, target, m, sign, cubes):
+    def __init__(self, target, m, sign, cubes, steps):
         self.target = target
         self.m = m
         self.sign = sign
         self.top_dim = len(cubes) - 1
         self.cubes = cubes
-        self.index = [dict(zip(level, count())) for level in cubes]
-        self._grids = [_grid(m, n) for n in range(self.top_dim + 1)]
-        self._grid_index = [
-            {pt: k for k, pt in enumerate(gr)} for gr in self._grids
+        self.steps = steps
+        self.index = [dict(zip(level, count())) for level in cubes[: max(self.top_dim, 1)]]
+        self._arrows = [None] + [list(map(_step_arrows, level)) for level in steps[1:]]
+        self._ranks = [None] + [
+            _rank_tables(self._arrows[n], len(cubes[n - 1])) for n in range(1, self.top_dim + 1)
         ]
         self.faces = [dict() for _ in range(self.top_dim + 1)]
         self.degens = [dict() for _ in range(self.top_dim + 1)]
@@ -124,28 +170,97 @@ class TruncatedCubicalSet:
         self._build_tables()
         self.nondegenerate = self._nondegenerate_flags()
 
-    def _table(self, src, rows, dst):
-        """The structure map X_src -> X_dst: each level-src cube read at the
-        grid positions `rows`, looked up in level dst."""
-        return _index_table(self.index[dst], _read_rows(self.cubes[src], rows), dst)
+    def locate(self, n, image):
+        """The position of the image tuple `image` in level n: its m+1
+        slices are looked up in level n-1 and their walk is ranked.  Raises
+        KeyError when `image` is not a level-n cube."""
+        if n == 0:
+            return self.index[0][image]
+        size = (self.m + 1) ** (n - 1)
+        if len(image) != size * (self.m + 1):
+            raise KeyError(image)
+        index = self.index[n - 1]
+        cuts = range(0, len(image), size)
+        return self._ranked(n, [[index[image[cut : cut + size]]] for cut in cuts])[0]
+
+    def _ranked(self, n, slices):
+        """The level-n positions of the walks whose slice k is slices[k][x],
+        one walk per x, from lists of level-(n-1) positions.  Raises
+        KeyError when a step is not an arrow."""
+        start, pos = self._ranks[n]
+        ranks = list(map(start.__getitem__, slices[0]))
+        for table, tails, heads in zip(pos, slices, slices[1:]):
+            ranks = list(map(add, ranks, map(table.__getitem__, zip(tails, heads))))
+        return ranks
+
+    def _walk_positions(self, n, arrows, f, sel):
+        """The level-n positions of the walks along `arrows` (another
+        level's `_arrows`), mapped slice by slice: the walk d_0 ... d_k goes
+        to the level-n walk whose slice j is f[d_sel[j]], with f a list into
+        level n-1.  `sel` is monotone and onto, with increments 0 or 1, so
+        source step k crosses one target step and the other target steps are
+        constant.  Raises InvalidCubicalSet when a mapped walk is not a
+        level-n cube."""
+        start, pos = self._ranks[n]
+        crossed, stays = [], [[] for _ in range(len(arrows) + 1)]
+        for j in range(len(sel) - 1):
+            if sel[j] == sel[j + 1]:
+                stays[sel[j]].append(j)
+            else:
+                crossed.append(j)
+        # pads[k][y]: the rank added by the constant target steps at y that
+        # repeat source slice k, if there are any
+        pads = [[sum(pos[j][y, y] for j in js) for y in range(len(start))] if js else None
+                for js in stays]
+        try:
+            first = _padded(list(map(start.__getitem__, f)), pads[0], f)
+            offsets = []
+            for (tails, heads, _), j, pad in zip(arrows, crossed, pads[1:]):
+                mapped = list(map(f.__getitem__, heads))
+                offs = list(map(pos[j].__getitem__, zip(map(f.__getitem__, tails), mapped)))
+                offsets.append(_padded(offs, pad, mapped))
+        except KeyError:
+            raise _left_level(n) from None
+        return _walk_sums(arrows, first, offsets)
+
+    def _located(self, n, rows):
+        """The map X_{n-1} -> X_n that reads each level-(n-1) cube at the
+        grid positions `rows` and locates the image in level n, as `locate`
+        does, one slice of the rows at a time."""
+        size = len(rows) // (self.m + 1)
+        index = self.index[n - 1]
+        try:
+            slices = [
+                list(map(index.__getitem__, _read_rows(self.cubes[n - 1], rows[cut : cut + size])))
+                for cut in range(0, len(rows), size)
+            ]
+            return self._ranked(n, slices)
+        except KeyError:
+            raise _left_level(n) from None
 
     def _build_tables(self):
         m = self.m
+        slices = range(m + 1)
         for n in range(1, self.top_dim + 1):
-            small, big = self._grids[n - 1], self._grids[n]
-            big_ix = self._grid_index[n]
-            small_ix = self._grid_index[n - 1]
-            for i in range(1, n + 1):
+            arrows = self._arrows[n]
+            below = range(len(self.cubes[n - 1]))
+            faces = self.faces[n]
+            # the walk ends: d_0, and d_m = d_0 + sum_k (d_{k+1} - d_k)
+            faces[(1, 0)] = _walk_sums(arrows, below, [[0] * len(t) for t, _, _ in arrows])
+            faces[(1, 1)] = _walk_sums(arrows, below, [list(map(sub, h, t)) for t, h, _ in arrows])
+            for i in range(2, n + 1):
                 for eps in (0, 1):
-                    rows = [big_ix[_insert(pt, i, eps * m)] for pt in small]
-                    self.faces[n][(i, eps)] = self._table(n, rows, n - 1)
+                    faces[(i, eps)] = self._walk_positions(
+                        n - 1, arrows, self.faces[n - 1][(i - 1, eps)], slices
+                    )
+            small = {pt: k for k, pt in enumerate(_grid(m, n - 1))}
+            big = _grid(m, n)
             for i in range(1, n + 1):
-                rows = [small_ix[_drop(pt, i)] for pt in big]
-                self.degens[n][i] = self._table(n - 1, rows, n)
+                self.degens[n][i] = self._located(n, [small[_drop(pt, i)] for pt in big])
             for i in range(1, n):
                 for eps in (0, 1):
-                    rows = [small_ix[_merge(pt, i, eps)] for pt in big]
-                    self.connections[n][(i, eps)] = self._table(n - 1, rows, n)
+                    rows = [small[_merge(pt, i, eps)] for pt in big]
+                    self.connections[n][(i, eps)] = self._located(n, rows)
 
     def _nondegenerate_flags(self):
         flags = [[True] * len(level) for level in self.cubes]
@@ -266,14 +381,13 @@ def _read_rows(cubes, rows):
     return map(itemgetter(*rows), cubes)
 
 
-def _index_table(index, images, level):
-    """Positions of the image tuples `images` in the level's `index`."""
-    try:
-        return list(map(index.__getitem__, images))
-    except KeyError:
-        raise InvalidCubicalSet(
-            f"structure map left the enumerated level {level}"
-        ) from None
+def _padded(ranks, pad, slices):
+    """ranks plus pad[y] for the slice y of each, when there is a pad."""
+    return ranks if pad is None else list(map(add, ranks, map(pad.__getitem__, slices)))
+
+
+def _left_level(level):
+    return InvalidCubicalSet(f"structure map left the enumerated level {level}")
 
 
 def _composed(outer, inner):
@@ -282,7 +396,12 @@ def _composed(outer, inner):
 
 
 def _mismatches(lhs, rhs):
-    """The positions x, in increasing order, where two index maps differ."""
+    """The positions x, in increasing order, where two index maps differ.
+    Both maps are materialised and compared whole first, since they are
+    almost always equal."""
+    lhs, rhs = list(lhs), list(rhs)
+    if lhs == rhs:
+        return ()
     return compress(count(), map(ne, lhs, rhs))
 
 
@@ -314,16 +433,19 @@ def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     early too: each arrow a -> b, a != b, is its own non-constant walk
     (a, b, b, ...) or (b, a, a, ...), whichever the first step reads, and
     the |X_{n-1}| constant walks are the others, so
-    |X_n| >= |X_{n-1}| + #arrows.
+    |X_n| >= |X_{n-1}| + #arrows.  The structure tables are built from the
+    walk adjacency of every level, only after every level has passed the
+    budget.
     """
     interval = standard_interval(m, sign)
     level = list(zip(g.vertices))
-    cubes = []
+    cubes, steps = [], [None]
     remaining = budget
     for n in range(top_dim + 1):
         try:
             if n:
-                level = _walk_level(g, interval, n, level, remaining)
+                level, adjacency = _walk_level(g, interval, n, level, remaining)
+                steps.append(adjacency)
             if len(level) > remaining:
                 raise BudgetExceeded(f"{len(level)} cubes")
         except BudgetExceeded:
@@ -332,23 +454,24 @@ def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
             ) from None
         remaining -= len(level)
         cubes.append(level)
-    return TruncatedCubicalSet(g, m, sign, cubes)
+    return TruncatedCubicalSet(g, m, sign, cubes, steps)
 
 
 def _walk_level(g, interval, n, prev, remaining):
     """Level n of the nerve from level n-1 (`prev`): the m-step walks in
-    the box hom on `prev`, or BudgetExceeded when they number more than
-    `remaining`, raised before any walk is built."""
-    word = interval.word
-    if not word:  # m = 0: the one-vertex grid, each level is level 0
-        return list(prev)
+    the box hom on `prev` and the step head-lists they follow, or
+    BudgetExceeded when they number more than `remaining`, raised before
+    any walk is built."""
+    if not interval.word:  # m = 0: the one-vertex grid, each level is level 0
+        return list(prev), []
     out, into = _box_hom_lists(
         cube_realization(interval, n - 1), g, prev, remaining - len(prev)
     )
-    walks = _walk_count(word, out, into)
+    steps = [out if step == FWD else into for step in interval.word]
+    walks = _walk_count(steps)
     if walks > remaining:
         raise BudgetExceeded(f"{walks} walks")
-    return _concatenated_walks(prev, word, out, into)
+    return _concatenated_walks(prev, steps), steps
 
 
 def _box_hom_lists(source, g, maps, arrow_budget):
@@ -365,31 +488,67 @@ def _box_hom_lists(source, g, maps, arrow_budget):
     return out, into
 
 
-def _walk_count(word, out, into):
-    """The number of walks whose step k follows `out` where word[k] is
-    forward and `into` where it is backward: all-ones weights pushed back
-    through the steps, last step first."""
-    weights = [1] * len(out)
-    for step in reversed(word):
-        heads = out if step == FWD else into
+def _walk_count(steps):
+    """The number of walks whose step k goes from a to one of steps[k][a]:
+    all-ones weights pushed back through the steps, last step first."""
+    weights = [1] * len(steps[0])
+    for heads in reversed(steps):
         weights = [sum(map(weights.__getitem__, hs)) for hs in heads]
     return sum(weights)
 
 
-def _concatenated_walks(level, word, out, into):
-    """The walks of `_walk_count` as concatenated image tuples, in
-    lexicographic order of their index sequences.  The walks are built one
-    start at a time; only the prefixes up to the last step are held, with
-    their end index, and the last step emits the image tuples directly."""
-    steps = [out if step == FWD else into for step in word]
-    last = steps.pop()
-    cubes = []
-    for start in range(len(level)):
-        prefixes = [(start, level[start])]
-        for heads in steps:
-            prefixes = [(b, image + level[b]) for a, image in prefixes for b in heads[a]]
-        cubes += [image + level[b] for a, image in prefixes for b in last[a]]
-    return cubes
+def _step_arrows(heads):
+    """The arrows a -> b, b in heads[a], of one step in walk order, as flat
+    lists (tails, heads, bounds): the arrows from a are bounds[a] up to
+    bounds[a + 1]."""
+    counts = list(map(len, heads))
+    tails = list(chain.from_iterable(map(repeat, range(len(heads)), counts)))
+    return tails, list(chain.from_iterable(heads)), list(accumulate(counts, initial=0))
+
+
+def _rank_tables(arrows, size):
+    """The tables that rank the walks along `arrows` (`_step_arrows` per
+    step) over `size` cubes in lexicographic order: start[a] counts the
+    walks that begin before a, and pos[k][a, b] counts, over the heads
+    b' < b of a at step k, the walk completions from b' (the weights of
+    `_walk_count`).  A step that is not an arrow is missing from pos[k]."""
+    completions = [1] * size
+    pos = []
+    for tails, heads, bounds in reversed(arrows):
+        passed = list(accumulate(map(completions.__getitem__, heads), initial=0))
+        runs = list(map(passed.__getitem__, bounds))
+        pos.append(dict(zip(zip(tails, heads), map(sub, passed, map(runs.__getitem__, tails)))))
+        completions = list(map(sub, runs[1:], runs))
+    pos.reverse()
+    return list(accumulate(completions, initial=0))[:-1], pos
+
+
+def _walk_sums(arrows, first, offsets):
+    """For each walk d_0 ... d_k along `arrows` (`_step_arrows` per step),
+    in lexicographic order, first[d_0] plus offsets[i][e] for the arrow e
+    taken at each step i; on tuples the sum is their concatenation.  The
+    one-step walks are the first step's arrows, in order; each later step
+    extends the prefixes in order, each by the arrows from its end."""
+    if not arrows:
+        return list(first)
+    (tails, ends, _), *rest = arrows
+    sums = list(map(add, map(first.__getitem__, tails), offsets[0]))
+    for k, (_, heads, bounds) in enumerate(rest, 1):
+        lo = list(map(bounds.__getitem__, ends))
+        hi = list(map(bounds[1:].__getitem__, ends))
+        runs = list(map(slice, lo, hi))  # the arrows from each prefix's end
+        repeated = chain.from_iterable(map(repeat, sums, map(sub, hi, lo)))
+        if k < len(rest):
+            ends = list(chain.from_iterable(map(heads.__getitem__, runs)))
+        sums = list(map(add, repeated, chain.from_iterable(map(offsets[k].__getitem__, runs))))
+    return sums
+
+
+def _concatenated_walks(level, steps):
+    """The walks of `steps` as concatenated image tuples of `level`, in
+    lexicographic order of their index sequences."""
+    arrows = list(map(_step_arrows, steps))
+    return _walk_sums(arrows, level, [list(map(level.__getitem__, h)) for _, h, _ in arrows])
 
 
 # -- maps of truncated cubical sets ----------------------------------------
@@ -431,23 +590,22 @@ class CubicalMap:
 
 
 def nerve_functor_map(phi, m=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
-    """Postcomposition with a digraph map, as a map of truncated nerves."""
+    """Postcomposition with a digraph map, as a map of truncated nerves:
+    level n maps each walk slice by slice through level n-1."""
     src = nerve_levels(phi.source, m, 1, top_dim, budget)
     dst = nerve_levels(phi.target, m, 1, top_dim, budget)
-    image = phi.assignment.__getitem__
-    levels = [
-        _index_table(dst.index[n], (tuple(map(image, c)) for c in src.cubes[n]), n)
-        for n in range(top_dim + 1)
-    ]
-    return CubicalMap(src, dst, levels)
+    vertices = [(phi.assignment[v],) for (v,) in src.cubes[0]]
+    return CubicalMap(src, dst, _slice_wise_levels(src, dst, vertices, range(m + 1)))
 
 
 _COMPARISON_DELTAS = {"r": 1, "l": 1, "c2": 4}
 
 
 def comparison_map(kind, g, m, top_dim=2):
-    """Precomposition with the truncation I_{m+delta} -> I_m of
-    `intervals.truncation`: N_m G -> N_{m+delta} G.
+    """Precomposition with the truncation t: I_{m+delta} -> I_m of
+    `intervals.truncation`: N_m G -> N_{m+delta} G.  Level n sends the
+    walk d_0 ... d_m to the walk L(d_t(0)) ... L(d_t(m+delta)), with L the
+    map on level n-1.
 
     'r' keeps the orientation, 'l' flips it, 'c2' keeps it and jumps by 4.
     """
@@ -455,14 +613,21 @@ def comparison_map(kind, g, m, top_dim=2):
     src = nerve_levels(g, m, 1, top_dim)
     dst = nerve_levels(g, m + delta, -1 if kind == "l" else 1, top_dim)
     t = truncation(kind, m).assignment
-    levels = []
-    for n in range(top_dim + 1):
-        small_ix = src._grid_index[n]
-        rows = [
-            small_ix[tuple(t[c] for c in pt)] for pt in dst._grids[n]
-        ]
-        levels.append(_index_table(dst.index[n], _read_rows(src.cubes[n], rows), n))
-    return CubicalMap(src, dst, levels)
+    sel = [t[j] for j in range(m + delta + 1)]
+    return CubicalMap(src, dst, _slice_wise_levels(src, dst, src.cubes[0], sel))
+
+
+def _slice_wise_levels(src, dst, vertices, sel):
+    """The level maps src -> dst that send the vertex cubes to the images
+    `vertices` and a level-n walk d_0 ... d_m to the walk whose slice j is
+    L(d_sel[j]), with L the level n-1 map."""
+    try:
+        levels = [[dst.locate(0, v) for v in vertices]]
+    except KeyError:
+        raise _left_level(0) from None
+    for n in range(1, src.top_dim + 1):
+        levels.append(dst._walk_positions(n, src._arrows[n], levels[-1], sel))
+    return levels
 
 
 # -- the horn filler ---------------------------------------------------------

@@ -19,6 +19,7 @@ from dgh.covers import out_closure
 from dgh.nerve import (
     _drop,
     _grid,
+    _insert,
     _merge,
     cube_realization,
     mixed_realization,
@@ -368,6 +369,64 @@ def naive_naturality_violations(cmap):
             for c in range(len(X.cubes[n - 1])):
                 if L[n][table[c]] != Y.connections[n][key][L[n - 1][c]]:
                     out.append(f"connection {key} at level {n} not natural")
+    return out
+
+
+# -- image-tuple structure tables -------------------------------------------------
+#
+# Every table entry found by reading a cube at grid positions and looking the
+# image tuple up in a dict over the whole target level: the reference for the
+# walk ranks of `TruncatedCubicalSet` and of the slice-wise level maps.
+
+
+def _image_lookup(index, cubes, rows):
+    """Each cube read at the grid positions `rows`, located in `index`."""
+    return [index[tuple(cube[r] for r in rows)] for cube in cubes]
+
+
+def image_tuple_tables(x):
+    """(faces, degens, connections) of a TruncatedCubicalSet, rebuilt by
+    image-tuple lookup."""
+    index = [{cube: k for k, cube in enumerate(level)} for level in x.cubes]
+    m, K = x.m, x.top_dim
+    faces, degens, connections = ([dict() for _ in range(K + 1)] for _ in range(3))
+    for n in range(1, K + 1):
+        small, big = _grid(m, n - 1), _grid(m, n)
+        small_ix = {pt: k for k, pt in enumerate(small)}
+        big_ix = {pt: k for k, pt in enumerate(big)}
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                rows = [big_ix[_insert(pt, i, eps * m)] for pt in small]
+                faces[n][(i, eps)] = _image_lookup(index[n - 1], x.cubes[n], rows)
+        for i in range(1, n + 1):
+            rows = [small_ix[_drop(pt, i)] for pt in big]
+            degens[n][i] = _image_lookup(index[n], x.cubes[n - 1], rows)
+        for i in range(1, n):
+            for eps in (0, 1):
+                rows = [small_ix[_merge(pt, i, eps)] for pt in big]
+                connections[n][(i, eps)] = _image_lookup(index[n], x.cubes[n - 1], rows)
+    return faces, degens, connections
+
+
+def image_tuple_functor_levels(phi, src, dst):
+    """The levels of the nerve functor map of phi: src -> dst, each cube's
+    images mapped by phi and looked up in dst."""
+    out = []
+    for src_level, dst_level in zip(src.cubes, dst.cubes):
+        index = {cube: k for k, cube in enumerate(dst_level)}
+        out.append([index[tuple(phi.assignment[v] for v in cube)] for cube in src_level])
+    return out
+
+
+def image_tuple_comparison_levels(t, src, dst):
+    """The levels of precomposition with the interval map t (a dict from
+    the dst side to the src side) from src to dst, by grid rows."""
+    out = []
+    for n, (src_level, dst_level) in enumerate(zip(src.cubes, dst.cubes)):
+        small_ix = {pt: k for k, pt in enumerate(_grid(src.m, n))}
+        rows = [small_ix[tuple(t[c] for c in pt)] for pt in _grid(dst.m, n)]
+        index = {cube: k for k, cube in enumerate(dst_level)}
+        out.append(_image_lookup(index, src_level, rows))
     return out
 
 

@@ -247,14 +247,20 @@ class TestValidatorTeeth:
         assert problems == naive_naturality_violations(cm)
 
     def test_missing_cube_is_invalid(self, c3):
+        # N_1(C3) without the square (0, 0, 1, 1): the walk from the
+        # constant 1-cube at 0 to the one at 1 is taken out of the level-2
+        # adjacency, and its cube out of level 2.  That square is the
+        # degeneracy s_2 of the arrow 0 -> 1, which then leaves level 2.
         from dgh.errors import InvalidCubicalSet
         from dgh.nerve import TruncatedCubicalSet
 
-        x = nerve_levels(c3, 1, 1, 3)
+        x = nerve_levels(c3, 1, 1, 2)
         cubes = [list(level) for level in x.cubes]
-        del cubes[2][5]
+        steps = [None] + [[[list(hs) for hs in heads] for heads in level] for level in x.steps[1:]]
+        cubes[2].remove((0, 0, 1, 1))
+        steps[2][0][x.index[1][(0, 0)]].remove(x.index[1][(1, 1)])
         with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
-            TruncatedCubicalSet(c3, 1, 1, cubes)
+            TruncatedCubicalSet(c3, 1, 1, cubes, steps)
 
 
 class TestIdentitySchema:

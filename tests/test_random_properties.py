@@ -21,8 +21,14 @@ from dgh.covers import in_closure, is_in_closed, out_closure
 from dgh.errors import BudgetExceeded, NotChainMap
 from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.intervals import TowerSpec, standard_interval
-from dgh.nerve import boundary_vertices, cube_realization, nerve_functor_map, nerve_levels
+from dgh.intervals import TowerSpec, standard_interval, truncation
+from dgh.nerve import (
+    boundary_vertices,
+    comparison_map,
+    cube_realization,
+    nerve_functor_map,
+    nerve_levels,
+)
 from dgh.triangulation import _corner_chains, _simplex_keys, _simplex_ranks, triangulate
 
 from conftest import (
@@ -30,6 +36,9 @@ from conftest import (
     cycle,
     degenerate_cube_test,
     dense_noncommuting_degree,
+    image_tuple_comparison_levels,
+    image_tuple_functor_levels,
+    image_tuple_tables,
     line,
     naive_components,
     naive_digraph_maps,
@@ -205,6 +214,71 @@ def test_walk_levels_are_the_enumerated_cube_maps(g, m, sign):
     if top < 4:  # the next level is over the budget, for both
         with pytest.raises(BudgetExceeded, match=f"at level {top + 1}$"):
             nerve_levels(g, m, sign, top + 1, NERVE_ORACLE_BUDGET)
+
+
+TABLE_ORACLE_BUDGET = 20_000
+
+
+def _largest_fitting(build, top_dim):
+    """build(K) at the largest K <= top_dim whose nerves fit the budget."""
+    for k in range(top_dim, 0, -1):
+        try:
+            return build(k)
+        except BudgetExceeded:
+            pass
+    return build(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=8),
+    st.integers(0, 3),
+    st.sampled_from([1, -1]),
+    st.integers(0, 3),
+)
+def test_walk_rank_tables_match_image_tuple_lookup(g, m, sign, top_dim):
+    x = _largest_fitting(lambda k: nerve_levels(g, m, sign, k, TABLE_ORACLE_BUDGET), top_dim)
+    assert (x.faces, x.degens, x.connections) == image_tuple_tables(x)
+    for n, level in enumerate(x.cubes):
+        assert [x.locate(n, cube) for cube in level] == list(range(len(level)))
+    # the dict index holds the levels below the top, and level 0 always
+    assert x.index == [dict(zip(level, range(len(level)))) for level in x.cubes[: max(x.top_dim, 1)]]
+    assert nerve_levels(g, m, sign, 0).index == [{(v,): k for k, v in enumerate(g.vertices)}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    digraphs(max_vertices=4, max_arrows=8),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_functor_levels_match_image_tuple_lookup(source, target, m, top_dim, data):
+    images = data.draw(st.sampled_from(enumerate_digraph_maps(source, target)))
+    phi = DigraphMap(source, target, dict(zip(source.vertices, images)))
+    cm = _largest_fitting(lambda k: nerve_functor_map(phi, m, k, TABLE_ORACLE_BUDGET), top_dim)
+    assert cm.levels == image_tuple_functor_levels(phi, cm.source, cm.target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([("r", 1), ("l", 1), ("c2", 4)]),
+    st.integers(1, 2),
+    st.integers(0, 3),
+)
+def test_comparison_levels_match_image_tuple_lookup(g, kind_delta, m, top_dim):
+    kind, delta = kind_delta
+
+    def build(k):
+        # the target nerve is the larger one: size it under the budget first
+        nerve_levels(g, m + delta, -1 if kind == "l" else 1, k, TABLE_ORACLE_BUDGET)
+        return comparison_map(kind, g, m, k)
+
+    cm = _largest_fitting(build, top_dim)
+    t = truncation(kind, m).assignment
+    assert cm.levels == image_tuple_comparison_levels(t, cm.source, cm.target)
 
 
 @settings(max_examples=30, deadline=None)
