@@ -373,7 +373,7 @@ def _image_bitsets(target, maps, n):
         }
 
 
-def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
+def one_step_pairs(source, target, maps, rel_positions=()):
     """All index pairs (a, b), a != b, with an arrow maps[a] -> maps[b] in
     the box hom source -> target, relative to the pinned `rel_positions`,
     ordered by a and then by b.
@@ -390,9 +390,7 @@ def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
     that is mostly the last few positions.  `maps` may come in any order
     and need not be distinct (every copy of a head is listed); the order
     affects only speed.  T holds a set of len(maps) bits per source
-    position and target vertex occurring there.  Raises BudgetExceeded as
-    soon as the pairs out of the maps read so far number more than
-    `budget`.
+    position and target vertex occurring there.
     """
     n = len(source.vertices)
     width = len(maps)
@@ -418,8 +416,6 @@ def one_step_pairs(source, target, maps, rel_positions=(), budget=INFINITY):
             rows[x + 1] = rows[x] & table[x][images[x]]
         bits = format(rows[n] & ~(1 << (width - 1 - a)), numeral)
         pairs.extend([(a, ids[m.start()]) for m in ones(bits)])
-        if len(pairs) > budget:
-            raise BudgetExceeded(f"more than {budget} box-hom arrows")
         previous = images
     return pairs
 

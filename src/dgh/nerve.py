@@ -1,48 +1,70 @@
 """Cube/horn realizations, truncated cubical nerves, fillers, and rho maps.
 
 An n-cube of the m-nerve of G is a digraph map from the n-fold box power of
-the standard m-interval into G, stored as the tuple of its images over the
-grid {0..m}^n in lexicographic order.  Level n is built from level n-1 by
-the exponential law: its cubes are the m-step walks in the box hom on the
-level-(n-1) cubes, concatenated, and they are counted against the cube
-budget before any of them is built (`nerve_levels`).
+the standard m-interval into G.  Level 0 is the vertices of G, and a level-n
+cube is the m-step walk d_0 ... d_m of its slices in the box hom on level
+n-1, the slice d_k being the cube with first grid coordinate k
+(`nerve_levels`).
 
-The structure tables are index lists read off the walks.  A level-n cube x
-is the walk d_0 ... d_m of its slices (x with first coordinate k is the
-level-(n-1) cube d_k), and level n lists the walks in lexicographic order,
-so the position of x is the rank of its walk,
+A level n >= 1 is stored as its walks only, in m+1 index columns: column j
+holds each cube's slice j as a level-(n-1) position.  The level lists the
+walks in lexicographic order, so the position of a cube is the rank of its
+walk,
 
     start[d_0] + pos_0[d_0, d_1] + ... + pos_{m-1}[d_{m-1}, d_m],
 
 where start[a] counts the walks that begin before a, and pos_k[a, b] sums,
 over the heads b' < b of a at step k, the number of walk completions from
 b' (`_rank_tables`; one small table per step over the box-hom arrows and
-the constant steps, none over the cubes).  Read slice by slice:
+the constant steps, none over the cubes).  Every structure map is a walk
+map, read slice by slice and ranked.  On the big side, X_n -> X_{n-1} and
+the level maps, the walks are mapped as they are listed
+(`TruncatedCubicalSet._walk_positions`):
 
-    d_{1,0} x = d_0 and d_{1,1} x = d_m                (the walk ends)
+    d_{1,0} x = d_0 and d_{1,1} x = d_m                (columns 0 and m)
     d_{i,eps} x = (d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m)   for i >= 2
     (phi_* x)   = (phi_* d_0, ..., phi_* d_m)          (`nerve_functor_map`)
     (t^* x)     = (t^* d_t(0), ..., t^* d_t(m+delta))  (`comparison_map`)
 
-so each of these tables maps the walks of level n through a table on level
-n-1 and ranks the results (`TruncatedCubicalSet._walk_positions`).  The
-degeneracies and connections, X_{n-1} -> X_n, read each cube at the rows
-of the realized coordinate maps and `locate` the image tuple: its slices
-are looked up in level n-1 and their walk is ranked.  A mapped walk with a
-step that is not an arrow is not a cube, and is reported as a structure
-map leaving the enumerated level.
+On the small side, X_{n-1} -> X_n, the slices of the image of a cube c with
+slices c_0 ... c_m are lists over the level-(n-1) columns, ranked in level n
+(`TruncatedCubicalSet._ranked`):
+
+    s_1 c           = (c, ..., c)
+    s_i c           = (s_{i-1} c_0, ..., s_{i-1} c_m)               for i >= 2
+    gamma_{i,eps} c = (gamma_{i-1,eps} c_0, ..., gamma_{i-1,eps} c_m) for i >= 2
+    gamma_{1,eps} c = (w_0, ..., w_m), where w_k is the level-(n-1) walk
+                      whose slice l is c_max(k,l) (eps = 0) or c_min(k,l)
+                      (eps = 1)
+
+A mapped walk with a step that is not an arrow is not a cube, and is
+reported as a structure map leaving the enumerated level.  No image tuple
+is stored: `cubes[n]` builds each on read, as the concatenation of its
+slices' tuples.
+
+The heads of a cube, slice by slice.  Let d and e be level-n cubes with
+slices d_t and e_t.  An arrow d -> e of the box hom asks, at every grid
+vertex v, that d(v) = e(v) or d(v) -> e(v) in G.  Every vertex of the grid
+lies in exactly one slice, the one of its first coordinate, so d -> e or
+d = e iff, for every t, d_t -> e_t is an arrow of the box hom on level n-1
+or d_t = e_t.  Those e_t are the heads of d_t, itself included, which are
+the forward step lists of level n.  So the heads of d, itself included, are
+the level-n walks e with e_t among the heads of d_t for every t: a walk
+along the steps of level n constrained slice by slice
+(`TruncatedCubicalSet._heads`).  At level 0 the heads of a vertex are its
+successors and itself.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from collections.abc import Sequence
 from itertools import accumulate, chain, compress, count, product, repeat
-from operator import add, itemgetter, ne, sub
+from operator import add, ne, sub
 
 from .config import DEFAULT_MAX_CUBES
-from .digraph import Digraph, DigraphMap, one_step_pairs
+from .digraph import Digraph, DigraphMap
 from .errors import BadIndex, BudgetExceeded, InvalidCubicalSet, ParityError
-from .intervals import FWD, standard_interval, truncation
+from .intervals import BWD, FWD, standard_interval, truncation
 
 
 # -- realizations ---------------------------------------------------------
@@ -122,75 +144,102 @@ def _merge(pt, i, eps):
 
 
 class TruncatedCubicalSet:
-    """Cube lists for dimensions 0..K plus face/degeneracy/connection tables.
+    """Cube levels 0..K, stored as walks (see the module docstring), plus
+    face/degeneracy/connection tables.
 
-    cubes[n]        : list of image tuples over the level-n grid
+    cubes[n]        : level n as image tuples over the level-n grid; a list
+                      at n = 0, built on read above it (`_ImageTuples`)
+    columns[n]      : n >= 1, m+1 index lists: columns[n][j][k] is the
+                      level-(n-1) position of slice j of cube k
     steps[n]        : n >= 1, the walk adjacency of level n in interval-word
                       order: steps[n][k][a] lists, sorted, the level-(n-1)
                       cubes that step k of a walk may take from cube a, the
-                      constant step included (None at n = 0)
-    index[n]        : {image tuple: position} for the levels below the top,
-                      and always level 0
+                      constant step included
+    index           : [{vertex 1-tuple: position}], for level 0 only
     faces[n]        : {(i, eps): index list}, X_n -> X_{n-1},   1 <= i <= n
     degens[n]       : {i: index list},        X_{n-1} -> X_n,   1 <= i <= n
     connections[n]  : {(i, eps): index list}, X_{n-1} -> X_n,   1 <= i <= n-1
     nondegenerate[n]: a flag per level-n cube
 
-    A level-n cube is the walk d_0 ... d_m of its slices in level n-1, and
-    the level lists the walks in lexicographic order, so a cube's position
-    is the rank of its walk,
-
-        start[d_0] + pos_0[d_0, d_1] + ... + pos_{m-1}[d_{m-1}, d_m],
-
-    with start and pos_k kept in `_ranks[n]`, from `_rank_tables` over the
-    arrows of each step of steps[n] listed flat (`_arrows[n]`).  The face
-    tables map the walks slice by slice (`_walk_positions`): d_{1,0} x = d_0
-    and d_{1,1} x = d_m are the walk ends, and for i >= 2 the slices of
-    d_{i,eps} x are d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m.  Degeneracies and
-    connections, on the small side X_{n-1} -> X_n, read each cube at the
-    grid rows of the coordinate map and locate the image tuple as `locate`
-    does.
+    The rank tables start and pos_k of level n are `_ranks[n]`, from
+    `_rank_tables` over the arrows of each step of steps[n] listed flat
+    (`_arrows[n]`).  The big-side tables map the walks as they are listed
+    (`_walk_positions`), the small-side tables rank lists read off the
+    level-(n-1) columns (`_ranked`), and the box-hom heads are walks
+    constrained slice by slice (`_heads`).  The constructor holds level 0,
+    `_add_level` appends a level from its step lists, and `_build_tables`
+    builds the tables once every level is there (`nerve_levels`).
     """
 
-    def __init__(self, target, m, sign, cubes, steps):
+    def __init__(self, target, m, sign):
         self.target = target
         self.m = m
         self.sign = sign
-        self.top_dim = len(cubes) - 1
-        self.cubes = cubes
-        self.steps = steps
-        self.index = [dict(zip(level, count())) for level in cubes[: max(self.top_dim, 1)]]
-        self._arrows = [None] + [list(map(_step_arrows, level)) for level in steps[1:]]
-        self._ranks = [None] + [
-            _rank_tables(self._arrows[n], len(cubes[n - 1])) for n in range(1, self.top_dim + 1)
-        ]
-        self.faces = [dict() for _ in range(self.top_dim + 1)]
-        self.degens = [dict() for _ in range(self.top_dim + 1)]
-        self.connections = [dict() for _ in range(self.top_dim + 1)]
-        self._build_tables()
-        self.nondegenerate = self._nondegenerate_flags()
+        self.cubes = [list(zip(target.vertices))]
+        self.index = [dict(zip(self.cubes[0], count()))]
+        self.steps, self.columns, self._arrows, self._ranks = [None], [None], [None], [None]
+        self._word = standard_interval(m, sign).word
 
-    def locate(self, n, image):
-        """The position of the image tuple `image` in level n: its m+1
-        slices are looked up in level n-1 and their walk is ranked.  Raises
-        KeyError when `image` is not a level-n cube."""
+    @property
+    def top_dim(self):
+        return len(self.cubes) - 1
+
+    def _add_level(self, steps):
+        """Append the next level: the walks along `steps`, its step
+        head-lists over the current top level."""
+        size = len(self.cubes[-1])
+        arrows = list(map(_step_arrows, steps))
+        columns = _walk_columns(arrows, size)
+        self.steps.append(steps)
+        self._arrows.append(arrows)
+        self._ranks.append(_rank_tables(arrows, size))
+        self.columns.append(columns)
+        self.cubes.append(_ImageTuples(self.cubes[-1], columns))
+
+    def _heads(self, arrow_budget):
+        """Per cube d of the top level n, the sorted positions of its heads
+        in the box hom on level n, d included: at n >= 1 the walks e with e_t
+        among the heads of d_t (module docstring), found by extending the
+        prefixes e_0 ... e_t along step t to the heads of d_{t+1}.  Raises
+        BudgetExceeded as soon as the heads other than the cubes themselves
+        number more than `arrow_budget`."""
+        n = self.top_dim
         if n == 0:
-            return self.index[0][image]
-        size = (self.m + 1) ** (n - 1)
-        if len(image) != size * (self.m + 1):
-            raise KeyError(image)
-        index = self.index[n - 1]
-        cuts = range(0, len(image), size)
-        return self._ranked(n, [[index[image[cut : cut + size]]] for cut in cuts])[0]
+            g = self.target
+            return [sorted([k, *map(g.index, g.successors(v))]) for k, v in enumerate(g.vertices)]
+        word = self._word
+        steps = self.steps[n]
+        below = steps[word.index(FWD)] if FWD in word else _transposed(steps[0])
+        allowed = list(map(set, below))
+        start, pos = self._ranks[n]
+        arrows = self._arrows[n]
+        offsets = [list(map(p.__getitem__, zip(t, h))) for p, (t, h, _) in zip(pos, arrows)]
+        heads, found = [], 0
+        for d in zip(*self.columns[n]):
+            ends = below[d[0]]
+            ranks = list(map(start.__getitem__, ends))
+            for step, offs, slot in zip(arrows, offsets, d[1:]):
+                reached, grown = _extended(ends, ranks, step, offs)
+                reached = list(reached)
+                keep = list(map(allowed[slot].__contains__, reached))
+                ranks, ends = list(compress(grown, keep)), list(compress(reached, keep))
+            found += len(ranks) - 1
+            if found > arrow_budget:
+                raise BudgetExceeded(f"more than {arrow_budget} box-hom arrows")
+            heads.append(ranks)
+        return heads
 
     def _ranked(self, n, slices):
         """The level-n positions of the walks whose slice k is slices[k][x],
         one walk per x, from lists of level-(n-1) positions.  Raises
-        KeyError when a step is not an arrow."""
+        InvalidCubicalSet when a step is not an arrow."""
         start, pos = self._ranks[n]
-        ranks = list(map(start.__getitem__, slices[0]))
-        for table, tails, heads in zip(pos, slices, slices[1:]):
-            ranks = list(map(add, ranks, map(table.__getitem__, zip(tails, heads))))
+        try:
+            ranks = list(map(start.__getitem__, slices[0]))
+            for table, tails, heads in zip(pos, slices, slices[1:]):
+                ranks = list(map(add, ranks, map(table.__getitem__, zip(tails, heads))))
+        except KeyError:
+            raise _left_level(n) from None
         return ranks
 
     def _walk_positions(self, n, arrows, f, sel):
@@ -223,44 +272,35 @@ class TruncatedCubicalSet:
             raise _left_level(n) from None
         return _walk_sums(arrows, first, offsets)
 
-    def _located(self, n, rows):
-        """The map X_{n-1} -> X_n that reads each level-(n-1) cube at the
-        grid positions `rows` and locates the image in level n, as `locate`
-        does, one slice of the rows at a time."""
-        size = len(rows) // (self.m + 1)
-        index = self.index[n - 1]
-        try:
-            slices = [
-                list(map(index.__getitem__, _read_rows(self.cubes[n - 1], rows[cut : cut + size])))
-                for cut in range(0, len(rows), size)
-            ]
-            return self._ranked(n, slices)
-        except KeyError:
-            raise _left_level(n) from None
-
     def _build_tables(self):
         m = self.m
-        slices = range(m + 1)
-        for n in range(1, self.top_dim + 1):
-            arrows = self._arrows[n]
-            below = range(len(self.cubes[n - 1]))
-            faces = self.faces[n]
-            # the walk ends: d_0, and d_m = d_0 + sum_k (d_{k+1} - d_k)
-            faces[(1, 0)] = _walk_sums(arrows, below, [[0] * len(t) for t, _, _ in arrows])
-            faces[(1, 1)] = _walk_sums(arrows, below, [list(map(sub, h, t)) for t, h, _ in arrows])
+        K = self.top_dim
+        self.faces, self.degens, self.connections = (
+            [dict() for _ in range(K + 1)] for _ in range(3)
+        )
+        F, S, C = self.faces, self.degens, self.connections
+        for n in range(1, K + 1):
+            F[n][(1, 0)], F[n][(1, 1)] = self.columns[n][0], self.columns[n][m]
             for i in range(2, n + 1):
                 for eps in (0, 1):
-                    faces[(i, eps)] = self._walk_positions(
-                        n - 1, arrows, self.faces[n - 1][(i - 1, eps)], slices
+                    F[n][(i, eps)] = self._walk_positions(
+                        n - 1, self._arrows[n], F[n - 1][(i - 1, eps)], range(m + 1)
                     )
-            small = {pt: k for k, pt in enumerate(_grid(m, n - 1))}
-            big = _grid(m, n)
-            for i in range(1, n + 1):
-                self.degens[n][i] = self._located(n, [small[_drop(pt, i)] for pt in big])
+            below = self.columns[n - 1]
+            S[n][1] = self._ranked(n, [range(len(self.cubes[n - 1]))] * (m + 1))
+            for i in range(2, n + 1):
+                S[n][i] = self._ranked(n, _mapped(S[n - 1][i - 1], below))
             for i in range(1, n):
-                for eps in (0, 1):
-                    rows = [small[_merge(pt, i, eps)] for pt in big]
-                    self.connections[n][(i, eps)] = self._located(n, rows)
+                for eps, fuse in ((0, max), (1, min)):
+                    if i == 1:
+                        slices = [
+                            self._ranked(n - 1, [below[fuse(k, l)] for l in range(m + 1)])
+                            for k in range(m + 1)
+                        ]
+                    else:
+                        slices = _mapped(C[n - 1][(i - 1, eps)], below)
+                    C[n][(i, eps)] = self._ranked(n, slices)
+        self.nondegenerate = self._nondegenerate_flags()
 
     def _nondegenerate_flags(self):
         flags = [[True] * len(level) for level in self.cubes]
@@ -374,11 +414,41 @@ class TruncatedCubicalSet:
         return out
 
 
-def _read_rows(cubes, rows):
-    """Each cube's images at the grid positions `rows`, as tuples."""
-    if len(rows) == 1:  # itemgetter of a single row returns the bare image
-        return zip(map(itemgetter(rows[0]), cubes))
-    return map(itemgetter(*rows), cubes)
+class _ImageTuples(Sequence):
+    """A level n >= 1 as image tuples, built on read: cube k is the
+    concatenation of the tuples of its slices, the level-(n-1) cubes
+    columns[j][k]."""
+
+    def __init__(self, below, columns):
+        self._below = below
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        return sum((self._below[column[k]] for column in self._columns), ())
+
+    def __iter__(self):
+        below = list(self._below)
+        tuples = map(below.__getitem__, self._columns[0])
+        for column in self._columns[1:]:
+            tuples = map(add, tuples, map(below.__getitem__, column))
+        return tuples
+
+
+def _mapped(table, columns):
+    """Each column mapped through the index list `table`."""
+    return [list(map(table.__getitem__, column)) for column in columns]
+
+
+def _transposed(heads):
+    """The tails of each cube, sorted, from the sorted heads of each."""
+    tails = [[] for _ in heads]
+    for a, hs in enumerate(heads):
+        for b in hs:
+            tails[b].append(a)
+    return tails
 
 
 def _padded(ranks, pad, slices):
@@ -408,8 +478,8 @@ def _mismatches(lhs, rhs):
 def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     """Enumerate the truncated m-nerve of g up to dimension top_dim.
 
-    Level 0 is the vertices of g.  Level n >= 1 is built from level n-1 by
-    the exponential law Hom(I_m □ I_m^{n-1}, G) ≅ Hom(I_m, G^{I_m^{n-1}}),
+    Level n >= 1 is built from level n-1 by the exponential law
+    Hom(I_m □ I_m^{n-1}, G) ≅ Hom(I_m, G^{I_m^{n-1}}),
     where G^{I_m^{n-1}} is the box hom on the maps of level n-1.  Read along
     its first grid coordinate, a level-n cube is the sequence of its slices
     c_0 ... c_m, each a level-(n-1) cube; the arrows of the first axis make
@@ -422,70 +492,53 @@ def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
     a cube's image tuple is the concatenation c_0 + ... + c_m of its
     slices' tuples.  Level n-1 is sorted (lexicographic in target vertex
     order) and its tuples have one length, so the concatenations compare as
-    the index sequences of the walks do: generating the walks in
-    lexicographic order of indices lists level n in the enumerator's order
+    the index sequences of the walks do: listing the walks in lexicographic
+    order of indices lists level n in the enumerator's order
     (`enumerate_digraph_maps(cube_realization(interval, n), g)`).
 
     Budget: raises BudgetExceeded, naming `budget` and the level, when the
-    levels hold more than `budget` cubes in total, before any tuple of the
+    levels hold more than `budget` cubes in total, before any walk of the
     offending level is built.  The walks are counted exactly first, as a
     vector-matrix product over the adjacency.  The adjacency search stops
     early too: each arrow a -> b, a != b, is its own non-constant walk
     (a, b, b, ...) or (b, a, a, ...), whichever the first step reads, and
     the |X_{n-1}| constant walks are the others, so
-    |X_n| >= |X_{n-1}| + #arrows.  The structure tables are built from the
-    walk adjacency of every level, only after every level has passed the
-    budget.
+    |X_n| >= |X_{n-1}| + #arrows.  The structure tables are built only
+    after every level has passed the budget.
     """
-    interval = standard_interval(m, sign)
-    level = list(zip(g.vertices))
-    cubes, steps = [], [None]
+    x = TruncatedCubicalSet(g, m, sign)
     remaining = budget
     for n in range(top_dim + 1):
         try:
             if n:
-                level, adjacency = _walk_level(g, interval, n, level, remaining)
-                steps.append(adjacency)
-            if len(level) > remaining:
-                raise BudgetExceeded(f"{len(level)} cubes")
+                x._add_level(_next_steps(x, remaining))
+            if len(x.cubes[n]) > remaining:
+                raise BudgetExceeded(f"{len(x.cubes[n])} cubes")
         except BudgetExceeded:
             raise BudgetExceeded(
                 f"nerve exceeds {budget} total cubes at level {n}"
             ) from None
-        remaining -= len(level)
-        cubes.append(level)
-    return TruncatedCubicalSet(g, m, sign, cubes, steps)
+        remaining -= len(x.cubes[n])
+    x._build_tables()
+    return x
 
 
-def _walk_level(g, interval, n, prev, remaining):
-    """Level n of the nerve from level n-1 (`prev`): the m-step walks in
-    the box hom on `prev` and the step head-lists they follow, or
-    BudgetExceeded when they number more than `remaining`, raised before
-    any walk is built."""
-    if not interval.word:  # m = 0: the one-vertex grid, each level is level 0
-        return list(prev), []
-    out, into = _box_hom_lists(
-        cube_realization(interval, n - 1), g, prev, remaining - len(prev)
-    )
-    steps = [out if step == FWD else into for step in interval.word]
+def _next_steps(x, remaining):
+    """The step head-lists of the level after the top level of x, in
+    interval-word order: the box-hom heads on the top level (`_heads`) at
+    the forward steps, and their tails at the backward steps.  Raises
+    BudgetExceeded when the walks along them number more than `remaining`,
+    before any walk is built."""
+    word = x._word
+    if not word:  # m = 0: the one-vertex grid, each level is level 0
+        return []
+    heads = x._heads(remaining - len(x.cubes[-1]))
+    tails = _transposed(heads) if BWD in word else None
+    steps = [heads if step == FWD else tails for step in word]
     walks = _walk_count(steps)
     if walks > remaining:
         raise BudgetExceeded(f"{walks} walks")
-    return _concatenated_walks(prev, steps), steps
-
-
-def _box_hom_lists(source, g, maps, arrow_budget):
-    """Per map, the sorted indices of its out- and in-neighbours in the box
-    hom source -> g, itself included (the constant step)."""
-    out = [[] for _ in maps]
-    into = [[] for _ in maps]
-    for a, b in one_step_pairs(source, g, maps, budget=arrow_budget):
-        out[a].append(b)
-        into[b].append(a)  # pairs come ordered by a, so `into` is sorted
-    for a in range(len(maps)):
-        insort(out[a], a)
-        insort(into[a], a)
-    return out, into
+    return steps
 
 
 def _walk_count(steps):
@@ -526,29 +579,40 @@ def _rank_tables(arrows, size):
 def _walk_sums(arrows, first, offsets):
     """For each walk d_0 ... d_k along `arrows` (`_step_arrows` per step),
     in lexicographic order, first[d_0] plus offsets[i][e] for the arrow e
-    taken at each step i; on tuples the sum is their concatenation.  The
-    one-step walks are the first step's arrows, in order; each later step
-    extends the prefixes in order, each by the arrows from its end."""
+    taken at each step i.  The one-step walks are the first step's arrows,
+    in order; each later step extends the prefixes in order (`_extended`)."""
     if not arrows:
         return list(first)
     (tails, ends, _), *rest = arrows
     sums = list(map(add, map(first.__getitem__, tails), offsets[0]))
-    for k, (_, heads, bounds) in enumerate(rest, 1):
-        lo = list(map(bounds.__getitem__, ends))
-        hi = list(map(bounds[1:].__getitem__, ends))
-        runs = list(map(slice, lo, hi))  # the arrows from each prefix's end
-        repeated = chain.from_iterable(map(repeat, sums, map(sub, hi, lo)))
+    for k, step in enumerate(rest, 1):
+        reached, sums = _extended(ends, sums, step, offsets[k])
         if k < len(rest):
-            ends = list(chain.from_iterable(map(heads.__getitem__, runs)))
-        sums = list(map(add, repeated, chain.from_iterable(map(offsets[k].__getitem__, runs))))
+            ends = list(reached)
     return sums
 
 
-def _concatenated_walks(level, steps):
-    """The walks of `steps` as concatenated image tuples of `level`, in
-    lexicographic order of their index sequences."""
-    arrows = list(map(_step_arrows, steps))
-    return _walk_sums(arrows, level, [list(map(level.__getitem__, h)) for _, h, _ in arrows])
+def _extended(ends, sums, step, offsets):
+    """The prefixes ending at ends[x] with sums[x], each extended by every
+    arrow e of `step` (`_step_arrows`) from its end, in order: the heads
+    reached, lazily, and the sums plus offsets[e]."""
+    _, heads, bounds = step
+    lo = list(map(bounds.__getitem__, ends))
+    hi = list(map(bounds.__getitem__, map(add, ends, repeat(1))))
+    runs = list(map(slice, lo, hi))  # the arrows from each prefix's end
+    repeated = chain.from_iterable(map(repeat, sums, map(sub, hi, lo)))
+    grown = list(map(add, repeated, chain.from_iterable(map(offsets.__getitem__, runs))))
+    return chain.from_iterable(map(heads.__getitem__, runs)), grown
+
+
+def _walk_columns(arrows, size):
+    """The m+1 columns of the walks along `arrows` (`_step_arrows` per
+    step) over `size` cubes, in lexicographic order: column j holds each
+    walk's d_j, which is d_0 plus the differences d_{i+1} - d_i of the
+    steps i < j (`_walk_sums`)."""
+    moves = [list(map(sub, heads, tails)) for tails, heads, _ in arrows]
+    stays = [[0] * len(tails) for tails, _, _ in arrows]
+    return [_walk_sums(arrows, range(size), moves[:j] + stays[j:]) for j in range(len(arrows) + 1)]
 
 
 # -- maps of truncated cubical sets ----------------------------------------
@@ -622,7 +686,7 @@ def _slice_wise_levels(src, dst, vertices, sel):
     `vertices` and a level-n walk d_0 ... d_m to the walk whose slice j is
     L(d_sel[j]), with L the level n-1 map."""
     try:
-        levels = [[dst.locate(0, v) for v in vertices]]
+        levels = [list(map(dst.index[0].__getitem__, vertices))]
     except KeyError:
         raise _left_level(0) from None
     for n in range(1, src.top_dim + 1):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -133,29 +134,29 @@ class TestNerveLevels:
     LEVELS_0_TO_2 = 3 + 12 + 246
     ARROW_BOUND = 246 + 9744
 
-    def spy(self, monkeypatch, name):
+    def spy(self, monkeypatch, name, owner=nerve):
         calls = []
-        original = getattr(nerve, name)
+        original = getattr(owner, name)
 
         def spied(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(nerve, name, spied)
+        monkeypatch.setattr(owner, name, spied)
         return calls
 
     def test_arrow_bound_trips_before_the_walk_count(self, c3, monkeypatch):
         counted = self.spy(monkeypatch, "_walk_count")
-        built = self.spy(monkeypatch, "_concatenated_walks")
+        built = self.spy(monkeypatch, "_walk_columns")
         budget = self.LEVELS_0_TO_2 + self.ARROW_BOUND - 1
         with pytest.raises(BudgetExceeded, match=f"nerve exceeds {budget} total cubes at level 3$"):
             nerve_levels(c3, 2, 1, 3, budget=budget)
         assert counted == ["_walk_count"] * 2  # levels 1 and 2 only
-        assert built == ["_concatenated_walks"] * 2
+        assert built == ["_walk_columns"] * 2
 
     def test_walk_count_trips_before_the_level_is_built(self, c3, monkeypatch):
         counted = self.spy(monkeypatch, "_walk_count")
-        built = self.spy(monkeypatch, "_concatenated_walks")
+        built = self.spy(monkeypatch, "_walk_columns")
         for budget in (
             self.LEVELS_0_TO_2 + self.ARROW_BOUND,
             self.LEVELS_0_TO_2 + 426342 - 1,
@@ -169,10 +170,22 @@ class TestNerveLevels:
         x = nerve_levels(c3, 2, 1, 3, budget=self.LEVELS_0_TO_2 + 426342)
         assert x.counts()["cubes"] == [3, 12, 246, 426342]
 
+    def test_budget_trip_at_level_four_stays_small(self, c3):
+        # the level-3 columns of N_2(C3) are built, then the level-3 heads
+        # pass the arrow bound after a few of the 426,342 cubes
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="^nerve exceeds 1000000 total cubes at level 4$"):
+                nerve_levels(c3, 2, 1, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
+
     def test_zero_step_levels_repeat_level_zero(self, c3, monkeypatch):
-        searched = self.spy(monkeypatch, "one_step_pairs")
+        searched = self.spy(monkeypatch, "_heads", nerve.TruncatedCubicalSet)
         x = nerve_levels(c3, 0, 1, 3)
-        assert x.cubes == [[(0,), (1,), (2,)]] * 4
+        assert [list(level) for level in x.cubes] == [[(0,), (1,), (2,)]] * 4
         assert searched == []
         with pytest.raises(BudgetExceeded, match="at level 2$"):
             nerve_levels(c3, 0, 1, 3, budget=8)
@@ -249,18 +262,21 @@ class TestValidatorTeeth:
     def test_missing_cube_is_invalid(self, c3):
         # N_1(C3) without the square (0, 0, 1, 1): the walk from the
         # constant 1-cube at 0 to the one at 1 is taken out of the level-2
-        # adjacency, and its cube out of level 2.  That square is the
-        # degeneracy s_2 of the arrow 0 -> 1, which then leaves level 2.
+        # adjacency, so level 2 is built without that cube.  That square is
+        # the degeneracy s_2 of the arrow 0 -> 1, which then leaves level 2.
         from dgh.errors import InvalidCubicalSet
         from dgh.nerve import TruncatedCubicalSet
 
         x = nerve_levels(c3, 1, 1, 2)
-        cubes = [list(level) for level in x.cubes]
-        steps = [None] + [[[list(hs) for hs in heads] for heads in level] for level in x.steps[1:]]
-        cubes[2].remove((0, 0, 1, 1))
-        steps[2][0][x.index[1][(0, 0)]].remove(x.index[1][(1, 1)])
+        edges = list(x.cubes[1])
+        steps = [[list(hs) for hs in heads] for heads in x.steps[2]]
+        steps[0][edges.index((0, 0))].remove(edges.index((1, 1)))
+        y = TruncatedCubicalSet(c3, 1, 1)
+        y._add_level(x.steps[1])
+        y._add_level(steps)
+        assert set(x.cubes[2]) - set(y.cubes[2]) == {(0, 0, 1, 1)}
         with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
-            TruncatedCubicalSet(c3, 1, 1, cubes, steps)
+            y._build_tables()
 
 
 class TestIdentitySchema:

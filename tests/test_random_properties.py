@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dgh import digraph, nerve
 from dgh.digraph import (
     Digraph,
     DigraphMap,
@@ -21,7 +22,7 @@ from dgh.covers import in_closure, is_in_closed, out_closure
 from dgh.errors import BudgetExceeded, NotChainMap
 from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
 from dgh.homotopy import homotopy_classes
-from dgh.intervals import TowerSpec, standard_interval, truncation
+from dgh.intervals import FWD, TowerSpec, standard_interval, truncation
 from dgh.nerve import (
     boundary_vertices,
     comparison_map,
@@ -112,7 +113,7 @@ def test_one_step_pairs_on_nerve_level_two(order):
     # than a machine word, and reversed or shuffled, consecutive maps share
     # little of their prefix
     c3 = cycle(3)
-    maps = nerve_levels(c3, 2, 1, 2).cubes[2]
+    maps = list(nerve_levels(c3, 2, 1, 2).cubes[2])
     assert len(maps) == 246
     if order == "reversed":
         maps = maps[::-1]
@@ -134,11 +135,7 @@ def test_one_step_pairs_on_pinned_tower_stage():
     rel = [source.index(v) for v in part]
     pairs = all_pairs_one_step(c3, maps, rel)
     assert pairs
-    for budget in (-1, 0, len(pairs) // 2, len(pairs) - 1):
-        with pytest.raises(BudgetExceeded):
-            one_step_pairs(source, c3, maps, rel, budget=budget)
-    for budget in (len(pairs), len(pairs) + 1):
-        assert one_step_pairs(source, c3, maps, rel, budget=budget) == pairs
+    assert one_step_pairs(source, c3, maps, rel) == pairs
 
 
 @pytest.mark.parametrize("size", [128, 129, 300])
@@ -169,23 +166,6 @@ def test_one_step_pairs_lists_every_copy_of_a_repeated_map():
     assert (0, k) in pairs and (k, 0) in pairs
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    digraphs(max_vertices=4, max_arrows=7),
-    digraphs(max_vertices=4, max_arrows=7),
-    st.data(),
-)
-def test_one_step_pairs_budget_is_exact(source, target, data):
-    maps = enumerate_digraph_maps(source, target)
-    pairs = one_step_pairs(source, target, maps)
-    budget = data.draw(st.integers(-1, len(pairs) + 1))
-    if len(pairs) > budget:
-        with pytest.raises(BudgetExceeded):
-            one_step_pairs(source, target, maps, budget=budget)
-    else:
-        assert one_step_pairs(source, target, maps, budget=budget) == pairs
-
-
 NERVE_ORACLE_BUDGET = 50_000
 
 
@@ -210,7 +190,7 @@ def test_walk_levels_are_the_enumerated_cube_maps(g, m, sign):
         enumerated.append(level)
     top = len(enumerated) - 1
     x = nerve_levels(g, m, sign, top, NERVE_ORACLE_BUDGET)
-    assert x.cubes == enumerated
+    assert [list(level) for level in x.cubes] == enumerated
     if top < 4:  # the next level is over the budget, for both
         with pytest.raises(BudgetExceeded, match=f"at level {top + 1}$"):
             nerve_levels(g, m, sign, top + 1, NERVE_ORACLE_BUDGET)
@@ -239,11 +219,67 @@ def _largest_fitting(build, top_dim):
 def test_walk_rank_tables_match_image_tuple_lookup(g, m, sign, top_dim):
     x = _largest_fitting(lambda k: nerve_levels(g, m, sign, k, TABLE_ORACLE_BUDGET), top_dim)
     assert (x.faces, x.degens, x.connections) == image_tuple_tables(x)
-    for n, level in enumerate(x.cubes):
-        assert [x.locate(n, cube) for cube in level] == list(range(len(level)))
-    # the dict index holds the levels below the top, and level 0 always
-    assert x.index == [dict(zip(level, range(len(level)))) for level in x.cubes[: max(x.top_dim, 1)]]
-    assert nerve_levels(g, m, sign, 0).index == [{(v,): k for k, v in enumerate(g.vertices)}]
+    # the materialised tuples, cut into slices and looked up in the level
+    # below, give back the stored columns; reading one cube at a time and
+    # the whole level agree
+    for n in range(1, x.top_dim + 1):
+        level = list(x.cubes[n])
+        assert [x.cubes[n][k] for k in range(len(level))] == level
+        below = {cube: k for k, cube in enumerate(x.cubes[n - 1])}
+        size = (m + 1) ** (n - 1)
+        cuts = range(0, len(level[0]), size)
+        assert [[below[cube[cut : cut + size]] for cube in level] for cut in cuts] == x.columns[n]
+    # the one dict index is level 0's, at K = 0 too
+    assert x.index == [{(v,): k for k, v in enumerate(g.vertices)}]
+    assert nerve_levels(g, m, sign, 0).index == x.index
+
+
+def assert_heads_match_all_pairs_scan(x):
+    """Every step list of every level n >= 1 of x lists the arrows of the
+    box hom on level n-1, constant steps included, as the all-pairs scan
+    of the materialised level n-1 finds them; forward steps by their
+    heads, backward steps by their tails, each list sorted."""
+    word = standard_interval(x.m, x.sign).word
+    for n in range(1, x.top_dim + 1):
+        cubes = list(x.cubes[n - 1])
+        arrows = sorted(all_pairs_one_step(x.target, cubes) + [(a, a) for a in range(len(cubes))])
+        for step, lists in zip(word, x.steps[n]):
+            assert all(hs == sorted(hs) for hs in lists)
+            pairs = [(a, b) if step == FWD else (b, a) for a, hs in enumerate(lists) for b in hs]
+            assert sorted(pairs) == arrows
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=8).filter(lambda g: g.arrows),
+    st.integers(1, 3),
+    st.sampled_from([1, -1]),
+    st.integers(2, 4),
+)
+def test_slice_wise_heads_match_all_pairs_scan(g, m, sign, top_dim):
+    x = _largest_fitting(lambda k: nerve_levels(g, m, sign, k, TABLE_ORACLE_BUDGET), top_dim)
+    assert_heads_match_all_pairs_scan(x)
+
+
+@pytest.mark.parametrize(
+    "g, m, sign, top_dim",
+    [
+        (cycle(3), 1, 1, 4),
+        (cycle(3), 1, -1, 4),
+        (cycle(3), 2, 1, 3),
+        (cycle(3), 2, -1, 3),
+        (Digraph("abc", [("b", "a"), ("b", "c")]), 2, 1, 3),
+        (Digraph("abc", [("b", "a"), ("b", "c")]), 3, -1, 2),
+    ],
+)
+def test_slice_wise_heads_on_pinned_nerves(g, m, sign, top_dim, monkeypatch):
+    # the nerve finds its heads without the bitset search of one_step_pairs
+    searched = []
+    monkeypatch.setattr(digraph, "one_step_pairs", lambda *args: searched.append(args))
+    monkeypatch.setattr(nerve, "one_step_pairs", digraph.one_step_pairs, raising=False)
+    x = nerve_levels(g, m, sign, top_dim)
+    assert searched == []
+    assert_heads_match_all_pairs_scan(x)
 
 
 @settings(max_examples=40, deadline=None)

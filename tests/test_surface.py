@@ -6,10 +6,13 @@ attribute, an import alias or an identifier string), open an inline code
 span of README.md (`name(...)` or `Class.name(...)`), or be a qualified
 name in the `LAYERS` table of the benchmark's layer tracer
 (`perfbench/spans.py`).  A test helper belongs in `tests/conftest.py`.
+
+The package imports nothing but itself and the standard library.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +81,24 @@ def unreferenced_names():
 
 def test_every_public_name_is_used_documented_or_traced():
     assert unreferenced_names() == []
+
+
+def imported_modules(tree):
+    """The top-level module names a syntax tree imports; a relative import
+    is the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "dgh" if node.level else node.module.partition(".")[0]
+
+
+def test_library_imports_only_itself_and_the_standard_library():
+    # the README promises no runtime dependencies: no numpy, no scipy
+    foreign = {
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in imported_modules(ast.parse(path.read_text()))
+        if name != "dgh" and name not in sys.stdlib_module_names
+    }
+    assert foreign == set()
