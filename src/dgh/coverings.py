@@ -360,15 +360,22 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     The lifting hypotheses are not checked here: for horn inclusions they
     hold along the slab filtration instead (`check_two_covering_filtration`).
 
-    When a is non-empty, p is a verified 1-covering and a and b are each
-    weakly connected, a lift is determined by its value at one anchor
-    vertex, so squares and lifts spread in linear time; otherwise the check
-    lists them (`_squares_by_enumeration`).  At most `budget` base maps.
+    When a is a non-empty subdigraph of b (its arrows among b's), p is a
+    verified 1-covering and a and b are each weakly connected, a lift is
+    determined by its value at one anchor vertex, so squares and lifts
+    spread in linear time; otherwise the check lists them
+    (`_squares_by_enumeration`).  At most `budget` base maps.
+
+    One spread settles most squares: a lift of b through the anchor
+    restricts to a lift of a through it, which is then the square (the one
+    lift of a there).  Only when b's spread breaks is a spread, to tell a
+    square without a lift (the failure) from no square at all.
     """
     b.check_vertices(a.vertices)
     groups = _step_groups(p)
     if not (
         a.vertices
+        and a.arrows <= b.arrows
         and _covering_witness(p, groups) is None
         and len(pi0(a)) == 1
         and len(pi0(b)) == 1
@@ -383,10 +390,10 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     plan_b = _spread_plan(b, a0, b._index)
     for beta_images in enumerate_digraph_maps(b, p.target, budget=budget):
         for anchor in fibers.get(beta_images[root], []):
-            if _spread(plan_a, lifts, steps, beta_images, root, anchor) is None:
-                continue
-            report["squares"] += 1
-            if _spread(plan_b, lifts, steps, beta_images, root, anchor) is None:
+            if _spread(plan_b, lifts, steps, beta_images, root, anchor) is not None:
+                report["squares"] += 1
+            elif _spread(plan_a, lifts, steps, beta_images, root, anchor) is not None:
+                report["squares"] += 1
                 report["unique"] = False
                 report["pass"] = False
                 report["witness"] = {

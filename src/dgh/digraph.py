@@ -366,11 +366,55 @@ def _image_bitsets(target, maps, n):
             {j: int(c.translate(picks[j]), 2) for j in set(c)}
             for c in (column[d::depth] for d in range(depth))
         ]
-        yield {
+        equal = {
             v: reduce(and_, map(getitem, places, ds))
             for v, ds in digits.items()
             if all(map(contains, places, ds))
         }
+        del column, places  # not held while the caller builds on `equal`
+        yield equal
+
+
+def _step_tables(equal_sets, pinned, *adjacencies):
+    """One table T per adjacency, such as `target.successors` for the heads
+    and `target.predecessors` for the tails: T[x][u], for every source
+    position x and target vertex u occurring there, is the set of b with
+    maps[b][x] equal to u or in adjacent(u), or only equal to u when x is
+    in `pinned`.  `equal_sets` are the sets of `_image_bitsets`, read one
+    position at a time, so that only one position of them is held."""
+    tables = [[] for _ in adjacencies]
+    for x, equal in enumerate(equal_sets):
+        for table, adjacent in zip(tables, adjacencies):
+            table.append(equal if x in pinned else {
+                u: reduce(or_, [equal.get(w, 0) for w in adjacent(u)], eq)
+                for u, eq in equal.items()
+            })
+    return tables
+
+
+def _running_and(table, width):
+    """A function images -> the AND over the source positions x of
+    table[x][images[x]], as a bitset of `width` bits.
+
+    The running AND is kept at every depth and redone only from the first
+    position where images differs from the previous argument; for
+    arguments in lexicographic order, such as the enumerator's, that is
+    mostly the last few positions.
+    """
+    n = len(table)
+    rows = [(1 << width) - 1] * (n + 1)  # rows[x]: the AND over positions < x
+    previous = ()
+
+    def running_and(images):
+        nonlocal previous
+        # the first position where images differs from the previous map
+        start = next(compress(count(), map(ne, images, previous)), len(previous))
+        for x in range(start, n):
+            rows[x + 1] = rows[x] & table[x][images[x]]
+        previous = images
+        return rows[n]
+
+    return running_and
 
 
 def one_step_pairs(source, target, maps, rel_positions=()):
@@ -382,42 +426,83 @@ def one_step_pairs(source, target, maps, rel_positions=()):
     int whose binary numeral, zero-padded to len(maps) digits, has a 1 as
     digit b, counted from 0 at the left, when b is a member.  Let T[x][u]
     be the set of b with maps[b][x] equal to u or to a successor of u
-    (only equal to u at a pinned position x).  The heads of the arrows out
-    of maps[a] are then the AND over the source positions x of
-    T[x][maps[a][x]], less a itself.  The running AND is kept at every
-    depth and redone only from the first position where maps[a] differs
-    from maps[a-1]; in a lexicographic list, such as the enumerator's,
-    that is mostly the last few positions.  `maps` may come in any order
-    and need not be distinct (every copy of a head is listed); the order
-    affects only speed.  T holds a set of len(maps) bits per source
+    (only equal to u at a pinned position x; `_step_tables`).  The heads of
+    the arrows out of maps[a] are then the AND over the source positions x
+    of T[x][maps[a][x]], less a itself (`_running_and`, which reuses the
+    AND over the prefix shared with maps[a-1]).  `maps` may come in any
+    order and need not be distinct (every copy of a head is listed); the
+    order affects only speed.  T holds a set of len(maps) bits per source
     position and target vertex occurring there.
     """
-    n = len(source.vertices)
     width = len(maps)
-    pinned = set(rel_positions)
-    table = []
-    for x, equal in enumerate(_image_bitsets(target, maps, n)):
-        if x not in pinned:
-            equal = {
-                u: reduce(or_, [equal.get(w, 0) for w in target.successors(u)], eq)
-                for u, eq in equal.items()
-            }
-        table.append(equal)
+    equal_sets = _image_bitsets(target, maps, len(source.vertices))
+    (table,) = _step_tables(equal_sets, set(rel_positions), target.successors)
+    heads = _running_and(table, width)
     ids = list(range(width))  # the pairs share these, not one new int per pair
     numeral = f"0{width}b"
-    rows = [(1 << width) - 1] * (n + 1)  # rows[x]: the AND over positions < x
     ones = re.compile("1").finditer
-    previous = ()
     pairs = []
     for a, images in zip(ids, maps):
-        # the first position where images differs from the previous map
-        start = next(compress(count(), map(ne, images, previous)), len(previous))
-        for x in range(start, n):
-            rows[x + 1] = rows[x] & table[x][images[x]]
-        bits = format(rows[n] & ~(1 << (width - 1 - a)), numeral)
+        bits = format(heads(images) & ~(1 << (width - 1 - a)), numeral)
         pairs.extend([(a, ids[m.start()]) for m in ones(bits)])
-        previous = images
     return pairs
+
+
+def one_step_components(source, target, maps, rel_positions=()):
+    """The weak components of the box hom on `maps` (relative to the pinned
+    `rel_positions`), as a list: index a -> component number, with the
+    components numbered by their least member.  No pair is listed.
+
+    Sets of indices are bitsets as in `one_step_pairs`, and heads(a) is
+    the AND over x of T+[x][maps[a][x]] computed there.  Let T-[x][u] be
+    the set of b with maps[b][x] equal to u or to a predecessor of u (only
+    equal to u at a pinned x).  Then tails(a), the set of b with an arrow
+    maps[b] -> maps[a], is the AND over x of T-[x][maps[a][x]]: b -> a
+    means that maps[b][x] = maps[a][x] or maps[b][x] -> maps[a][x] for
+    every x (equality at a pinned x), that is, maps[b][x] lies in
+    {maps[a][x]} | pred(maps[a][x]) (in {maps[a][x]} at a pinned x), which
+    is b in T-[x][maps[a][x]]; and b lies in the AND over x exactly when
+    this holds at every x.
+
+    The search keeps the bitset `unvisited`.  Each component starts at the
+    least unvisited index and grows by (heads | tails) & unvisited of each
+    member found, breadth first, and the new members of each level are
+    labelled when the level is done, in index order (which keeps the
+    prefix reuse of `_running_and`).  The search stops expanding as soon
+    as nothing is unvisited.  Each index is expanded at most once, and no
+    set is kept per component.
+    """
+    width = len(maps)
+    equal_sets = _image_bitsets(target, maps, len(source.vertices))
+    heads_table, tails_table = _step_tables(
+        equal_sets, set(rel_positions), target.successors, target.predecessors
+    )
+    heads = _running_and(heads_table, width)
+    tails = _running_and(tails_table, width)
+    numeral = f"0{width}b"
+    ones = re.compile("1").finditer
+    component = [0] * width
+    unvisited = (1 << width) - 1
+    label = 0
+    while unvisited:
+        least = width - unvisited.bit_length()
+        unvisited ^= 1 << (width - 1 - least)
+        component[least] = label
+        frontier = [least]
+        while frontier and unvisited:
+            found = 0
+            for a in frontier:
+                images = maps[a]
+                new = (heads(images) | tails(images)) & unvisited
+                unvisited ^= new
+                found |= new
+                if not unvisited:
+                    break
+            frontier = [m.start() for m in ones(format(found, numeral))] if found else []
+            for b in frontier:
+                component[b] = label
+        label += 1
+    return component
 
 
 def box_hom(g, h, vertex_budget=DEFAULT_MAX_MAPS):

@@ -5,19 +5,27 @@ Two maps are one-step related when every vertex image admits an arrow (or
 equality) between them; homotopy is the symmetric-transitive closure, i.e.
 weak connectivity of the box hom.  Relative variants additionally pin the
 maps pointwise on a chosen part of the source.
+
+The classes are found by a search over bitsets of map indices
+(`digraph.one_step_components`): a class starts at the least map not yet
+reached and grows by the heads and tails of its members, each found as one
+AND of per-position tables, until no map is left unreached.  No one-step
+pair is listed for it; `HomotopyClasses.edges` lists them when it is read.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .config import DEFAULT_MAX_MAPS
 from .digraph import (
     DigraphMap,
     DigraphPair,
     INFINITY,
-    UnionFind,
     box_hom,
     distances_from,
     enumerate_digraph_maps,
+    one_step_components,
     one_step_pairs,
     pair_box_hom,
 )
@@ -31,17 +39,22 @@ class HomotopyClasses:
 
     maps     : image tuples in source vertex order, lexicographic
     class_of : map index -> class index (classes numbered by least member)
-    edges    : the one-step index pairs (a, b), an arrow maps[a] -> maps[b]
+    edges    : the one-step index pairs (a, b), an arrow maps[a] -> maps[b];
+               `one_step_pairs`, computed when first read, since the classes
+               are found without them
     """
 
-    def __init__(self, source, target, maps, class_of, edges, rel_positions):
+    def __init__(self, source, target, maps, class_of, rel_positions):
         self.source = source
         self.target = target
         self.maps = maps
         self.class_of = class_of
-        self.edges = edges
         self.rel_positions = rel_positions
         self._index = {t: k for k, t in enumerate(maps)}
+
+    @cached_property
+    def edges(self):
+        return one_step_pairs(self.source, self.target, self.maps, self.rel_positions)
 
     @property
     def n_classes(self):
@@ -64,26 +77,22 @@ def homotopy_classes(
     target_part=None,
     budget=DEFAULT_MAX_MAPS,
 ):
-    """Union-find over the one-step arrows among all enumerated maps
-    (optionally restricted to maps sending rel_part into target_part, with
-    homotopies fixed pointwise on rel_part)."""
+    """The enumerated maps source -> target (optionally restricted to maps
+    sending rel_part into target_part, with homotopies fixed pointwise on
+    rel_part) and their classes, the weak components of the box hom.
+
+    The components come from a bitset search over the heads | tails of
+    each map (`one_step_components`), which stops as soon as every map is
+    reached; the one-step pairs are not listed.
+    """
     pinned = None
     if target_part is not None:
         target.check_vertices(target_part)
         pinned = {v: tuple(target_part) for v in rel_part}
     maps = enumerate_digraph_maps(source, target, budget=budget, pinned=pinned)
     rel_positions = tuple(source.index(v) for v in rel_part)
-    uf = UnionFind(len(maps))
-    edges = one_step_pairs(source, target, maps, rel_positions)
-    for a, b in edges:
-        uf.union(a, b)
-    roots = {}
-    class_of = []
-    for k in range(len(maps)):
-        r = uf.find(k)
-        roots.setdefault(r, len(roots))
-        class_of.append(roots[r])
-    return HomotopyClasses(source, target, maps, class_of, edges, rel_positions)
+    class_of = one_step_components(source, target, maps, rel_positions)
+    return HomotopyClasses(source, target, maps, class_of, rel_positions)
 
 
 # -- class towers -------------------------------------------------------------

@@ -13,7 +13,7 @@ from operator import contains
 
 import pytest
 
-from dgh.digraph import Digraph, DigraphMap, box_product
+from dgh.digraph import Digraph, DigraphMap, UnionFind, box_product, one_step_pairs
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
 from dgh.nerve import (
@@ -124,6 +124,17 @@ def all_pairs_one_step(target, maps, rel_positions=()):
             if a != b and all(map(contains, allowed, images_b))
         )
     return pairs
+
+
+def union_find_classes(source, target, maps, rel_positions=()):
+    """Class of each map by the earlier route of `homotopy_classes`: list
+    every one-step pair, union the pairs one at a time, and number the
+    classes by least member.  The reference for `one_step_components`."""
+    uf = UnionFind(len(maps))
+    for a, b in one_step_pairs(source, target, maps, rel_positions):
+        uf.union(a, b)
+    roots = {}
+    return [roots.setdefault(uf.find(k), len(roots)) for k in range(len(maps))]
 
 
 def is_isomorphic(g, h):

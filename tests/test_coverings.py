@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgh.digraph import Digraph, DigraphMap, disjoint_union, distance, power_digraph
 from dgh.errors import BadIndex, UnknownVertex
@@ -112,6 +113,44 @@ class TestUniqueLifting:
         assert fast["unique"] is brute["unique"] is False
         assert fast["squares"] == brute["squares"]
         assert fast["witness"]["beta"] == brute["witness"]["beta"]
+
+    def test_arrow_of_a_outside_b_goes_to_enumeration(self, fold):
+        # a shares b's vertices 0 and 2 but its arrow 2 -> 0 is not in b,
+        # so a lift of b need not restrict to a map on a
+        a = Digraph([0, 2], [(2, 0)])
+        b = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        fast = check_unique_lifting(fold, a, b)
+        brute = _squares_by_enumeration(fold, a, b)
+        assert fast == brute
+        assert fast["pass"] is False and fast["squares"] == 3
+        assert fast["witness"]["beta"] == ["0", "1", "2"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_spread_matches_enumeration_on_random_pairs(self, fold, data):
+        n = data.draw(st.integers(1, 4))
+        steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        b_arrows = data.draw(st.sets(steps, max_size=6))
+        b = Digraph(range(n), [(u, v) for u, v in b_arrows if u != v])
+        a_vertices = data.draw(st.sets(st.sampled_from(b.vertices), min_size=1))
+        inside = sorted(
+            (u, v) for u, v in b.arrows if u in a_vertices and v in a_vertices
+        )
+        a_arrows = data.draw(st.sets(st.sampled_from(inside))) if inside else set()
+        # now and then an arrow of a that b lacks
+        missing = [
+            (u, v) for u in a_vertices for v in a_vertices
+            if u != v and (u, v) not in b.arrows
+        ]
+        if missing and data.draw(st.booleans()):
+            a_arrows.add(data.draw(st.sampled_from(missing)))
+        a = Digraph(sorted(a_vertices), [(u, v) for u, v in a_arrows if u != v])
+        fast = check_unique_lifting(fold, a, b)
+        brute = _squares_by_enumeration(fold, a, b)
+        assert fast["pass"] is brute["pass"]
+        assert fast["squares"] == brute["squares"]
+        if not fast["pass"]:
+            assert fast["witness"]["beta"] == brute["witness"]["beta"]
 
     def test_vertex_outside_b_is_unknown(self, fold):
         a = Digraph([0, 9], [(0, 9)])

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from dgh import digraph, homotopy
 from dgh.digraph import (
     Digraph,
     DigraphMap,
@@ -26,12 +29,14 @@ from dgh.nerve import nerve_functor_map
 from dgh.homology import induced_homology_map
 
 from conftest import (
+    cycle,
     floyd_warshall,
     is_isomorphic,
     line,
     naive_components,
     naive_digraph_maps,
     naive_one_step,
+    union_find_classes,
 )
 
 
@@ -169,6 +174,51 @@ class TestHomotopyClasses:
                     assert absolute.class_of_map(
                         rel.maps[x]
                     ) == absolute.class_of_map(rel.maps[y])
+
+    def test_classes_match_union_find_on_tower_stages(self):
+        # the 24 r-tower stages of C3 and C4 at n = 1, boundary pinned
+        for g in (cycle(3), cycle(4)):
+            stages = an_tower(g, 0, 1, "r", 12).stages
+            assert len(stages) == 12
+            for classes in stages:
+                assert classes.class_of == union_find_classes(
+                    classes.source, g, classes.maps, classes.rel_positions
+                )
+
+    def test_discrete_maps_are_their_own_classes(self):
+        classes = homotopy_classes(Digraph(range(5)), Digraph(range(3)))
+        assert classes.class_of == list(range(243))
+        assert classes.class_of == union_find_classes(
+            classes.source, classes.target, classes.maps
+        )
+
+    def test_classes_list_no_pairs_until_edges_is_read(self, c3, monkeypatch):
+        real = digraph.one_step_pairs
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(digraph, "one_step_pairs", spy)
+        monkeypatch.setattr(homotopy, "one_step_pairs", spy)
+        src = line(3)
+        classes = homotopy_classes(src, c3, rel_part=(0,), target_part=(0,))
+        assert calls == []
+        assert classes.edges == real(src, c3, classes.maps, (0,))
+        assert classes.edges  # read again from the first read
+        assert len(calls) == 1
+
+    def test_many_classes_peak_memory(self):
+        # 16,384 classes of one map each: no set is kept per class
+        tracemalloc.start()
+        try:
+            classes = homotopy_classes(Digraph(range(7)), Digraph(range(4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes.n_classes == 16384
+        assert peak < 8_000_000
 
 
 class TestAnTower:

@@ -46,6 +46,7 @@ from conftest import (
     naive_one_step,
     reference_cubical_boundaries,
     reference_triangulated_boundaries,
+    union_find_classes,
 )
 
 
@@ -355,6 +356,23 @@ def test_classes_match_brute_force_components(g):
     ]
     assert sorted(classes.maps) == sorted(maps)
     assert classes.n_classes == naive_components(maps, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    digraphs(max_vertices=5, max_arrows=8),
+    digraphs(max_vertices=5, max_arrows=10),
+    st.data(),
+)
+def test_classes_match_union_find_over_the_pair_list(source, target, data):
+    rel_part = data.draw(st.lists(st.sampled_from(source.vertices), unique=True))
+    target_part = data.draw(
+        st.none() | st.sets(st.sampled_from(target.vertices), min_size=1)
+    )
+    classes = homotopy_classes(source, target, rel_part, target_part)
+    assert classes.class_of == union_find_classes(
+        source, target, classes.maps, classes.rel_positions
+    )
 
 
 @settings(max_examples=60, deadline=None)
