@@ -16,6 +16,7 @@ from .digraph import (
     Digraph,
     DigraphMap,
     UnionFind,
+    count_digraph_maps,
     distances_from,
     enumerate_digraph_maps,
     iter_digraph_maps,
@@ -353,6 +354,35 @@ def _squares_by_enumeration(p, a, b, budget=DEFAULT_MAX_MAPS):
     return report
 
 
+def _squares_by_counting(p, b, root, budget):
+    """The number of squares of a lifting check that passes, found by
+    counting maps instead of listing them: the number of pairs (beta,
+    anchor) when the counts show that every one of them lifts, else None.
+
+    Let p: E -> B be a verified 1-covering and b weakly connected.  A lift
+    of b is fixed by its value at `root` (the spread, `_spread`), so
+    lift -> (p o lift, lift(root)) is injective into the pairs (beta, e)
+    with beta: b -> B and e in the fiber over beta(root).  If
+    #Hom(b, E) = sum over beta of |p^-1(beta(root))|, that injection
+    between finite sets of one size is onto: every pair lifts, so every
+    spread from every anchor succeeds and the sum is the number of squares.
+
+    The sum is counted only when #Hom(b, B) is at most `budget`, so that a
+    base-map ceiling that listing would trip is left to the listing, which
+    raises.  The live states of a count are held in memory, so there are
+    at most DEFAULT_MAX_MAPS of them, whatever `budget` is.  A count that
+    gives up, and counts that differ, give None.
+    """
+    states = min(budget, DEFAULT_MAX_MAPS)
+    base = count_digraph_maps(b, p.target, states)
+    if base is None or base > budget:
+        return None
+    fiber_sizes = {y: len(xs) for y, xs in _fibers(p).items()}
+    pairs = count_digraph_maps(b, p.target, states, root=root, weight=fiber_sizes)
+    lifts = count_digraph_maps(b, p.source, states)
+    return pairs if pairs is not None and pairs == lifts else None
+
+
 def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     """Count the commutative squares (maps b -> target together with
     compatible partial lifts on a) and verify each has exactly one diagonal.
@@ -362,8 +392,10 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
 
     When a is a non-empty subdigraph of b (its arrows among b's), p is a
     verified 1-covering and a and b are each weakly connected, a lift is
-    determined by its value at one anchor vertex, so squares and lifts
-    spread in linear time; otherwise the check lists them
+    determined by its value at one anchor vertex.  A pass is then settled
+    by counting maps (`_squares_by_counting`), without listing any; when
+    the counts do not settle it, the squares and lifts spread in linear
+    time per base map.  Otherwise the check lists them
     (`_squares_by_enumeration`).  At most `budget` base maps.
 
     One spread settles most squares: a lift of b through the anchor
@@ -381,10 +413,13 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
         and len(pi0(b)) == 1
     ):
         return _squares_by_enumeration(p, a, b, budget)
+    a0 = a.vertices[0]
+    squares = _squares_by_counting(p, b, a0, budget)
+    if squares is not None:
+        return {"squares": squares, "unique": True, "pass": True}
     report = {"squares": 0, "unique": True, "pass": True}
     fibers = _fibers(p)
     lifts, steps = _step_lifts(groups), _steps(p.source)
-    a0 = a.vertices[0]
     root = b.index(a0)
     plan_a = _spread_plan(a, a0, b._index)
     plan_b = _spread_plan(b, a0, b._index)
@@ -410,11 +445,14 @@ def check_unique_lifting_all_horns(p, side, n):
     base-map enumeration and the spread across horns.
 
     Each candidate lift is determined by its value over the grid origin
-    (which lies in every horn when n >= 2), so one spread per (base map,
-    anchor) settles all horns at once: a valid spread is the unique lift of
-    every horn square with that anchor; an invalid spread can only break a
-    horn whose restricted square is itself valid, which is then reported.
-    Requires a verified one-arrow covering (raises otherwise).
+    (which lies in every horn when n >= 2).  When every (base map, anchor)
+    pair lifts to the cube, every horn passes with that many squares, and
+    counting maps settles this without listing any (`_squares_by_counting`).
+    Otherwise one spread per pair settles all horns at once: a valid spread
+    is the unique lift of every horn square with that anchor; an invalid
+    spread can only break a horn whose restricted square is itself valid,
+    which is then reported.  Requires a verified one-arrow covering (raises
+    otherwise).
     """
     if n < 2:
         raise BadIndex("the shared-anchor route needs n >= 2; use the generic check")
@@ -423,35 +461,37 @@ def check_unique_lifting_all_horns(p, side, n):
         raise InputError("the shared-anchor route needs a verified 1-covering")
     cube = cube_realization(standard_interval(side), n)
     horn_list = [(i, eps) for i in range(1, n + 1) for eps in (0, 1)]
-    fibers = _fibers(p)
-    lifts, steps = _step_lifts(groups), _steps(p.source)
     origin = cube.vertices[0]
-    cube_plan = _spread_plan(cube, origin, cube._index)
-    horn_plans = {
-        key: _spread_plan(
-            cube.induced(horn_vertices(side, n, *key)), origin, cube._index
-        )
+    squares = _squares_by_counting(p, cube, origin, MAX_HORN_BASE_MAPS)
+    reports = {
+        key: {"squares": squares or 0, "unique": True, "pass": True}
         for key in horn_list
     }
-    reports = {
-        key: {"squares": 0, "unique": True, "pass": True} for key in horn_list
-    }
-    for beta in iter_digraph_maps(cube, p.target, budget=MAX_HORN_BASE_MAPS):
-        for anchor in fibers.get(beta[0], []):
-            if _spread(cube_plan, lifts, steps, beta, 0, anchor) is not None:
-                for key in horn_list:
-                    reports[key]["squares"] += 1
-                continue
-            # a horn with a valid restricted square has a lift-less square
-            for key in horn_list:
-                if _spread(horn_plans[key], lifts, steps, beta, 0, anchor) is not None:
-                    reports[key]["squares"] += 1
-                    reports[key]["unique"] = False
-                    reports[key]["pass"] = False
-                    reports[key].setdefault(
-                        "witness",
-                        {"beta": [repr(x) for x in beta], "anchor": repr(anchor)},
-                    )
+    if squares is None:
+        fibers = _fibers(p)
+        lifts, steps = _step_lifts(groups), _steps(p.source)
+        cube_plan = _spread_plan(cube, origin, cube._index)
+        horn_plans = {
+            key: _spread_plan(
+                cube.induced(horn_vertices(side, n, *key)), origin, cube._index
+            )
+            for key in horn_list
+        }
+        for beta in iter_digraph_maps(cube, p.target, budget=MAX_HORN_BASE_MAPS):
+            for anchor in fibers.get(beta[0], []):
+                if _spread(cube_plan, lifts, steps, beta, 0, anchor) is not None:
+                    for key in horn_list:
+                        reports[key]["squares"] += 1
+                    continue
+                # a horn with a valid restricted square has a lift-less square
+                for key, plan in horn_plans.items():
+                    if _spread(plan, lifts, steps, beta, 0, anchor) is not None:
+                        reports[key]["squares"] += 1
+                        reports[key]["unique"] = False
+                        reports[key]["pass"] = False
+                        reports[key].setdefault("witness", {
+                            "beta": [repr(x) for x in beta], "anchor": repr(anchor),
+                        })
     return {
         "side": side,
         "n": n,

@@ -338,6 +338,66 @@ def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None)
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
+def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None):
+    """The number of digraph maps source -> target, without listing them;
+    with `weight`, a mapping from target vertices to integers (0 for a
+    vertex it lacks), the sum over the maps of weight[image of `root`].
+    None once more than `budget` states are live.
+
+    A transfer-matrix sweep (Díaz, Serna and Thilikos, "Counting
+    H-colorings of partial k-trees", TCS 2002) over the source vertices in
+    order.  After position k is placed, a state is the images of the placed
+    vertices that still have an unplaced neighbour, and it carries the
+    weighted number of partial maps that reach it; a placed vertex with no
+    later neighbour constrains nothing further, so partial maps that agree
+    on the state extend alike.  A vertex with placed neighbours draws its
+    candidates from their images' step sets (equality included), one
+    without draws every target vertex.  The cost follows the number of
+    states, not the number of maps.
+    """
+    index = target._index
+    t = len(target.vertices)
+    # step_sets[u] / step_sets[t + u]: the vertices one step after / before u
+    step_sets = [
+        frozenset(index[w] for w in (v, *follow(v)))
+        for follow in (target.successors, target.predecessors)
+        for v in target.vertices
+    ]
+    everything = range(t)
+    n = len(source.vertices)
+    pos = source._index
+    last = list(range(n))  # last[j]: the last position adjacent to j, or j
+    earlier = [[] for _ in range(n)]  # earlier[k]: (j < k, offset into step_sets)
+    for u, v in source.arrows:
+        i, j = pos[u], pos[v]
+        lo, hi = min(i, j), max(i, j)
+        earlier[hi].append((lo, 0 if i < j else t))
+        last[lo] = max(last[lo], hi)
+    ones = [1] * t
+    weights = ones if weight is None else [weight.get(v, 0) for v in target.vertices]
+    root = pos[root] if weight is not None else -1
+    states = {(): 1}
+    live = []  # the positions whose images make up a state, in order
+    for k in range(n):
+        slot = {j: s for s, j in enumerate(live)}
+        checks = [(slot[j], offset) for j, offset in earlier[k]]
+        kept = [s for s, j in enumerate(live) if last[j] > k]
+        grows = last[k] > k
+        live = [live[s] for s in kept] + [k] * grows
+        factor = weights if k == root else ones
+        nxt = {}
+        for state, ways in states.items():
+            head = tuple([state[s] for s in kept])
+            sets = [step_sets[offset + state[s]] for s, offset in checks]
+            for c in reduce(and_, sets) if sets else everything:
+                key = head + (c,) if grows else head
+                nxt[key] = nxt.get(key, 0) + ways * factor[c]
+            if len(nxt) > budget:
+                return None
+        states = nxt
+    return states.get((), 0)
+
+
 def _image_bitsets(target, maps, n):
     """Per source position x < n, in order: {v: the set of b with
     maps[b][x] == v}, as a bitset over the indices of `maps` (see

@@ -117,6 +117,19 @@ class TestExitCodes:
         }
         assert built == []  # the ceiling trips on counted ranks, before any simplex key
 
+    def test_lifting_budget_counts_base_maps(self, files, capsys):
+        # the side-3 square has 7,812 maps into C3, each with a fiber of 2
+        argv = ["check", "lifting", files / "p.json", "--horn", "2,1,0,3"]
+        assert main([str(a) for a in ["--max-maps", "7811", *argv]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            '{"error": "more than 7811 digraph maps during enumeration", '
+            '"kind": "budget"}\n'
+        )
+        assert main([str(a) for a in ["--max-maps", "7812", *argv]]) == 0
+        assert capsys.readouterr().out == '{"pass":true,"squares":15624,"unique":true}\n'
+
     @pytest.mark.parametrize("flag", ["--max-cubes", "--max-maps"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_budget_is_input_error(self, files, capsys, flag, value):

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgh.digraph import Digraph, DigraphMap, disjoint_union, distance, power_digraph
+from dgh import coverings, digraph
+from dgh.digraph import (
+    Digraph,
+    DigraphMap,
+    count_digraph_maps,
+    disjoint_union,
+    distance,
+    power_digraph,
+)
 from dgh.errors import BadIndex, UnknownVertex
 from dgh.coverings import (
     _squares_by_enumeration,
@@ -152,6 +160,47 @@ class TestUniqueLifting:
         if not fast["pass"]:
             assert fast["witness"]["beta"] == brute["witness"]["beta"]
 
+    @pytest.mark.parametrize(
+        "side, n, i, eps",
+        [(side, n, i, eps) for side in (2, 3) for n in (1, 2)
+         for i in range(1, n + 1) for eps in (0, 1)],
+    )
+    def test_counted_squares_match_enumeration(self, fold, side, n, i, eps):
+        horn, cube = horn_inclusion(side, n, i, eps)
+        assert check_unique_lifting(fold, horn, cube) == _squares_by_enumeration(
+            fold, horn, cube
+        )
+
+    def test_non_covering_matches_enumeration(self):
+        # the i3-c3 golden map: the interval 0->1<-2->3 sent to 0, 1, 1, 2
+        i3 = Digraph(range(4), [(0, 1), (2, 1), (2, 3)])
+        p = DigraphMap(i3, cycle(3), {0: 0, 1: 1, 2: 1, 3: 2})
+        horn, cube = horn_inclusion(2, 2, 2, 1)
+        rep = check_unique_lifting(p, horn, cube)
+        assert rep == _squares_by_enumeration(p, horn, cube)
+        assert rep["pass"] is False and rep["squares"] == 44
+
+    def test_counts_that_differ_fall_back_to_the_spread(self, fold):
+        # C3 -> C6 has only the 6 constant maps, but C3 -> C3 has 6 maps
+        # with fibers of 2 over their images: 6 against 12, so the rotations
+        # are left to the spread, which finds them no square
+        c3 = cycle(3)
+        assert count_digraph_maps(c3, fold.source) == 6
+        sizes = {y: 2 for y in c3.vertices}
+        assert count_digraph_maps(c3, c3, root=0, weight=sizes) == 12
+        assert check_unique_lifting(fold, c3, c3) == {
+            "squares": 6, "unique": True, "pass": True,
+        }
+
+    def test_counted_check_lists_no_map(self, fold, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("a map was listed")
+
+        monkeypatch.setattr(digraph, "iter_digraph_maps", listing)
+        monkeypatch.setattr(coverings, "iter_digraph_maps", listing)
+        rep = check_unique_lifting(fold, *horn_inclusion(3, 2, 1, 0))
+        assert rep == {"squares": 15624, "unique": True, "pass": True}
+
     def test_vertex_outside_b_is_unknown(self, fold):
         a = Digraph([0, 9], [(0, 9)])
         with pytest.raises(UnknownVertex, match=r"^unknown vertex 9$"):
@@ -164,6 +213,29 @@ class TestUniqueLifting:
                 horn, cube = horn_inclusion(2, 2, i, eps)
                 rep = check_unique_lifting(fold, horn, cube)
                 assert shared["horns"][f"{i},{eps}"]["squares"] == rep["squares"]
+
+    def test_all_horns_fall_back_when_the_cube_does_not_lift(self):
+        # the square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover:
+        # a 1-covering through which the square does not close up
+        base = Digraph(range(4), [(0, 1), (1, 3), (0, 2), (2, 3)])
+        cover = Digraph(
+            [(v, s) for s in (0, 1) for v in range(4)],
+            [((u, s), (v, s)) for u, v in ((0, 1), (1, 3), (0, 2)) for s in (0, 1)]
+            + [((2, s), (3, 1 - s)) for s in (0, 1)],
+        )
+        p = DigraphMap(cover, base, {v: v[0] for v in cover.vertices})
+        assert is_one_covering(p)
+        shared = check_unique_lifting_all_horns(p, 2, 2)
+        assert shared["pass"] is False
+        for i in (1, 2):
+            for eps in (0, 1):
+                horn, cube = horn_inclusion(2, 2, i, eps)
+                one = check_unique_lifting(p, horn, cube)
+                brute = _squares_by_enumeration(p, horn, cube)
+                assert one["pass"] is brute["pass"] is False
+                assert one["witness"]["beta"] == brute["witness"]["beta"]
+                witness = shared["horns"][f"{i},{eps}"]["witness"]
+                assert witness == {k: one["witness"][k] for k in ("beta", "anchor")}
 
 
 class TestHypotheses:

@@ -14,6 +14,7 @@ from dgh.digraph import (
     Digraph,
     DigraphMap,
     DigraphPair,
+    count_digraph_maps,
     enumerate_digraph_maps,
     one_step_pairs,
     pi0,
@@ -59,6 +60,55 @@ def digraphs(max_vertices=5, max_arrows=10):
         return Digraph(range(n), [(u, v) for (u, v) in raw if u != v])
 
     return build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    digraphs(max_vertices=6, max_arrows=9),
+    digraphs(max_vertices=4, max_arrows=7),
+    st.data(),
+)
+def test_map_count_is_the_enumerated_count(source, target, data):
+    maps = enumerate_digraph_maps(source, target)
+    assert count_digraph_maps(source, target) == len(maps)
+    root = data.draw(st.sampled_from(source.vertices))
+    weighted = data.draw(st.sets(st.sampled_from(target.vertices)))
+    weight = {v: data.draw(st.integers(-3, 5)) for v in weighted}
+    at_root = source.index(root)
+    expected = sum(weight.get(images[at_root], 0) for images in maps)
+    assert count_digraph_maps(source, target, root=root, weight=weight) == expected
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (Digraph([]), cycle(3)),
+        (Digraph([]), Digraph([])),
+        (Digraph(range(3)), cycle(3)),
+        (Digraph(range(3)), Digraph([])),
+        (Digraph(range(5), [(3, 1), (1, 4)]), line(2)),
+        (Digraph(range(4), [(0, 3), (3, 0)]), cycle(2)),
+    ],
+    ids=["empty", "empty-into-empty", "no-arrows", "into-empty", "isolated",
+         "two-cycle"],
+)
+def test_map_count_on_degenerate_sources(source, target):
+    maps = enumerate_digraph_maps(source, target)
+    assert count_digraph_maps(source, target) == len(maps)
+    if source.vertices:
+        weight = {v: k + 2 for k, v in enumerate(target.vertices)}
+        root = source.vertices[-1]
+        assert count_digraph_maps(source, target, root=root, weight=weight) == sum(
+            weight[images[-1]] for images in maps
+        )
+
+
+def test_map_count_gives_up_past_the_state_budget():
+    # sweeping line(3) into C3 holds 3 states, one per image of the last vertex
+    assert count_digraph_maps(line(3), cycle(3), budget=3) == 3 * 2**3
+    assert count_digraph_maps(line(3), cycle(3), budget=2) is None
+    # ten isolated vertices: 3^10 maps, but never more than one state
+    assert count_digraph_maps(Digraph(range(10)), cycle(3), budget=1) == 3**10
 
 
 @settings(max_examples=60, deadline=None)
