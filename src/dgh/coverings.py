@@ -15,7 +15,6 @@ from .config import DEFAULT_MAX_MAPS, MAX_HORN_BASE_MAPS
 from .digraph import (
     Digraph,
     DigraphMap,
-    UnionFind,
     count_digraph_maps,
     distances_from,
     enumerate_digraph_maps,
@@ -23,8 +22,8 @@ from .digraph import (
     pi0,
     power_digraph,
 )
-from .errors import BadIndex, InputError
-from .nerve import cube_realization, horn_vertices
+from .errors import BadIndex
+from .nerve import cube_realization, horn_inclusion, horn_vertices
 from .intervals import standard_interval
 
 
@@ -233,11 +232,8 @@ def check_lifting_hypotheses(a, b):
         if any((u, v) not in linked for u in ins for v in ins):
             weakest = "connected"
             # chain the agreement relation
-            position = {v: k for k, v in enumerate(ins)}
-            uf = UnionFind(len(ins))
-            for u, v in linked:
-                uf.union(position[u], position[v])
-            if len(set(map(uf.find, range(len(ins))))) > 1:
+            chained = Digraph(ins, [(u, v) for u, v in linked if u != v])
+            if len(pi0(chained)) > 1:
                 weakest = False
                 break
     result["2"] = weakest
@@ -396,12 +392,14 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     by counting maps (`_squares_by_counting`), without listing any; when
     the counts do not settle it, the squares and lifts spread in linear
     time per base map.  Otherwise the check lists them
-    (`_squares_by_enumeration`).  At most `budget` base maps.
+    (`_squares_by_enumeration`).  At most `budget` base maps.  Either route
+    stops at the first square without a unique lift (the witness), and
+    `squares` counts the squares up to and including it.
 
     One spread settles most squares: a lift of b through the anchor
     restricts to a lift of a through it, which is then the square (the one
-    lift of a there).  Only when b's spread breaks is a spread, to tell a
-    square without a lift (the failure) from no square at all.
+    lift of a there).  Only when b's spread breaks is a spread too, to tell
+    a square without a lift (the failure) from no square at all.
     """
     b.check_vertices(a.vertices)
     groups = _step_groups(p)
@@ -441,62 +439,27 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
 
 
 def check_unique_lifting_all_horns(p, side, n):
-    """Unique lifting against every (i, eps) horn of one cube, sharing the
-    base-map enumeration and the spread across horns.
+    """Unique lifting against every (i, eps) horn of the side^n cube: one
+    `check_unique_lifting` per horn, with at most MAX_HORN_BASE_MAPS base
+    maps, so a horn report is the one `dgh check lifting` prints for that
+    horn (within the CLI's map budget).
 
-    Each candidate lift is determined by its value over the grid origin
-    (which lies in every horn when n >= 2).  When every (base map, anchor)
-    pair lifts to the cube, every horn passes with that many squares, and
-    counting maps settles this without listing any (`_squares_by_counting`).
-    Otherwise one spread per pair settles all horns at once: a valid spread
-    is the unique lift of every horn square with that anchor; an invalid
-    spread can only break a horn whose restricted square is itself valid,
-    which is then reported.  Requires a verified one-arrow covering (raises
-    otherwise).
+    On a verified 1-covering a pass is settled by counting maps, without
+    listing any; a failing horn stops at its first square without a lift,
+    which is its witness.  Any p and any n >= 1 will do.
     """
-    if n < 2:
-        raise BadIndex("the shared-anchor route needs n >= 2; use the generic check")
-    groups = _step_groups(p)
-    if _covering_witness(p, groups) is not None:
-        raise InputError("the shared-anchor route needs a verified 1-covering")
-    cube = cube_realization(standard_interval(side), n)
-    horn_list = [(i, eps) for i in range(1, n + 1) for eps in (0, 1)]
-    origin = cube.vertices[0]
-    squares = _squares_by_counting(p, cube, origin, MAX_HORN_BASE_MAPS)
-    reports = {
-        key: {"squares": squares or 0, "unique": True, "pass": True}
-        for key in horn_list
+    horns = {
+        f"{i},{eps}": check_unique_lifting(
+            p, *horn_inclusion(side, n, i, eps), MAX_HORN_BASE_MAPS
+        )
+        for i in range(1, n + 1)
+        for eps in (0, 1)
     }
-    if squares is None:
-        fibers = _fibers(p)
-        lifts, steps = _step_lifts(groups), _steps(p.source)
-        cube_plan = _spread_plan(cube, origin, cube._index)
-        horn_plans = {
-            key: _spread_plan(
-                cube.induced(horn_vertices(side, n, *key)), origin, cube._index
-            )
-            for key in horn_list
-        }
-        for beta in iter_digraph_maps(cube, p.target, budget=MAX_HORN_BASE_MAPS):
-            for anchor in fibers.get(beta[0], []):
-                if _spread(cube_plan, lifts, steps, beta, 0, anchor) is not None:
-                    for key in horn_list:
-                        reports[key]["squares"] += 1
-                    continue
-                # a horn with a valid restricted square has a lift-less square
-                for key, plan in horn_plans.items():
-                    if _spread(plan, lifts, steps, beta, 0, anchor) is not None:
-                        reports[key]["squares"] += 1
-                        reports[key]["unique"] = False
-                        reports[key]["pass"] = False
-                        reports[key].setdefault("witness", {
-                            "beta": [repr(x) for x in beta], "anchor": repr(anchor),
-                        })
     return {
         "side": side,
         "n": n,
-        "horns": {f"{i},{eps}": reports[(i, eps)] for (i, eps) in horn_list},
-        "pass": all(r["pass"] for r in reports.values()),
+        "horns": horns,
+        "pass": all(r["pass"] for r in horns.values()),
     }
 
 

@@ -609,24 +609,6 @@ def uncurry(g, h, k, images):
 # -- connectivity and distance -----------------------------------------
 
 
-class UnionFind:
-    """Disjoint sets on 0..n-1; each root is the least member of its set."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def pi0(g):
     """Weak (orientation-ignoring) connected components.
 

@@ -63,7 +63,7 @@ from operator import add, ne, sub
 
 from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap
-from .errors import BadIndex, BudgetExceeded, InvalidCubicalSet, ParityError
+from .errors import BadIndex, BudgetExceeded, InputError, InvalidCubicalSet, ParityError
 from .intervals import BWD, FWD, standard_interval, truncation
 
 
@@ -834,7 +834,7 @@ def check_rho_properties(n, m):
             rho(m, n, j)
             bar = rho_bar_function(m, n, j)
             record("digraph-map", j, "pass")
-        except Exception as exc:  # construction already validates both maps
+        except InputError as exc:  # construction already validates both maps
             record("digraph-map", j, "fail", str(exc))
             continue
         if n >= 2:
@@ -883,7 +883,7 @@ def check_rho_properties(n, m):
                 tgt = mixed_realization([big] * (j + 1) + [small] * (n - j - 1))
                 try:
                     DigraphMap(qdom, tgt, {v: quotient[v] for v in qdom.vertices})
-                except Exception as exc:
+                except InputError:
                     ok = False
             record(f"seam-face-factors(eps={eps})", j, "pass" if ok else "fail")
         # (iv) and (v): the cylinder end faces

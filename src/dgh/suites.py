@@ -37,6 +37,7 @@ from .coverings import (
     is_l_covering,
     is_one_covering,
 )
+from .errors import InputError, NotInClosed
 from .homology import induced_homology_map
 from .homotopy import (
     DdrWitness,
@@ -266,7 +267,7 @@ def suite_saturation():
                     phi = DigraphMap(sub, target, dict(zip(sub.vertices, images)))
                     try:
                         gp, _, _ = pushout_along_induced_inclusion(g, part, phi)
-                    except Exception:
+                    except InputError:
                         continue  # label collision; not a saturation question
                     image_part = [
                         v for v in gp.vertices if v in set(target.vertices)
@@ -346,8 +347,6 @@ def suite_ddr():
     checks.append(_check("ddr-identity", rep["pass"]))
     # a non-example must fail the distance condition
     i1 = corpus.line(1)
-    from .errors import NotInClosed
-
     try:
         verify_ddr(DdrWitness(i1, [1], {0: 0, 1: 1}))
         checks.append(_check("ddr-non-example-rejected", False))
@@ -864,8 +863,6 @@ def run_suite(name):
             "pass": all(r["pass"] for r in reports),
         }
     if name not in SUITES:
-        from .errors import InputError
-
         raise InputError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'"
         )

@@ -13,7 +13,7 @@ from operator import contains
 
 import pytest
 
-from dgh.digraph import Digraph, DigraphMap, UnionFind, box_product, one_step_pairs
+from dgh.digraph import Digraph, DigraphMap, box_product, one_step_pairs
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
 from dgh.nerve import (
@@ -126,6 +126,24 @@ def all_pairs_one_step(target, maps, rel_positions=()):
     return pairs
 
 
+class UnionFind:
+    """Disjoint sets on 0..n-1; each root is the least member of its set."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
 def union_find_classes(source, target, maps, rel_positions=()):
     """Class of each map by the earlier route of `homotopy_classes`: list
     every one-step pair, union the pairs one at a time, and number the
@@ -135,6 +153,39 @@ def union_find_classes(source, target, maps, rel_positions=()):
         uf.union(a, b)
     roots = {}
     return [roots.setdefault(uf.find(k), len(roots)) for k in range(len(maps))]
+
+
+def hypothesis_two_grade(a, b):
+    """Grade of hypothesis 2 of `check_lifting_hypotheses` by the boolean
+    transitive closure (Warshall) of the linked relation.
+
+    For each vertex x of b, its in-neighbours u, v from a (arrow or
+    equality u -> x in b) are linked when some w of a has w -> u and
+    w -> v, arrows or equality, in a.  "pairwise" when every such pair is
+    linked, "connected" when the closure links every pair at each x, and
+    False when it does not at some x."""
+
+    def step(u, v):
+        return u == v or (u, v) in a.arrows
+
+    grades = set()
+    for x in b.vertices:
+        ins = [u for u in a.vertices if u == x or (u, x) in b.arrows]
+        reach = {
+            (u, v): any(step(w, u) and step(w, v) for w in a.vertices)
+            for u in ins
+            for v in ins
+        }
+        if all(reach.values()):
+            continue
+        for k in ins:
+            for u in ins:
+                for v in ins:
+                    reach[u, v] = reach[u, v] or (reach[u, k] and reach[k, v])
+        grades.add("connected" if all(reach.values()) else "split")
+    if "split" in grades:
+        return False
+    return "connected" if grades else "pairwise"
 
 
 def is_isomorphic(g, h):

@@ -10,6 +10,7 @@ from dgh.digraph import (
     distance,
     power_digraph,
 )
+from dgh.config import MAX_HORN_BASE_MAPS
 from dgh.errors import BadIndex, UnknownVertex
 from dgh.coverings import (
     _squares_by_enumeration,
@@ -23,7 +24,7 @@ from dgh.coverings import (
 )
 from dgh.nerve import horn_inclusion
 
-from conftest import cycle, line
+from conftest import cycle, hypothesis_two_grade, line
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,13 @@ def fold():
     c3 = cycle(3)
     c6 = cycle(6)
     return DigraphMap(c6, c3, {i: i % 3 for i in range(6)})
+
+
+@pytest.fixture(scope="module")
+def non_covering():
+    # the i3-c3 golden map: the interval 0->1<-2->3 sent to 0, 1, 1, 2
+    i3 = Digraph(range(4), [(0, 1), (2, 1), (2, 3)])
+    return DigraphMap(i3, cycle(3), {0: 0, 1: 1, 2: 1, 3: 2})
 
 
 class TestOneCovering:
@@ -171,10 +179,8 @@ class TestUniqueLifting:
             fold, horn, cube
         )
 
-    def test_non_covering_matches_enumeration(self):
-        # the i3-c3 golden map: the interval 0->1<-2->3 sent to 0, 1, 1, 2
-        i3 = Digraph(range(4), [(0, 1), (2, 1), (2, 3)])
-        p = DigraphMap(i3, cycle(3), {0: 0, 1: 1, 2: 1, 3: 2})
+    def test_non_covering_matches_enumeration(self, non_covering):
+        p = non_covering
         horn, cube = horn_inclusion(2, 2, 2, 1)
         rep = check_unique_lifting(p, horn, cube)
         assert rep == _squares_by_enumeration(p, horn, cube)
@@ -214,6 +220,23 @@ class TestUniqueLifting:
                 rep = check_unique_lifting(fold, horn, cube)
                 assert shared["horns"][f"{i},{eps}"]["squares"] == rep["squares"]
 
+    @pytest.mark.parametrize(
+        "name, side, n, verdict",
+        [("fold", 2, 1, True), ("fold", 3, 1, True), ("fold", 2, 2, True),
+         ("fold", 3, 2, True), ("non_covering", 2, 2, False)],
+    )
+    def test_all_horns_are_one_horn_checks(self, request, name, side, n, verdict):
+        p = request.getfixturevalue(name)
+        shared = check_unique_lifting_all_horns(p, side, n)
+        assert (shared["side"], shared["n"], shared["pass"]) == (side, n, verdict)
+        assert shared["horns"] == {
+            f"{i},{eps}": check_unique_lifting(
+                p, *horn_inclusion(side, n, i, eps), MAX_HORN_BASE_MAPS
+            )
+            for i in range(1, n + 1)
+            for eps in (0, 1)
+        }
+
     def test_all_horns_fall_back_when_the_cube_does_not_lift(self):
         # the square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover:
         # a 1-covering through which the square does not close up
@@ -230,12 +253,11 @@ class TestUniqueLifting:
         for i in (1, 2):
             for eps in (0, 1):
                 horn, cube = horn_inclusion(2, 2, i, eps)
-                one = check_unique_lifting(p, horn, cube)
+                one = check_unique_lifting(p, horn, cube, MAX_HORN_BASE_MAPS)
                 brute = _squares_by_enumeration(p, horn, cube)
                 assert one["pass"] is brute["pass"] is False
                 assert one["witness"]["beta"] == brute["witness"]["beta"]
-                witness = shared["horns"][f"{i},{eps}"]["witness"]
-                assert witness == {k: one["witness"][k] for k in ("beta", "anchor")}
+                assert shared["horns"][f"{i},{eps}"] == one
 
 
 class TestHypotheses:
@@ -250,6 +272,21 @@ class TestHypotheses:
         a = b.induced(["a"])
         assert check_lifting_hypotheses(a, b)["1"] is False
         assert check_lifting_hypotheses_dual(a, b)["pass"] is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hypothesis_two_grade_matches_closure(self, data):
+        n = data.draw(st.integers(1, 5))
+        steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        b_arrows = data.draw(st.sets(steps, max_size=12))
+        b = Digraph(range(n), [(u, v) for u, v in b_arrows if u != v])
+        a_vertices = data.draw(st.sets(st.sampled_from(b.vertices)))
+        inside = sorted(
+            (u, v) for u, v in b.arrows if u in a_vertices and v in a_vertices
+        )
+        a_arrows = data.draw(st.sets(st.sampled_from(inside))) if inside else ()
+        a = Digraph(sorted(a_vertices), a_arrows)
+        assert check_lifting_hypotheses(a, b)["2"] == hypothesis_two_grade(a, b)
 
     def test_filtration(self):
         for side in (2, 4):

@@ -1,5 +1,6 @@
 import pytest
 
+from dgh import suites
 from dgh.digraph import Digraph, DigraphMap, box_product, point
 from dgh.errors import IndexMismatch, NotACover, NotInClosed, UnknownVertex
 from dgh.covers import (
@@ -233,3 +234,14 @@ class TestPushoutClosureIdentity:
         phi = DigraphMap.constant(g.induced((1,)), point(), "*")
         with pytest.raises(NotInClosed):
             pushout_closure_identity(g, (1,), phi)
+
+
+class TestSaturationSuite:
+    def test_program_defect_propagates(self, monkeypatch):
+        # only an InputError (a label collision) is skipped as no question
+        def defective(*args):
+            raise TypeError("defect")
+
+        monkeypatch.setattr(suites, "pushout_along_induced_inclusion", defective)
+        with pytest.raises(TypeError, match="defect"):
+            suites.suite_saturation()

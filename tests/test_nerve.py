@@ -438,6 +438,15 @@ class TestRho:
         ]
         assert skipped  # j = 0 has no inside-large-block faces, j = n-1 none inside small
 
+    def test_program_defect_propagates(self, monkeypatch):
+        # only an InputError from the construction is a failed check
+        def defective(*args):
+            raise TypeError("defect")
+
+        monkeypatch.setattr(nerve, "rho", defective)
+        with pytest.raises(TypeError, match="defect"):
+            check_rho_properties(2, 2)
+
 
 class TestDegenerateCubeTest:
     def test_sigma_image(self, c3):
