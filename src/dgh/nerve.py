@@ -325,9 +325,15 @@ class TruncatedCubicalSet:
 
     # -- the full cubical identity list, checked from the tables alone ----
     #
-    # Each identity is a pair of composed index maps per parameter tuple; the
-    # violating cubes x come out of `_mismatches` in increasing order, so the
-    # list reads parameter loops outside and x innermost.
+    # Each identity is a pair of composed index maps per parameter tuple,
+    # each given as (outer, inner) for x -> outer[inner[x]]; a level's
+    # identity map is (None, range).  The violating cubes x come out of
+    # `_mismatches` in increasing order, so the list reads parameter loops
+    # outside and x innermost.  When the outer tables have at most 256
+    # entries (the level-3 face-face identities of N_2(C3) pass through the
+    # 246 cubes of level 2), each side is composed by `bytes.translate` at
+    # about 1 ns per entry, the byte form; `_mismatches` gives its exact
+    # conditions, which a corrupted table can fail.
 
     def validate_identities(self):
         problems = self.identity_violations()
@@ -338,9 +344,11 @@ class TruncatedCubicalSet:
         out = []
         K = self.top_dim
         F, S, C = self.faces, self.degens, self.connections
+        ident = [(None, range(len(level))) for level in self.cubes[:K]]
+        forms = {}
 
         def bad(name, lhs, rhs, *params):
-            for x in _mismatches(lhs, rhs):
+            for x in _mismatches(lhs, rhs, forms):
                 out.append(f"{name}: {(*params, x)}")
 
         for n in range(2, K + 1):  # face-face
@@ -348,26 +356,26 @@ class TruncatedCubicalSet:
                 for i in range(j, n):
                     for e in (0, 1):
                         for e2 in (0, 1):
-                            lhs = _composed(F[n - 1][(i, e)], F[n][(j, e2)])
-                            rhs = _composed(F[n - 1][(j, e2)], F[n][(i + 1, e)])
+                            lhs = (F[n - 1][(i, e)], F[n][(j, e2)])
+                            rhs = (F[n - 1][(j, e2)], F[n][(i + 1, e)])
                             bad("face-face", lhs, rhs, n, i, j, e, e2)
         for n in range(1, K + 1):  # face-degeneracy
             for j in range(1, n + 1):
                 for i in range(1, n + 1):
                     for e in (0, 1):
-                        lhs = _composed(F[n][(i, e)], S[n][j])
+                        lhs = (F[n][(i, e)], S[n][j])
                         if j == i:
-                            rhs = range(len(self.cubes[n - 1]))
+                            rhs = ident[n - 1]
                         elif j < i:
-                            rhs = _composed(S[n - 1][j], F[n - 1][(i - 1, e)])
+                            rhs = (S[n - 1][j], F[n - 1][(i - 1, e)])
                         else:
-                            rhs = _composed(S[n - 1][j - 1], F[n - 1][(i, e)])
+                            rhs = (S[n - 1][j - 1], F[n - 1][(i, e)])
                         bad("face-degeneracy", lhs, rhs, n, i, j, e)
         for n in range(1, K):  # degeneracy-degeneracy
             for i in range(1, n + 1):
                 for j in range(1, i + 1):
-                    lhs = _composed(S[n + 1][j], S[n][i])
-                    rhs = _composed(S[n + 1][i + 1], S[n][j])
+                    lhs = (S[n + 1][j], S[n][i])
+                    rhs = (S[n + 1][i + 1], S[n][j])
                     bad("degeneracy-degeneracy", lhs, rhs, n, i, j)
         for n in range(2, K):  # connection-connection
             for j in range(1, n):
@@ -378,38 +386,38 @@ class TruncatedCubicalSet:
                                 continue
                             if j > i and i > n - 1:
                                 continue
-                            lhs = _composed(C[n + 1][(i, e)], C[n][(j, e2)])
+                            lhs = (C[n + 1][(i, e)], C[n][(j, e2)])
                             if j > i:
-                                rhs = _composed(C[n + 1][(j + 1, e2)], C[n][(i, e)])
+                                rhs = (C[n + 1][(j + 1, e2)], C[n][(i, e)])
                             else:
-                                rhs = _composed(C[n + 1][(i + 1, e)], C[n][(i, e)])
+                                rhs = (C[n + 1][(i + 1, e)], C[n][(i, e)])
                             bad("connection-connection", lhs, rhs, n, i, j, e, e2)
         for n in range(2, K + 1):  # face-connection
             for j in range(1, n):
                 for i in range(1, n + 1):
                     for e in (0, 1):
                         for e2 in (0, 1):
-                            lhs = _composed(F[n][(i, e)], C[n][(j, e2)])
+                            lhs = (F[n][(i, e)], C[n][(j, e2)])
                             if j < i - 1:
-                                rhs = _composed(C[n - 1][(j, e2)], F[n - 1][(i - 1, e)])
+                                rhs = (C[n - 1][(j, e2)], F[n - 1][(i - 1, e)])
                             elif j > i:
-                                rhs = _composed(C[n - 1][(j - 1, e2)], F[n - 1][(i, e)])
+                                rhs = (C[n - 1][(j - 1, e2)], F[n - 1][(i, e)])
                             elif e == e2:
-                                rhs = range(len(self.cubes[n - 1]))
+                                rhs = ident[n - 1]
                             else:
-                                rhs = _composed(S[n - 1][j], F[n - 1][(j, e)])
+                                rhs = (S[n - 1][j], F[n - 1][(j, e)])
                             bad("face-connection", lhs, rhs, n, i, j, e, e2)
         for n in range(1, K):  # connection-degeneracy
             for j in range(1, n + 1):
                 for i in range(1, n + 1):
                     for e in (0, 1):
-                        lhs = _composed(C[n + 1][(i, e)], S[n][j])
+                        lhs = (C[n + 1][(i, e)], S[n][j])
                         if j < i:
-                            rhs = _composed(S[n + 1][j], C[n][(i - 1, e)])
+                            rhs = (S[n + 1][j], C[n][(i - 1, e)])
                         elif j == i:
-                            rhs = _composed(S[n + 1][i], S[n][i])
+                            rhs = (S[n + 1][i], S[n][i])
                         else:
-                            rhs = _composed(S[n + 1][j + 1], C[n][(i, e)])
+                            rhs = (S[n + 1][j + 1], C[n][(i, e)])
                         bad("connection-degeneracy", lhs, rhs, n, i, j, e)
         return out
 
@@ -460,19 +468,61 @@ def _left_level(level):
     return InvalidCubicalSet(f"structure map left the enumerated level {level}")
 
 
-def _composed(outer, inner):
-    """The index map x -> outer[inner[x]], lazily."""
-    return map(outer.__getitem__, inner)
+def _mismatches(lhs, rhs, forms):
+    """The positions x, in increasing order, where outer1[inner1[x]] !=
+    outer2[inner2[x]], for lhs = (outer1, inner1) and rhs = (outer2, inner2);
+    an outer of None stands for the identity.
 
-
-def _mismatches(lhs, rhs):
-    """The positions x, in increasing order, where two index maps differ.
-    Both maps are materialised and compared whole first, since they are
-    almost always equal."""
-    lhs, rhs = list(lhs), list(rhs)
-    if lhs == rhs:
+    Both sides are composed whole and compared first, since they are almost
+    always equal.  The byte form (`_translated`) composes in C with
+    `bytes.translate`; it applies when every outer table has at most 256
+    entries, every entry of the tables is in 0..255 and every inner entry is
+    below the length of its outer table.  Otherwise both sides are
+    composed as lists, so a corrupted entry behaves as an index: a negative
+    one wraps, and one past the end raises IndexError.  `forms` caches the
+    byte form of each table (`_byte_form`) for one check over tables that
+    do not change while it runs."""
+    a = b = None
+    if all(outer is None or len(outer) <= 256 for outer, _ in (lhs, rhs)):
+        a = _translated(*lhs, forms)
+        b = None if a is None else _translated(*rhs, forms)
+    if b is None:
+        a, b = (
+            list(inner if outer is None else map(outer.__getitem__, inner))
+            for outer, inner in (lhs, rhs)
+        )
+    if a == b:
         return ()
-    return compress(count(), map(ne, lhs, rhs))
+    return compress(count(), map(ne, a, b))
+
+
+def _translated(outer, inner, forms):
+    """outer[inner[x]] for every x, as a bytearray, or None when the byte
+    form does not apply (`_mismatches`); outer has at most 256 entries."""
+    if outer is None:
+        return _byte_form(inner, forms)
+    table, data = _byte_form(outer, forms), _byte_form(inner, forms)
+    if table is None or data is None:
+        return None
+    # the inner entries past the end of outer are deleted, so they show as
+    # a shorter result
+    out = data.translate(table.ljust(256, b"\0"), bytes(range(len(outer), 256)))
+    return out if len(out) == len(data) else None
+
+
+def _byte_form(table, forms):
+    """The entries of an index list as a bytearray, or None when one is not
+    an int in 0..255; made once per table and kept in `forms` next to the
+    table, so that the table's id is not reused while `forms` lives.
+    (`bytearray` reads a list of ints faster than `bytes` does.)"""
+    key = id(table)
+    if key not in forms:
+        try:
+            data = bytearray(table)
+        except (TypeError, ValueError):
+            data = None
+        forms[key] = table, data
+    return forms[key][1]
 
 
 def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
@@ -635,6 +685,7 @@ class CubicalMap:
     def naturality_violations(self):
         out = []
         X, Y, L = self.source, self.target, self.levels
+        forms = {}
         for n in range(1, X.top_dim + 1):
             # x in the source of `tables`: L_after(table(x)) == table'(L_before(x))
             for kind, tables, images, before, after in (
@@ -643,10 +694,10 @@ class CubicalMap:
                 ("connection", X.connections[n], Y.connections[n], L[n - 1], L[n]),
             ):
                 for key, table in tables.items():
-                    lhs = _composed(after, table)
-                    rhs = _composed(images[key], before)
+                    lhs = (after, table)
+                    rhs = (images[key], before)
                     msg = f"{kind} {key} at level {n} not natural"
-                    out.extend(msg for _ in _mismatches(lhs, rhs))
+                    out.extend(msg for _ in _mismatches(lhs, rhs, forms))
         return out
 
     def is_injective(self):

@@ -2,6 +2,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgh import nerve
 from dgh.digraph import DigraphMap, box_product, point
@@ -26,6 +27,7 @@ from dgh.nerve import (
 )
 
 from conftest import (
+    cycle,
     degenerate_cube_test,
     is_isomorphic,
     line,
@@ -259,6 +261,62 @@ class TestValidatorTeeth:
         assert problems
         assert problems == naive_naturality_violations(cm)
 
+    def test_identity_list_form_matches_per_cube_loop(self, monkeypatch):
+        # N_1 of the 150-cycle, K=2: the level-2 faces pass through the 300
+        # cubes of level 1, more than a byte indexes, so every identity is
+        # composed as lists
+        x = nerve_levels(cycle(150), 1, 1, 2)
+        assert len(x.cubes[1]) == 300
+        assert x.identity_violations() == naive_identity_violations(x) == []
+        face = x.faces[2][(2, 1)]
+        for k in (0, 7, 50, len(face) - 1):
+            face[k] = (face[k] + 1) % len(x.cubes[1])
+        degen = x.degens[2][1]
+        for k in (1, 4):
+            degen[k] = (degen[k] + 5) % len(x.cubes[2])
+        translate = nerve._translated
+        sides = []
+
+        def spy(*args):
+            sides.append(translate(*args))
+            return sides[-1]
+
+        monkeypatch.setattr(nerve, "_translated", spy)
+        problems = x.identity_violations()
+        assert all(side is None for side in sides)
+        assert len(problems) > 10
+        assert problems == naive_identity_violations(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_identity_list_matches_per_cube_loop_on_random_entries(self, c3, data):
+        # every level of N_1(C3) at K=3 and of N_2(C3) at K=2 has at most 256
+        # cubes, so the byte form runs wherever the corrupted entries allow it
+        m, K = data.draw(st.sampled_from([(1, 3), (2, 2)]))
+        x = nerve_levels(c3, m, 1, K)
+        tables = [(t, len(x.cubes[n - 1])) for n in range(1, K + 1) for t in x.faces[n].values()]
+        for family in (x.degens, x.connections):
+            tables += [(t, len(x.cubes[n])) for n in range(1, K + 1) for t in family[n].values()]
+        for _ in range(data.draw(st.integers(1, 4))):
+            table, size = data.draw(st.sampled_from(tables))
+            k = data.draw(st.integers(0, len(table) - 1))
+            table[k] = data.draw(st.integers(0, size - 1))
+        assert x.identity_violations() == naive_identity_violations(x)
+
+    @pytest.mark.parametrize("entry", ["len", 255, 256, -1, -400])
+    def test_out_of_range_face_entry_matches_per_cube_loop(self, c3, entry):
+        # a level-3 face entry past level 2, past a byte or negative: the
+        # list form indexes with it, as the per-cube loop does
+        x = nerve_levels(c3, 1, 1, 3)
+        x.faces[3][(2, 1)][7] = len(x.cubes[2]) if entry == "len" else entry
+        assert _outcome(x.identity_violations) == _outcome(naive_identity_violations, x)
+
+    @pytest.mark.parametrize("entry", ["len", 255, 256, -1, -400])
+    def test_out_of_range_level_map_entry_matches_per_cube_loop(self, c3, entry):
+        cm = nerve_functor_map(DigraphMap.identity(c3), 1, 3)
+        cm.levels[2][3] = len(cm.levels[2]) if entry == "len" else entry
+        assert _outcome(cm.naturality_violations) == _outcome(naive_naturality_violations, cm)
+
     def test_missing_cube_is_invalid(self, c3):
         # N_1(C3) without the square (0, 0, 1, 1): the walk from the
         # constant 1-cube at 0 to the one at 1 is taken out of the level-2
@@ -277,6 +335,14 @@ class TestValidatorTeeth:
         assert set(x.cubes[2]) - set(y.cubes[2]) == {(0, 0, 1, 1)}
         with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
             y._build_tables()
+
+
+def _outcome(check, *args):
+    """The list a check returns, or the type of the exception it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc)
 
 
 class TestIdentitySchema:
