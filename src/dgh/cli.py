@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULT_MAX_CUBES, DEFAULT_MAX_MAPS, RunConfig
+from .config import DEFAULT_MAX_CUBES, DEFAULT_MAX_MAPS
 from .digraph import INFINITY, pi0
 from .errors import BudgetExceeded, DghError, InputError, InternalError
 from .homology import homology_summary, induced_homology_map, pi1_presentation
@@ -119,7 +119,7 @@ def dimension(text):
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_info(args, cfg):
+def cmd_info(args):
     g = load_digraph(args.digraph)
     return {
         "vertices": len(g.vertices),
@@ -129,19 +129,19 @@ def cmd_info(args, cfg):
     }
 
 
-def cmd_pi0(args, cfg):
+def cmd_pi0(args):
     g = load_digraph(args.digraph)
     comps = pi0(g)
     return {"components": [list(c) for c in comps], "count": len(comps)}
 
 
-def cmd_classes(args, cfg):
+def cmd_classes(args):
     src = load_digraph(args.source)
     dst = load_digraph(args.target)
     rel = parse_vertices(src, args.rel) if args.rel else ()
     target_part = parse_vertices(dst, args.target_part) if args.target_part else None
     classes = homotopy_classes(
-        src, dst, rel_part=rel, target_part=target_part, budget=cfg.max_maps
+        src, dst, rel_part=rel, target_part=target_part, budget=args.max_maps
     )
     return {
         "maps": len(classes.maps),
@@ -150,10 +150,10 @@ def cmd_classes(args, cfg):
     }
 
 
-def cmd_antower(args, cfg):
+def cmd_antower(args):
     g = load_digraph(args.digraph)
     base = parse_vertex(g, args.base)
-    tower = an_tower(g, base, args.n, args.tower, args.stages, budget=cfg.max_maps)
+    tower = an_tower(g, base, args.n, args.tower, args.stages, budget=args.max_maps)
     return {
         "tower": args.tower,
         "n": args.n,
@@ -163,10 +163,10 @@ def cmd_antower(args, cfg):
     }
 
 
-def cmd_nerve(args, cfg):
+def cmd_nerve(args):
     g = load_digraph(args.digraph)
     sign = -1 if args.sign == "-" else 1
-    x = nerve_levels(g, args.m, sign, args.maxdim, cfg.max_cubes)
+    x = nerve_levels(g, args.m, sign, args.maxdim, args.max_cubes)
     report = dict(x.counts())
     report["identity_violations"] = x.identity_violations()
     report["pass"] = not report["identity_violations"]
@@ -186,9 +186,9 @@ def cmd_nerve(args, cfg):
     return report
 
 
-def cmd_homology(args, cfg):
+def cmd_homology(args):
     g = load_digraph(args.digraph)
-    x = nerve_levels(g, args.nerve_m, 1, args.maxdim, cfg.max_cubes)
+    x = nerve_levels(g, args.nerve_m, 1, args.maxdim, args.max_cubes)
     summary = homology_summary(x)
     report = {
         "H": [grp.as_dict() for grp in summary["groups"]],
@@ -204,9 +204,9 @@ def cmd_homology(args, cfg):
     return report
 
 
-def cmd_pi1(args, cfg):
+def cmd_pi1(args):
     g = load_digraph(args.digraph)
-    x = nerve_levels(g, args.nerve_m, 1, max(args.maxdim, 2), cfg.max_cubes)
+    x = nerve_levels(g, args.nerve_m, 1, max(args.maxdim, 2), args.max_cubes)
     base = parse_vertex(g, args.base)
     pres = pi1_presentation(x, base)
     reduced = pres.tietze_reduced()
@@ -220,9 +220,9 @@ def cmd_pi1(args, cfg):
     }
 
 
-def cmd_compare(args, cfg):
+def cmd_compare(args):
     phi = load_map(args.map)
-    cm = nerve_functor_map(phi, args.nerve_m, args.maxdim, cfg.max_cubes)
+    cm = nerve_functor_map(phi, args.nerve_m, args.maxdim, args.max_cubes)
     degrees = {}
     all_iso = True
     for n in range(args.maxdim):
@@ -237,7 +237,7 @@ def cmd_compare(args, cfg):
     return {"degrees": degrees, "iso_below_top": all_iso, "pass": True}
 
 
-def cmd_check_shrinkings(args, cfg):
+def cmd_check_shrinkings(args):
     j = Interval.from_string(args.source)
     j2 = Interval.from_string(args.target)
     shr = enumerate_shrinkings(j, j2)
@@ -248,7 +248,7 @@ def cmd_check_shrinkings(args, cfg):
             j2.to_digraph(),
             rel_part=(0, j.last),
             target_part=(0, j2.last),
-            budget=cfg.max_maps,
+            budget=args.max_maps,
         )
         found = {classes.class_of_map(s.image_tuple()) for s in shr}
         report["single_relative_class"] = len(found) == 1
@@ -264,39 +264,39 @@ def _load_ddr_args(args):
     return g, part, eta
 
 
-def cmd_check_ddr(args, cfg):
+def cmd_check_ddr(args):
     g, part, eta = _load_ddr_args(args)
     return verify_ddr(DdrWitness(g, part, eta))
 
 
-def cmd_check_oddr(args, cfg):
+def cmd_check_oddr(args):
     g, part, eta = _load_ddr_args(args)
     return verify_oddr(g, part, eta)
 
 
-def cmd_check_cover(args, cfg):
+def cmd_check_cover(args):
     g = load_digraph(args.digraph)
     members = load_cover(args.cover)
     fam = SubdigraphFamily(g, members)
-    report = check_cover_union(g, fam, args.maxdim, cfg.max_cubes)
+    report = check_cover_union(g, fam, args.maxdim, args.max_cubes)
     report["nerve_faces"] = [list(f) for f in sorted(nerve_complex(fam).faces)]
     return report
 
 
-def cmd_check_cover_equiv(args, cfg):
+def cmd_check_cover_equiv(args):
     phi = load_map(args.map)
     fam = SubdigraphFamily(phi.source, load_cover(args.cover))
     fam2 = SubdigraphFamily(phi.target, load_cover(args.cover_prime))
-    return check_cover_equivalence(phi, fam, fam2, args.maxdim, cfg.max_cubes)
+    return check_cover_equivalence(phi, fam, fam2, args.maxdim, args.max_cubes)
 
 
-def cmd_nerve_theorem(args, cfg):
+def cmd_nerve_theorem(args):
     g = load_digraph(args.digraph)
     fam = SubdigraphFamily(g, load_cover(args.cover))
-    return nerve_theorem_pipeline(g, fam, args.maxdim, cfg.max_cubes)
+    return nerve_theorem_pipeline(g, fam, args.maxdim, args.max_cubes)
 
 
-def cmd_check_covering(args, cfg):
+def cmd_check_covering(args):
     p = load_map(args.map)
     report = is_l_covering(p, args.l)
     ok, witness = is_one_covering(p, with_witness=True)
@@ -306,17 +306,17 @@ def cmd_check_covering(args, cfg):
     return report
 
 
-def cmd_check_lifting(args, cfg):
+def cmd_check_lifting(args):
     p = load_map(args.map)
     try:
         n, i, eps, side = (int(x) for x in args.horn.split(","))
     except ValueError:
         raise InputError("--horn expects n,i,eps,side") from None
     horn, cube = horn_inclusion(side, n, i, eps)
-    return check_unique_lifting(p, horn, cube, budget=cfg.max_maps)
+    return check_unique_lifting(p, horn, cube, budget=args.max_maps)
 
 
-def cmd_check_kan(args, cfg):
+def cmd_check_kan(args):
     reports = []
     for n in range(1, args.n + 1):
         for i in range(1, n + 1):
@@ -325,12 +325,12 @@ def cmd_check_kan(args, cfg):
     return {"fillers": reports, "pass": all(r["pass"] for r in reports)}
 
 
-def cmd_check_rho(args, cfg):
+def cmd_check_rho(args):
     reports = [check_rho_properties(n, args.m) for n in range(1, args.n + 1)]
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     if args.what != "paper":
         raise InputError("only 'verify paper' is available")
     return run_suite(args.suite)
@@ -469,8 +469,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(args.max_cubes, args.max_maps)
-        report = args.func(args, cfg)
+        for name in ("max_cubes", "max_maps"):
+            if getattr(args, name) <= 0:
+                raise InputError(f"{name} must be positive")
+        report = args.func(args)
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"}), file=sys.stderr)
         return 3

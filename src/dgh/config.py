@@ -1,10 +1,6 @@
-"""Run configuration: the budgets, each defined once."""
+"""The budgets, each defined once."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import InputError
 
 #: ceiling on the cubes of one truncated nerve, summed over its levels
 DEFAULT_MAX_CUBES = 10**6
@@ -17,14 +13,3 @@ MAX_HORN_BASE_MAPS = 10**7
 #: ceiling on one side of a boundary matrix (arbitrary-precision entries
 #: make runtime the only concern)
 MAX_MATRIX_DIM = 20000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    max_cubes: int = DEFAULT_MAX_CUBES
-    max_maps: int = DEFAULT_MAX_MAPS
-
-    def __post_init__(self):
-        for name in ("max_cubes", "max_maps"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")

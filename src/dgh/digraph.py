@@ -20,7 +20,7 @@ import re
 from collections import deque
 from functools import reduce
 from itertools import compress, count
-from operator import and_, contains, getitem, ne, or_
+from operator import and_, contains, getitem, itemgetter, ne, or_
 
 from .config import DEFAULT_MAX_MAPS
 from .errors import (
@@ -266,70 +266,89 @@ def pair_box_product(p, q):
     return DigraphPair(amb, part)
 
 
-def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
-    """Yield all digraph maps source -> target as image tuples.
+def _map_plan(source, target, pinned):
+    """The plan that `iter_digraph_maps` and `count_digraph_maps` share:
+    the source vertices are placed in source order, and a target vertex is
+    named by its index.
 
-    Backtracks over the source vertices in input order, giving each one
-    every target vertex as a candidate in target order (or, for a vertex
-    in `pinned`, the tuple given there), with arrow-consistency pruning
-    against the already assigned neighbours; so the output is
-    lexicographic in candidate order.  Raises BudgetExceeded when more
-    than `budget` maps exist.
+    Returns (checks, candidates, last), indexed by source position k.
+    checks[k] has a pair (j, steps) per arrow between k and an earlier
+    position j: steps[u] is u with its successors (arrow j -> k) or its
+    predecessors (arrow k -> j), so a map sends k into steps[image of j].
+    candidates[k] is pinned[v] as indices, in its order, for a pinned
+    vertex v, and None when every target vertex is a candidate.  last[k]
+    is the last position adjacent to k, or k.
     """
-    svs = source.vertices
-    n = len(svs)
+    index = target._index
+    succ, pred = (
+        [frozenset([index[v], *map(index.__getitem__, follow(v))]) for v in target.vertices]
+        for follow in (target.successors, target.predecessors)
+    )
+    pos = source._index
+    checks = [[] for _ in pos]
+    last = list(range(len(pos)))
+    for u, v in source.sorted_arrows():
+        i, j = sorted((pos[u], pos[v]))
+        checks[j].append((i, succ if pos[u] == i else pred))
+        last[i] = max(last[i], j)
+    pinned = pinned or {}
     candidates = [
-        tuple(pinned[v]) if pinned is not None and v in pinned else target.vertices
-        for v in svs
+        tuple(map(target.index, pinned[v])) if v in pinned else None for v in pos
     ]
-    ok = set(target.arrows)
-    for v in target.vertices:
-        ok.add((v, v))
-    # constraints[k]: arrows between svs[k] and earlier vertices, as
-    # (earlier position, True if arrow earlier->k else k->earlier)
-    pos = {v: k for k, v in enumerate(svs)}
-    constraints = [[] for _ in range(n)]
-    for u, v in source.arrows:
-        i, j = pos[u], pos[v]
-        if i < j:
-            constraints[j].append((i, True))
-        else:
-            constraints[i].append((j, False))
+    return checks, candidates, last
+
+
+def iter_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
+    """Yield all digraph maps source -> target as image tuples, in
+    lexicographic order of the candidates.
+
+    A depth-first walk of `_map_plan`.  A position with placed neighbours
+    draws its candidates from the intersection of their step sets, in
+    target order, or in the order of its tuple in `pinned`; one without
+    takes that tuple or every target vertex.  Each position's candidates
+    are found once per tuple of its neighbours' images.  Raises
+    BudgetExceeded when more than `budget` maps exist.
+    """
+    checks, candidates, _ = _map_plan(source, target, pinned)
+    vertices, index = target.vertices, target._index
+    n = len(checks)
     if n == 0:
         yield ()
         return
     images = [None] * n
+    # memo[k]: position k's candidates by its neighbours' images (or by None)
+    keys = [
+        itemgetter(*[j for j, _ in earlier]) if earlier else None for earlier in checks
+    ]
+    memo = [{} for _ in checks]
+
+    def options(k):
+        key = keys[k] and keys[k](images)
+        got = memo[k].get(key)
+        if got is None:
+            got = candidates[k]
+            if checks[k]:
+                common = reduce(and_, [s[index[images[j]]] for j, s in checks[k]])
+                got = sorted(common) if got is None else [c for c in got if c in common]
+            got = memo[k][key] = vertices if got is None else [vertices[c] for c in got]
+        return got
+
     found = 0
-    stack = [(0, iter(candidates[0]))]
+    stack = [iter(options(0))]
     while stack:
-        k, tried = stack[-1]
-        advanced = False
-        for c in tried:
-            good = True
-            for j, forward in constraints[k]:
-                w = images[j]
-                if forward:
-                    if w != c and (w, c) not in ok:
-                        good = False
-                        break
-                else:
-                    if c != w and (c, w) not in ok:
-                        good = False
-                        break
-            if good:
-                images[k] = c
-                if k + 1 == n:
-                    found += 1
-                    if found > budget:
-                        raise BudgetExceeded(
-                            f"more than {budget} digraph maps during enumeration"
-                        )
-                    yield tuple(images)
-                else:
-                    stack.append((k + 1, iter(candidates[k + 1])))
-                    advanced = True
-                    break
-        if not advanced:
+        k = len(stack) - 1
+        for c in stack[-1]:
+            images[k] = c
+            if k + 1 < n:
+                stack.append(iter(options(k + 1)))
+                break
+            found += 1
+            if found > budget:
+                raise BudgetExceeded(
+                    f"more than {budget} digraph maps during enumeration"
+                )
+            yield tuple(images)
+        else:
             stack.pop()
 
 
@@ -338,49 +357,34 @@ def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None)
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
-def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None):
-    """The number of digraph maps source -> target, without listing them;
-    with `weight`, a mapping from target vertices to integers (0 for a
-    vertex it lacks), the sum over the maps of weight[image of `root`].
+def count_digraph_maps(
+    source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None, pinned=None
+):
+    """The number of the maps `iter_digraph_maps` lists, without listing
+    them; with `weight`, a mapping from target vertices to integers (0 for
+    a vertex it lacks), the sum over the maps of weight[image of `root`].
     None once more than `budget` states are live.
 
     A transfer-matrix sweep (Díaz, Serna and Thilikos, "Counting
-    H-colorings of partial k-trees", TCS 2002) over the source vertices in
-    order.  After position k is placed, a state is the images of the placed
-    vertices that still have an unplaced neighbour, and it carries the
-    weighted number of partial maps that reach it; a placed vertex with no
-    later neighbour constrains nothing further, so partial maps that agree
-    on the state extend alike.  A vertex with placed neighbours draws its
-    candidates from their images' step sets (equality included), one
-    without draws every target vertex.  The cost follows the number of
-    states, not the number of maps.
+    H-colorings of partial k-trees", TCS 2002) over the positions of
+    `_map_plan`.  After position k is placed, a state is the images of the
+    placed positions that still have an unplaced neighbour, and it carries
+    the weighted number of partial maps that reach it; a placed position
+    with no later neighbour constrains nothing further, so partial maps
+    that agree on the state extend alike.  Each state extends by the
+    candidates the lister would draw for the same images, so the cost
+    follows the number of states, not the number of maps.
     """
-    index = target._index
-    t = len(target.vertices)
-    # step_sets[u] / step_sets[t + u]: the vertices one step after / before u
-    step_sets = [
-        frozenset(index[w] for w in (v, *follow(v)))
-        for follow in (target.successors, target.predecessors)
-        for v in target.vertices
-    ]
-    everything = range(t)
-    n = len(source.vertices)
-    pos = source._index
-    last = list(range(n))  # last[j]: the last position adjacent to j, or j
-    earlier = [[] for _ in range(n)]  # earlier[k]: (j < k, offset into step_sets)
-    for u, v in source.arrows:
-        i, j = pos[u], pos[v]
-        lo, hi = min(i, j), max(i, j)
-        earlier[hi].append((lo, 0 if i < j else t))
-        last[lo] = max(last[lo], hi)
-    ones = [1] * t
+    checks, candidates, last = _map_plan(source, target, pinned)
+    everything = range(len(target.vertices))
+    ones = [1] * len(everything)
     weights = ones if weight is None else [weight.get(v, 0) for v in target.vertices]
-    root = pos[root] if weight is not None else -1
+    root = source._index[root] if weight is not None else -1
     states = {(): 1}
     live = []  # the positions whose images make up a state, in order
-    for k in range(n):
+    for k, (earlier, cands) in enumerate(zip(checks, candidates)):
         slot = {j: s for s, j in enumerate(live)}
-        checks = [(slot[j], offset) for j, offset in earlier[k]]
+        reads = [(slot[j], steps) for j, steps in earlier]
         kept = [s for s, j in enumerate(live) if last[j] > k]
         grows = last[k] > k
         live = [live[s] for s in kept] + [k] * grows
@@ -388,8 +392,11 @@ def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, root=None, weigh
         nxt = {}
         for state, ways in states.items():
             head = tuple([state[s] for s in kept])
-            sets = [step_sets[offset + state[s]] for s, offset in checks]
-            for c in reduce(and_, sets) if sets else everything:
+            options = everything if cands is None else cands
+            if reads:
+                common = reduce(and_, [steps[state[s]] for s, steps in reads])
+                options = common if cands is None else [c for c in cands if c in common]
+            for c in options:
                 key = head + (c,) if grows else head
                 nxt[key] = nxt.get(key, 0) + ways * factor[c]
             if len(nxt) > budget:

@@ -93,17 +93,19 @@ def o_digraph(grid44):
 # -- independent oracles ----------------------------------------------------------
 
 
-def naive_digraph_maps(g, h):
-    """All digraph maps by filtering the full assignment product."""
-    out = []
-    for images in product(h.vertices, repeat=len(g.vertices)):
-        lookup = dict(zip(g.vertices, images))
-        if all(
-            lookup[u] == lookup[v] or (lookup[u], lookup[v]) in h.arrows
-            for (u, v) in g.arrows
-        ):
-            out.append(images)
-    return out
+def naive_digraph_maps(g, h, pinned=None):
+    """All digraph maps by filtering the full assignment product, in the
+    product's order: each vertex ranges over its tuple in `pinned`, or else
+    over every target vertex in target order."""
+    pinned = pinned or {}
+    pos = {v: k for k, v in enumerate(g.vertices)}
+    arrows = [(pos[u], pos[v]) for u, v in g.arrows]
+    allowed = set(h.arrows) | {(v, v) for v in h.vertices}
+    return [
+        images
+        for images in product(*[pinned.get(v, h.vertices) for v in g.vertices])
+        if all((images[i], images[j]) in allowed for i, j in arrows)
+    ]
 
 
 def naive_one_step(g, h, a, b):

@@ -174,6 +174,15 @@ class TestBoxHom:
         with pytest.raises(BudgetExceeded):
             box_hom(g, h, vertex_budget=5)
 
+    def test_enumeration_budget_is_exact_on_a_sparse_target(self):
+        # each of the 4 steps of the zigzag stays put or moves one way
+        # round the 30-cycle: 30 * 2**4 maps
+        g, h = line(4), cycle(30)
+        assert len(enumerate_digraph_maps(g, h, budget=480)) == 480
+        message = r"^more than 479 digraph maps during enumeration$"
+        with pytest.raises(BudgetExceeded, match=message):
+            enumerate_digraph_maps(g, h, budget=479)
+
     def test_enumeration_matches_naive_on_corpus(self):
         for g in (line(1), line(2), cycle(3)):
             for h in (line(1), cycle(3), line(2, -1)):

@@ -111,6 +111,57 @@ def test_map_count_gives_up_past_the_state_budget():
     assert count_digraph_maps(Digraph(range(10)), cycle(3), budget=1) == 3**10
 
 
+def _pins(data, source, values):
+    """A random pinned subset of `source`, each vertex with its own tuple
+    of distinct `values` in a random order (possibly empty)."""
+    part = data.draw(st.sets(st.sampled_from(source.vertices)))
+    return {
+        v: tuple(data.draw(st.lists(st.sampled_from(values), unique=True)))
+        for v in sorted(part)
+    }
+
+
+def _check_pinned_maps(source, target, pinned, data):
+    maps = enumerate_digraph_maps(source, target, pinned=pinned)
+    assert maps == naive_digraph_maps(source, target, pinned)
+    assert count_digraph_maps(source, target, pinned=pinned) == len(maps)
+    root = data.draw(st.sampled_from(source.vertices))
+    weight = {v: k - 2 for k, v in enumerate(target.vertices)}
+    at_root = source.index(root)
+    assert count_digraph_maps(
+        source, target, root=root, weight=weight, pinned=pinned
+    ) == sum(weight[images[at_root]] for images in maps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    digraphs(max_vertices=5, max_arrows=9),
+    digraphs(max_vertices=4, max_arrows=7),
+    st.data(),
+)
+def test_pinned_maps_match_product_filter(source, target, data):
+    # the lister keeps each pinned tuple's order, so its list is the
+    # product's list itself, not only the same set
+    _check_pinned_maps(source, target, _pins(data, source, target.vertices), data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, -1]),
+    st.integers(20, 40),
+    st.data(),
+)
+def test_pinned_maps_into_long_cycles(length, sign, size, data):
+    # a sparse target: the candidates come from one or two step sets of
+    # at most two vertices each; the pins lie near one vertex, so that
+    # some of them admit maps
+    source, target = line(length, sign), cycle(size)
+    centre = data.draw(st.integers(0, size - 1))
+    near = [(centre + d) % size for d in range(-3, 4)]
+    _check_pinned_maps(source, target, _pins(data, source, near), data)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     digraphs(max_vertices=4, max_arrows=7),
