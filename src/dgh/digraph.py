@@ -357,9 +357,7 @@ def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None)
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
-def count_digraph_maps(
-    source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None, pinned=None
-):
+def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None):
     """The number of the maps `iter_digraph_maps` lists, without listing
     them; with `weight`, a mapping from target vertices to integers (0 for
     a vertex it lacks), the sum over the maps of weight[image of `root`].
@@ -372,17 +370,17 @@ def count_digraph_maps(
     the weighted number of partial maps that reach it; a placed position
     with no later neighbour constrains nothing further, so partial maps
     that agree on the state extend alike.  Each state extends by the
-    candidates the lister would draw for the same images, so the cost
-    follows the number of states, not the number of maps.
+    candidates the lister would draw, with no pins, for the same images,
+    so the cost follows the number of states, not the number of maps.
     """
-    checks, candidates, last = _map_plan(source, target, pinned)
+    checks, _, last = _map_plan(source, target, None)
     everything = range(len(target.vertices))
     ones = [1] * len(everything)
     weights = ones if weight is None else [weight.get(v, 0) for v in target.vertices]
     root = source._index[root] if weight is not None else -1
     states = {(): 1}
     live = []  # the positions whose images make up a state, in order
-    for k, (earlier, cands) in enumerate(zip(checks, candidates)):
+    for k, earlier in enumerate(checks):
         slot = {j: s for s, j in enumerate(live)}
         reads = [(slot[j], steps) for j, steps in earlier]
         kept = [s for s, j in enumerate(live) if last[j] > k]
@@ -392,11 +390,8 @@ def count_digraph_maps(
         nxt = {}
         for state, ways in states.items():
             head = tuple([state[s] for s in kept])
-            options = everything if cands is None else cands
-            if reads:
-                common = reduce(and_, [steps[state[s]] for s, steps in reads])
-                options = common if cands is None else [c for c in cands if c in common]
-            for c in options:
+            sets = [steps[state[s]] for s, steps in reads]
+            for c in reduce(and_, sets) if sets else everything:
                 key = head + (c,) if grows else head
                 nxt[key] = nxt.get(key, 0) + ways * factor[c]
             if len(nxt) > budget:

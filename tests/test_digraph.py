@@ -183,6 +183,10 @@ class TestBoxHom:
         with pytest.raises(BudgetExceeded, match=message):
             enumerate_digraph_maps(g, h, budget=479)
 
+    def test_pinned_value_outside_the_target_is_unknown(self):
+        with pytest.raises(UnknownVertex, match=r"^unknown vertex 7$"):
+            enumerate_digraph_maps(line(1), cycle(3), pinned={0: (7,)})
+
     def test_enumeration_matches_naive_on_corpus(self):
         for g in (line(1), line(2), cycle(3)):
             for h in (line(1), cycle(3), line(2, -1)):

@@ -121,16 +121,9 @@ def _pins(data, source, values):
     }
 
 
-def _check_pinned_maps(source, target, pinned, data):
+def _check_pinned_maps(source, target, pinned):
     maps = enumerate_digraph_maps(source, target, pinned=pinned)
     assert maps == naive_digraph_maps(source, target, pinned)
-    assert count_digraph_maps(source, target, pinned=pinned) == len(maps)
-    root = data.draw(st.sampled_from(source.vertices))
-    weight = {v: k - 2 for k, v in enumerate(target.vertices)}
-    at_root = source.index(root)
-    assert count_digraph_maps(
-        source, target, root=root, weight=weight, pinned=pinned
-    ) == sum(weight[images[at_root]] for images in maps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,7 +135,7 @@ def _check_pinned_maps(source, target, pinned, data):
 def test_pinned_maps_match_product_filter(source, target, data):
     # the lister keeps each pinned tuple's order, so its list is the
     # product's list itself, not only the same set
-    _check_pinned_maps(source, target, _pins(data, source, target.vertices), data)
+    _check_pinned_maps(source, target, _pins(data, source, target.vertices))
 
 
 @settings(max_examples=12, deadline=None)
@@ -159,7 +152,11 @@ def test_pinned_maps_into_long_cycles(length, sign, size, data):
     source, target = line(length, sign), cycle(size)
     centre = data.draw(st.integers(0, size - 1))
     near = [(centre + d) % size for d in range(-3, 4)]
-    _check_pinned_maps(source, target, _pins(data, source, near), data)
+    _check_pinned_maps(source, target, _pins(data, source, near))
+    # the counter meets the same sparse step sets, without pins
+    maps = enumerate_digraph_maps(source, target)
+    assert maps == naive_digraph_maps(source, target)
+    assert count_digraph_maps(source, target) == len(maps)
 
 
 @settings(max_examples=60, deadline=None)
