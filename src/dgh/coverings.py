@@ -23,7 +23,7 @@ from .digraph import (
     power_digraph,
 )
 from .errors import BadIndex
-from .nerve import cube_realization, horn_inclusion, horn_vertices
+from .nerve import cube_realization, horn_vertices
 from .intervals import standard_interval
 
 
@@ -401,6 +401,13 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     lift of a there).  Only when b's spread breaks is a spread too, to tell
     a square without a lift (the failure) from no square at all.
     """
+    return _unique_lifting(p, a, b, budget, {})
+
+
+def _unique_lifting(p, a, b, budget, counted):
+    """`check_unique_lifting`, with `counted` holding the results of
+    `_squares_by_counting(p, b, root, budget)` by root, for the checks
+    that share p, b and budget."""
     b.check_vertices(a.vertices)
     groups = _step_groups(p)
     if not (
@@ -412,7 +419,9 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     ):
         return _squares_by_enumeration(p, a, b, budget)
     a0 = a.vertices[0]
-    squares = _squares_by_counting(p, b, a0, budget)
+    if a0 not in counted:
+        counted[a0] = _squares_by_counting(p, b, a0, budget)
+    squares = counted[a0]
     if squares is not None:
         return {"squares": squares, "unique": True, "pass": True}
     report = {"squares": 0, "unique": True, "pass": True}
@@ -447,10 +456,16 @@ def check_unique_lifting_all_horns(p, side, n):
     On a verified 1-covering a pass is settled by counting maps, without
     listing any; a failing horn stops at its first square without a lift,
     which is its witness.  Any p and any n >= 1 will do.
+
+    The horns share one cube, so its maps are counted once per anchor: at
+    n >= 2 every horn's first vertex is the origin, and one count serves
+    all 2n horns.
     """
+    cube = cube_realization(standard_interval(side), n)
+    counted = {}
     horns = {
-        f"{i},{eps}": check_unique_lifting(
-            p, *horn_inclusion(side, n, i, eps), MAX_HORN_BASE_MAPS
+        f"{i},{eps}": _unique_lifting(
+            p, cube.induced(horn_vertices(side, n, i, eps)), cube, MAX_HORN_BASE_MAPS, counted
         )
         for i in range(1, n + 1)
         for eps in (0, 1)

@@ -16,10 +16,21 @@ walk,
 where start[a] counts the walks that begin before a, and pos_k[a, b] sums,
 over the heads b' < b of a at step k, the number of walk completions from
 b' (`_rank_tables`; one small table per step over the box-hom arrows and
-the constant steps, none over the cubes).  Every structure map is a walk
-map, read slice by slice and ranked.  On the big side, X_n -> X_{n-1} and
-the level maps, the walks are mapped as they are listed
-(`TruncatedCubicalSet._walk_positions`):
+the constant steps, none over the cubes).
+
+The walks of a level are expanded from per-cube blocks, made once per step
+when the level is added (`_step_arrows`): the head list of each cube, which
+is the step's own list, and its arrow count.  A prefix is extended by the
+blocks of its end, so extending it costs only its own arrows.  The columns
+chain the head blocks: column m lists the heads of each (m-1)-step
+prefix's end, and column j < m repeats the end of each j-step prefix once
+per walk completing it (`_walk_columns`).  The walk-mapped tables and the
+heads search add one offset per arrow taken, read in per-cube blocks cut
+once per table or search (`_extended`, `_blocks`).
+
+Every structure map is a walk map, read slice by slice and ranked.  On the
+big side, X_n -> X_{n-1} and the level maps, the walks are mapped as they
+are listed (`TruncatedCubicalSet._walk_positions`):
 
     d_{1,0} x = d_0 and d_{1,1} x = d_m                (columns 0 and m)
     d_{i,eps} x = (d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m)   for i >= 2
@@ -58,7 +69,7 @@ successors and itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, chain, compress, count, product, repeat
+from itertools import accumulate, chain, compress, count, islice, product, repeat
 from operator import add, ne, sub
 
 from .config import DEFAULT_MAX_CUBES
@@ -154,19 +165,23 @@ class TruncatedCubicalSet:
     steps[n]        : n >= 1, the walk adjacency of level n in interval-word
                       order: steps[n][k][a] lists, sorted, the level-(n-1)
                       cubes that step k of a walk may take from cube a, the
-                      constant step included
+                      constant step included; these are the head blocks of
+                      step k
     index           : [{vertex 1-tuple: position}], for level 0 only
     faces[n]        : {(i, eps): index list}, X_n -> X_{n-1},   1 <= i <= n
     degens[n]       : {i: index list},        X_{n-1} -> X_n,   1 <= i <= n
     connections[n]  : {(i, eps): index list}, X_{n-1} -> X_n,   1 <= i <= n-1
     nondegenerate[n]: a flag per level-n cube
 
-    The rank tables start and pos_k of level n are `_ranks[n]`, from
-    `_rank_tables` over the arrows of each step of steps[n] listed flat
-    (`_arrows[n]`).  The big-side tables map the walks as they are listed
+    The arrows of each step of steps[n] are `_arrows[n]`, listed flat and
+    in per-cube blocks (`_step_arrows`), and the rank tables start and pos_k
+    of level n are `_ranks[n]` (`_rank_tables`).  `_add_level` lists the
+    columns from the head blocks and the walk completions of the ranking
+    (`_walk_columns`).  The big-side tables map the walks as they are listed
     (`_walk_positions`), the small-side tables rank lists read off the
     level-(n-1) columns (`_ranked`), and the box-hom heads are walks
-    constrained slice by slice (`_heads`).  The constructor holds level 0,
+    constrained slice by slice (`_heads`); both extend prefixes by the
+    blocks (`_extended`).  The constructor holds level 0,
     `_add_level` appends a level from its step lists, and `_build_tables`
     builds the tables once every level is there (`nerve_levels`).
     """
@@ -187,12 +202,12 @@ class TruncatedCubicalSet:
     def _add_level(self, steps):
         """Append the next level: the walks along `steps`, its step
         head-lists over the current top level."""
-        size = len(self.cubes[-1])
         arrows = list(map(_step_arrows, steps))
-        columns = _walk_columns(arrows, size)
+        start, pos, completions = _rank_tables(arrows, len(self.cubes[-1]))
+        columns = _walk_columns(steps, completions)
         self.steps.append(steps)
         self._arrows.append(arrows)
-        self._ranks.append(_rank_tables(arrows, size))
+        self._ranks.append((start, pos))
         self.columns.append(columns)
         self.cubes.append(_ImageTuples(self.cubes[-1], columns))
 
@@ -213,7 +228,8 @@ class TruncatedCubicalSet:
         allowed = list(map(set, below))
         start, pos = self._ranks[n]
         arrows = self._arrows[n]
-        offsets = [list(map(p.__getitem__, zip(t, h))) for p, (t, h, _) in zip(pos, arrows)]
+        # pos[k] holds the arrows of step k in walk order
+        offsets = [_blocks(list(p.values()), step[2]) for p, step in zip(pos, arrows)]
         heads, found = [], 0
         for d in zip(*self.columns[n]):
             ends = below[d[0]]
@@ -264,7 +280,7 @@ class TruncatedCubicalSet:
         try:
             first = _padded(list(map(start.__getitem__, f)), pads[0], f)
             offsets = []
-            for (tails, heads, _), j, pad in zip(arrows, crossed, pads[1:]):
+            for (tails, heads, *_), j, pad in zip(arrows, crossed, pads[1:]):
                 mapped = list(map(f.__getitem__, heads))
                 offs = list(map(pos[j].__getitem__, zip(map(f.__getitem__, tails), mapped)))
                 offsets.append(_padded(offs, pad, mapped))
@@ -333,7 +349,9 @@ class TruncatedCubicalSet:
     # entries (the level-3 face-face identities of N_2(C3) pass through the
     # 246 cubes of level 2), each side is composed by `bytes.translate` at
     # about 1 ns per entry, the byte form; `_mismatches` gives its exact
-    # conditions, which a corrupted table can fail.
+    # conditions, which a corrupted table can fail.  An inner entry outside
+    # its outer table is a violation at its cube, and the report names the
+    # table and the entry (`_strays`).
 
     def validate_identities(self):
         problems = self.identity_violations()
@@ -345,11 +363,11 @@ class TruncatedCubicalSet:
         K = self.top_dim
         F, S, C = self.faces, self.degens, self.connections
         ident = [(None, range(len(level))) for level in self.cubes[:K]]
-        forms = {}
+        forms, names = {}, _table_names(self)
 
         def bad(name, lhs, rhs, *params):
             for x in _mismatches(lhs, rhs, forms):
-                out.append(f"{name}: {(*params, x)}")
+                out.append(f"{name}: {(*params, x)}" + _strays(names, (lhs, rhs), x))
 
         for n in range(2, K + 1):  # face-face
             for j in range(1, n + 1):
@@ -470,38 +488,72 @@ def _left_level(level):
 
 def _mismatches(lhs, rhs, forms):
     """The positions x, in increasing order, where outer1[inner1[x]] !=
-    outer2[inner2[x]], for lhs = (outer1, inner1) and rhs = (outer2, inner2);
-    an outer of None stands for the identity.
+    outer2[inner2[x]], for lhs = (outer1, inner1) and rhs = (outer2, inner2),
+    or where an inner entry is outside 0..len(outer)-1; an outer of None
+    stands for the identity.
 
     Both sides are composed whole and compared first, since they are almost
     always equal.  The byte form (`_translated`) composes in C with
     `bytes.translate`; it applies when every outer table has at most 256
     entries, every entry of the tables is in 0..255 and every inner entry is
     below the length of its outer table.  Otherwise both sides are
-    composed as lists, so a corrupted entry behaves as an index: a negative
-    one wraps, and one past the end raises IndexError.  `forms` caches the
-    byte form of each table (`_byte_form`) for one check over tables that
-    do not change while it runs."""
+    composed as lists (`_composed`).  `forms` keeps what is read off each
+    table (`_kept`) for one check over tables that do not change while it
+    runs."""
     a = b = None
     if all(outer is None or len(outer) <= 256 for outer, _ in (lhs, rhs)):
         a = _translated(*lhs, forms)
         b = None if a is None else _translated(*rhs, forms)
     if b is None:
-        a, b = (
-            list(inner if outer is None else map(outer.__getitem__, inner))
-            for outer, inner in (lhs, rhs)
-        )
+        a, b = _composed(*lhs, forms), _composed(*rhs, forms)
     if a == b:
         return ()
     return compress(count(), map(ne, a, b))
+
+
+def _composed(outer, inner, forms):
+    """outer[inner[x]] for every x, as a list, with a marker equal to
+    nothing else where inner[x] is outside 0..len(outer)-1.  The inner
+    entries are checked before composing: a negative one by `_unsigned`,
+    kept in `forms`, and one past the end by the IndexError it raises."""
+    if outer is None:
+        return list(inner)
+    if _kept(forms, _unsigned, inner):
+        try:
+            return list(map(outer.__getitem__, inner))
+        except IndexError:
+            pass
+    stray, size = object(), len(outer)
+    return [outer[y] if 0 <= y < size else stray for y in inner]
+
+
+def _table_names(x):
+    """The face, degeneracy and connection tables of x, by id, named as
+    read off x: faces[n][(i, eps)], degens[n][i], connections[n][(i, eps)]."""
+    return {
+        id(table): f"{attr}[{n}][{key}]"
+        for attr in ("faces", "degens", "connections")
+        for n, tables in enumerate(getattr(x, attr))
+        for key, table in tables.items()
+    }
+
+
+def _strays(names, sides, x):
+    """A note for each side (outer, inner) whose inner entry at x is
+    outside 0..len(outer)-1, naming the inner table by `names` (by id)."""
+    return "".join(
+        f", {names[id(inner)]}[{x}] = {inner[x]} outside 0..{len(outer) - 1}"
+        for outer, inner in sides
+        if outer is not None and not 0 <= inner[x] < len(outer)
+    )
 
 
 def _translated(outer, inner, forms):
     """outer[inner[x]] for every x, as a bytearray, or None when the byte
     form does not apply (`_mismatches`); outer has at most 256 entries."""
     if outer is None:
-        return _byte_form(inner, forms)
-    table, data = _byte_form(outer, forms), _byte_form(inner, forms)
+        return _kept(forms, _byte_form, inner)
+    table, data = _kept(forms, _byte_form, outer), _kept(forms, _byte_form, inner)
     if table is None or data is None:
         return None
     # the inner entries past the end of outer are deleted, so they show as
@@ -510,19 +562,36 @@ def _translated(outer, inner, forms):
     return out if len(out) == len(data) else None
 
 
-def _byte_form(table, forms):
-    """The entries of an index list as a bytearray, or None when one is not
-    an int in 0..255; made once per table and kept in `forms` next to the
-    table, so that the table's id is not reused while `forms` lives.
-    (`bytearray` reads a list of ints faster than `bytes` does.)"""
-    key = id(table)
+def _kept(forms, make, table):
+    """make(table), made once per table and kept in `forms` next to the
+    table, so that the table's id is not reused while `forms` lives."""
+    key = make, id(table)
     if key not in forms:
-        try:
-            data = bytearray(table)
-        except (TypeError, ValueError):
-            data = None
-        forms[key] = table, data
+        forms[key] = table, make(table)
     return forms[key][1]
+
+
+def _unsigned(table):
+    """Whether every entry of an index list is an int of at least 0: the
+    table converts to an array of unsigned C longs, at about half the cost
+    of its minimum."""
+    from array import array  # loaded on first use: 0.3 ms off every start
+
+    try:
+        array("L", table)
+    except (OverflowError, TypeError):
+        return False
+    return True
+
+
+def _byte_form(table):
+    """The entries of an index list as a bytearray, or None when one is not
+    an int in 0..255.  (`bytearray` reads a list of ints faster than
+    `bytes` does.)"""
+    try:
+        return bytearray(table)
+    except (TypeError, ValueError):
+        return None
 
 
 def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
@@ -601,42 +670,54 @@ def _walk_count(steps):
 
 
 def _step_arrows(heads):
-    """The arrows a -> b, b in heads[a], of one step in walk order, as flat
-    lists (tails, heads, bounds): the arrows from a are bounds[a] up to
-    bounds[a + 1]."""
+    """One step's arrows a -> b, b in heads[a], in walk order: the flat
+    lists (tails, heads, bounds), the arrows from a being bounds[a] up to
+    bounds[a + 1], then the per-cube blocks (heads, counts), the head list
+    and the arrow count of each cube.  Made once per step when a level is
+    added; every walk expansion of the level extends its prefixes by these
+    blocks (`_walk_columns`, `_extended`)."""
     counts = list(map(len, heads))
     tails = list(chain.from_iterable(map(repeat, range(len(heads)), counts)))
-    return tails, list(chain.from_iterable(heads)), list(accumulate(counts, initial=0))
+    bounds = list(accumulate(counts, initial=0))
+    return tails, list(chain.from_iterable(heads)), bounds, heads, counts
 
 
 def _rank_tables(arrows, size):
     """The tables that rank the walks along `arrows` (`_step_arrows` per
     step) over `size` cubes in lexicographic order: start[a] counts the
     walks that begin before a, and pos[k][a, b] counts, over the heads
-    b' < b of a at step k, the walk completions from b' (the weights of
-    `_walk_count`).  A step that is not an arrow is missing from pos[k]."""
-    completions = [1] * size
+    b' < b of a at step k, the walk completions from b'.  A step that is
+    not an arrow is missing from pos[k].  Also returns completions[k][a],
+    the number of walks along steps k, k+1, ... from a (the weights of
+    `_walk_count`), for k = 0..m."""
+    completions = [[1] * size]
     pos = []
-    for tails, heads, bounds in reversed(arrows):
-        passed = list(accumulate(map(completions.__getitem__, heads), initial=0))
+    for tails, heads, bounds, _, _ in reversed(arrows):
+        passed = list(accumulate(map(completions[-1].__getitem__, heads), initial=0))
         runs = list(map(passed.__getitem__, bounds))
         pos.append(dict(zip(zip(tails, heads), map(sub, passed, map(runs.__getitem__, tails)))))
-        completions = list(map(sub, runs[1:], runs))
-    pos.reverse()
-    return list(accumulate(completions, initial=0))[:-1], pos
+        completions.append(list(map(sub, runs[1:], runs)))
+    return list(accumulate(completions[-1], initial=0))[:-1], pos[::-1], completions[::-1]
+
+
+def _blocks(values, bounds):
+    """A list over the arrows of one step cut into per-cube blocks: block a
+    holds the values of the arrows from a, bounds[a] up to bounds[a + 1]."""
+    return list(map(values.__getitem__, map(slice, bounds, islice(bounds, 1, None))))
 
 
 def _walk_sums(arrows, first, offsets):
     """For each walk d_0 ... d_k along `arrows` (`_step_arrows` per step),
     in lexicographic order, first[d_0] plus offsets[i][e] for the arrow e
     taken at each step i.  The one-step walks are the first step's arrows,
-    in order; each later step extends the prefixes in order (`_extended`)."""
+    in order; each later step extends the prefixes in order (`_extended`),
+    its offsets cut into per-cube blocks once."""
     if not arrows:
         return list(first)
-    (tails, ends, _), *rest = arrows
+    (tails, ends, *_), *rest = arrows
     sums = list(map(add, map(first.__getitem__, tails), offsets[0]))
     for k, step in enumerate(rest, 1):
-        reached, sums = _extended(ends, sums, step, offsets[k])
+        reached, sums = _extended(ends, sums, step, _blocks(offsets[k], step[2]))
         if k < len(rest):
             ends = list(reached)
     return sums
@@ -644,25 +725,31 @@ def _walk_sums(arrows, first, offsets):
 
 def _extended(ends, sums, step, offsets):
     """The prefixes ending at ends[x] with sums[x], each extended by every
-    arrow e of `step` (`_step_arrows`) from its end, in order: the heads
-    reached, lazily, and the sums plus offsets[e]."""
-    _, heads, bounds = step
-    lo = list(map(bounds.__getitem__, ends))
-    hi = list(map(bounds.__getitem__, map(add, ends, repeat(1))))
-    runs = list(map(slice, lo, hi))  # the arrows from each prefix's end
-    repeated = chain.from_iterable(map(repeat, sums, map(sub, hi, lo)))
-    grown = list(map(add, repeated, chain.from_iterable(map(offsets.__getitem__, runs))))
-    return chain.from_iterable(map(heads.__getitem__, runs)), grown
+    arrow e of `step` from its end, in order: the heads reached, lazily,
+    and the sums plus the offsets of the arrows taken.  Each prefix draws
+    the blocks of its end, the head list and arrow count of `step`
+    (`_step_arrows`) and offsets[end] (`_blocks`), so it costs no more than
+    its own arrows."""
+    _, _, _, heads, counts = step
+    repeated = chain.from_iterable(map(repeat, sums, map(counts.__getitem__, ends)))
+    grown = list(map(add, repeated, chain.from_iterable(map(offsets.__getitem__, ends))))
+    return chain.from_iterable(map(heads.__getitem__, ends)), grown
 
 
-def _walk_columns(arrows, size):
-    """The m+1 columns of the walks along `arrows` (`_step_arrows` per
-    step) over `size` cubes, in lexicographic order: column j holds each
-    walk's d_j, which is d_0 plus the differences d_{i+1} - d_i of the
-    steps i < j (`_walk_sums`)."""
-    moves = [list(map(sub, heads, tails)) for tails, heads, _ in arrows]
-    stays = [[0] * len(tails) for tails, _, _ in arrows]
-    return [_walk_sums(arrows, range(size), moves[:j] + stays[j:]) for j in range(len(arrows) + 1)]
+def _walk_columns(steps, completions):
+    """The m+1 columns of the walks along `steps` (head lists per cube), in
+    lexicographic order, with `completions` from `_rank_tables`: column j
+    holds each walk's d_j.  The j-step prefixes, in order, are the head
+    blocks of step j-1 chained along the (j-1)-step prefixes, and each is
+    the start of completions[j][d_j] consecutive walks, so column j < m
+    repeats each prefix end that often and column m is the ends of the
+    m-step walks themselves."""
+    ends, columns = list(range(len(completions[0]))), []
+    for heads, weights in zip(steps, completions):
+        repeats = map(repeat, ends, map(weights.__getitem__, ends))
+        columns.append(list(chain.from_iterable(repeats)))
+        ends = list(chain.from_iterable(map(heads.__getitem__, ends)))
+    return columns + [ends]
 
 
 # -- maps of truncated cubical sets ----------------------------------------
@@ -686,6 +773,7 @@ class CubicalMap:
         out = []
         X, Y, L = self.source, self.target, self.levels
         forms = {}
+        names = _table_names(X) | {id(level): f"levels[{n}]" for n, level in enumerate(L)}
         for n in range(1, X.top_dim + 1):
             # x in the source of `tables`: L_after(table(x)) == table'(L_before(x))
             for kind, tables, images, before, after in (
@@ -697,7 +785,8 @@ class CubicalMap:
                     lhs = (after, table)
                     rhs = (images[key], before)
                     msg = f"{kind} {key} at level {n} not natural"
-                    out.extend(msg for _ in _mismatches(lhs, rhs, forms))
+                    out.extend(msg + _strays(names, (lhs, rhs), x)
+                               for x in _mismatches(lhs, rhs, forms))
         return out
 
     def is_injective(self):

@@ -328,9 +328,11 @@ def naive_identity_violations(x):
     out = []
     K = x.top_dim
     F, S, C = x.faces, x.degens, x.connections
+    at, notes = _stray_reader(_table_names(x))
 
     def bad(name, detail):
-        out.append(f"{name}: {detail}")
+        out.append(f"{name}: {detail}" + "".join(notes))
+        notes.clear()
 
     for n in range(2, K + 1):  # face-face
         for j in range(1, n + 1):
@@ -338,8 +340,8 @@ def naive_identity_violations(x):
                 for e in (0, 1):
                     for e2 in (0, 1):
                         for c in range(len(x.cubes[n])):
-                            lhs = F[n - 1][(i, e)][F[n][(j, e2)][c]]
-                            rhs = F[n - 1][(j, e2)][F[n][(i + 1, e)][c]]
+                            lhs = at(F[n - 1][(i, e)], F[n][(j, e2)], c)
+                            rhs = at(F[n - 1][(j, e2)], F[n][(i + 1, e)], c)
                             if lhs != rhs:
                                 bad("face-face", (n, i, j, e, e2, c))
     for n in range(1, K + 1):  # face-degeneracy
@@ -347,21 +349,21 @@ def naive_identity_violations(x):
             for i in range(1, n + 1):
                 for e in (0, 1):
                     for c in range(len(x.cubes[n - 1])):
-                        lhs = F[n][(i, e)][S[n][j][c]]
+                        lhs = at(F[n][(i, e)], S[n][j], c)
                         if j == i:
                             rhs = c
                         elif j < i:
-                            rhs = S[n - 1][j][F[n - 1][(i - 1, e)][c]]
+                            rhs = at(S[n - 1][j], F[n - 1][(i - 1, e)], c)
                         else:
-                            rhs = S[n - 1][j - 1][F[n - 1][(i, e)][c]]
+                            rhs = at(S[n - 1][j - 1], F[n - 1][(i, e)], c)
                         if lhs != rhs:
                             bad("face-degeneracy", (n, i, j, e, c))
     for n in range(1, K):  # degeneracy-degeneracy
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 for c in range(len(x.cubes[n - 1])):
-                    lhs = S[n + 1][j][S[n][i][c]]
-                    rhs = S[n + 1][i + 1][S[n][j][c]]
+                    lhs = at(S[n + 1][j], S[n][i], c)
+                    rhs = at(S[n + 1][i + 1], S[n][j], c)
                     if lhs != rhs:
                         bad("degeneracy-degeneracy", (n, i, j, c))
     for n in range(2, K):  # connection-connection
@@ -374,11 +376,11 @@ def naive_identity_violations(x):
                         if j > i and i > n - 1:
                             continue
                         for c in range(len(x.cubes[n - 1])):
-                            lhs = C[n + 1][(i, e)][C[n][(j, e2)][c]]
+                            lhs = at(C[n + 1][(i, e)], C[n][(j, e2)], c)
                             if j > i:
-                                rhs = C[n + 1][(j + 1, e2)][C[n][(i, e)][c]]
+                                rhs = at(C[n + 1][(j + 1, e2)], C[n][(i, e)], c)
                             else:
-                                rhs = C[n + 1][(i + 1, e)][C[n][(i, e)][c]]
+                                rhs = at(C[n + 1][(i + 1, e)], C[n][(i, e)], c)
                             if lhs != rhs:
                                 bad("connection-connection", (n, i, j, e, e2, c))
     for n in range(2, K + 1):  # face-connection
@@ -387,15 +389,15 @@ def naive_identity_violations(x):
                 for e in (0, 1):
                     for e2 in (0, 1):
                         for c in range(len(x.cubes[n - 1])):
-                            lhs = F[n][(i, e)][C[n][(j, e2)][c]]
+                            lhs = at(F[n][(i, e)], C[n][(j, e2)], c)
                             if j < i - 1:
-                                rhs = C[n - 1][(j, e2)][F[n - 1][(i - 1, e)][c]]
+                                rhs = at(C[n - 1][(j, e2)], F[n - 1][(i - 1, e)], c)
                             elif j > i:
-                                rhs = C[n - 1][(j - 1, e2)][F[n - 1][(i, e)][c]]
+                                rhs = at(C[n - 1][(j - 1, e2)], F[n - 1][(i, e)], c)
                             elif e == e2:
                                 rhs = c
                             else:
-                                rhs = S[n - 1][j][F[n - 1][(j, e)][c]]
+                                rhs = at(S[n - 1][j], F[n - 1][(j, e)], c)
                             if lhs != rhs:
                                 bad("face-connection", (n, i, j, e, e2, c))
     for n in range(1, K):  # connection-degeneracy
@@ -403,13 +405,13 @@ def naive_identity_violations(x):
             for i in range(1, n + 1):
                 for e in (0, 1):
                     for c in range(len(x.cubes[n - 1])):
-                        lhs = C[n + 1][(i, e)][S[n][j][c]]
+                        lhs = at(C[n + 1][(i, e)], S[n][j], c)
                         if j < i:
-                            rhs = S[n + 1][j][C[n][(i - 1, e)][c]]
+                            rhs = at(S[n + 1][j], C[n][(i - 1, e)], c)
                         elif j == i:
-                            rhs = S[n + 1][i][S[n][i][c]]
+                            rhs = at(S[n + 1][i], S[n][i], c)
                         else:
-                            rhs = S[n + 1][j + 1][C[n][(i, e)][c]]
+                            rhs = at(S[n + 1][j + 1], C[n][(i, e)], c)
                         if lhs != rhs:
                             bad("connection-degeneracy", (n, i, j, e, c))
     return out
@@ -420,20 +422,54 @@ def naive_naturality_violations(cmap):
     `naturality_violations`."""
     out = []
     X, Y, L = cmap.source, cmap.target, cmap.levels
+    names = _table_names(X)
+    names.update((id(level), f"levels[{n}]") for n, level in enumerate(L))
+    at, notes = _stray_reader(names)
+
+    def bad(msg):
+        out.append(msg + "".join(notes))
+        notes.clear()
+
     for n in range(1, X.top_dim + 1):
         for key, table in X.faces[n].items():
             for c in range(len(X.cubes[n])):
-                if L[n - 1][table[c]] != Y.faces[n][key][L[n][c]]:
-                    out.append(f"face {key} at level {n} not natural")
+                if at(L[n - 1], table, c) != at(Y.faces[n][key], L[n], c):
+                    bad(f"face {key} at level {n} not natural")
         for key, table in X.degens[n].items():
             for c in range(len(X.cubes[n - 1])):
-                if L[n][table[c]] != Y.degens[n][key][L[n - 1][c]]:
-                    out.append(f"degeneracy {key} at level {n} not natural")
+                if at(L[n], table, c) != at(Y.degens[n][key], L[n - 1], c):
+                    bad(f"degeneracy {key} at level {n} not natural")
         for key, table in X.connections[n].items():
             for c in range(len(X.cubes[n - 1])):
-                if L[n][table[c]] != Y.connections[n][key][L[n - 1][c]]:
-                    out.append(f"connection {key} at level {n} not natural")
+                if at(L[n], table, c) != at(Y.connections[n][key], L[n - 1], c):
+                    bad(f"connection {key} at level {n} not natural")
     return out
+
+
+def _table_names(x):
+    """Each structure table of x by id, named as it is read off x."""
+    return {
+        id(table): f"{attr}[{n}][{key}]"
+        for attr in ("faces", "degens", "connections")
+        for n, tables in enumerate(getattr(x, attr))
+        for key, table in tables.items()
+    }
+
+
+def _stray_reader(names):
+    """at(outer, inner, c) reads outer[inner[c]]; when inner[c] is outside
+    0..len(outer)-1 it notes the entry in `notes`, naming the inner table by
+    `names`, and returns a marker equal to nothing else."""
+    notes = []
+
+    def at(outer, inner, c):
+        y = inner[c]
+        if 0 <= y < len(outer):
+            return outer[y]
+        notes.append(f", {names[id(inner)]}[{c}] = {y} outside 0..{len(outer) - 1}")
+        return object()
+
+    return at, notes
 
 
 # -- image-tuple structure tables -------------------------------------------------

@@ -237,6 +237,23 @@ class TestUniqueLifting:
             for eps in (0, 1)
         }
 
+    @pytest.mark.parametrize("n, anchors", [(1, [(2,), (0,)]), (2, [(0, 0)]), (3, [(0, 0, 0)])])
+    def test_all_horns_count_the_cube_once_per_anchor(self, fold, monkeypatch, n, anchors):
+        # at n >= 2 every horn starts at the origin, so one count of the
+        # cube's maps settles all 2n horns; at n = 1 the two horns are the
+        # two endpoints
+        counted = []
+        original = coverings._squares_by_counting
+
+        def spied(p, b, root, budget):
+            counted.append(root)
+            return original(p, b, root, budget)
+
+        monkeypatch.setattr(coverings, "_squares_by_counting", spied)
+        shared = check_unique_lifting_all_horns(fold, 2, n)
+        assert counted == anchors
+        assert shared["pass"] and len(shared["horns"]) == 2 * n
+
     def test_all_horns_fall_back_when_the_cube_does_not_lift(self):
         # the square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover:
         # a 1-covering through which the square does not close up

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import product
 
@@ -172,6 +173,25 @@ class TestNerveLevels:
         x = nerve_levels(c3, 2, 1, 3, budget=self.LEVELS_0_TO_2 + 426342)
         assert x.counts()["cubes"] == [3, 12, 246, 426342]
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_blocks_are_made_per_step_not_per_cube(self, c3, monkeypatch, m):
+        # the per-cube blocks of a step are made once per level and the
+        # offsets cut into blocks once per table or heads search, never once
+        # per cube: as often for 3 target vertices as for 150
+        made = self.spy(monkeypatch, "_step_arrows")
+        cut = self.spy(monkeypatch, "_blocks")
+        runs = []
+        for g in (c3, cycle(150)):
+            made.clear()
+            cut.clear()
+            nerve_levels(g, m, 1, 2)
+            runs.append((len(made), len(cut)))
+        assert runs[0] == runs[1]
+        # m steps per level over levels 1 and 2; the heads search on level
+        # 1 cuts m, and at m = 2 each level-2 face (2, eps) cuts its second
+        # step
+        assert runs[0] == {1: (2, 1), 2: (4, 4)}[m]
+
     def test_budget_trip_at_level_four_stays_small(self, c3):
         # the level-3 columns of N_2(C3) are built, then the level-3 heads
         # pass the arrow bound after a few of the 426,342 cubes
@@ -305,17 +325,55 @@ class TestValidatorTeeth:
 
     @pytest.mark.parametrize("entry", ["len", 255, 256, -1, -400])
     def test_out_of_range_face_entry_matches_per_cube_loop(self, c3, entry):
-        # a level-3 face entry past level 2, past a byte or negative: the
-        # list form indexes with it, as the per-cube loop does
+        # a level-3 face entry past level 2, past a byte or negative is a
+        # violation at its cube that names the table, as in the per-cube loop
         x = nerve_levels(c3, 1, 1, 3)
-        x.faces[3][(2, 1)][7] = len(x.cubes[2]) if entry == "len" else entry
-        assert _outcome(x.identity_violations) == _outcome(naive_identity_violations, x)
+        size = len(x.cubes[2])
+        value = size if entry == "len" else entry
+        x.faces[3][(2, 1)][7] = value
+        problems = x.identity_violations()
+        assert problems == naive_identity_violations(x)
+        note = f", faces[3][(2, 1)][7] = {value} outside 0..{size - 1}"
+        assert [p for p in problems if note in p] == [
+            p for p in problems if p.startswith("face-face: (3,") and p.endswith(f", 7){note}")
+        ]
+        assert any(note in p for p in problems)
 
     @pytest.mark.parametrize("entry", ["len", 255, 256, -1, -400])
     def test_out_of_range_level_map_entry_matches_per_cube_loop(self, c3, entry):
         cm = nerve_functor_map(DigraphMap.identity(c3), 1, 3)
-        cm.levels[2][3] = len(cm.levels[2]) if entry == "len" else entry
-        assert _outcome(cm.naturality_violations) == _outcome(naive_naturality_violations, cm)
+        size = len(cm.levels[2])
+        value = size if entry == "len" else entry
+        cm.levels[2][3] = value
+        problems = cm.naturality_violations()
+        assert problems == naive_naturality_violations(cm)
+        # levels[2] is read at cube 3 by the faces of level 2 and by the
+        # degeneracies and connections of level 3
+        note = f", levels[2][3] = {value} outside 0..{size - 1}"
+        read = {(p.split()[0], p.split(" at level ")[1][0]) for p in problems if note in p}
+        assert read == {("face", "2"), ("degeneracy", "3"), ("connection", "3")}
+
+    def test_out_of_range_entry_fails_dgh_nerve(self, tmp_path, monkeypatch, capsys):
+        from dgh import cli
+
+        build = nerve.TruncatedCubicalSet._build_tables
+
+        def corrupted(x):
+            build(x)
+            x.faces[2][(2, 1)][5] = -1
+
+        monkeypatch.setattr(nerve.TruncatedCubicalSet, "_build_tables", corrupted)
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2], [2, 0]]}))
+        note = ", faces[2][(2, 1)][5] = -1 outside 0..5"
+        assert cli.main(["nerve", str(path), "--m", "1", "--maxdim", "2"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert any(note in p for p in report["identity_violations"])
+        # homology validates the identities first, and stops at the first
+        assert cli.main(["homology", str(path), "--nerve-m", "1", "--maxdim", "2"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "internal" and error["error"].endswith(note)
 
     def test_missing_cube_is_invalid(self, c3):
         # N_1(C3) without the square (0, 0, 1, 1): the walk from the
@@ -335,14 +393,6 @@ class TestValidatorTeeth:
         assert set(x.cubes[2]) - set(y.cubes[2]) == {(0, 0, 1, 1)}
         with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
             y._build_tables()
-
-
-def _outcome(check, *args):
-    """The list a check returns, or the type of the exception it raises."""
-    try:
-        return check(*args)
-    except Exception as exc:
-        return type(exc)
 
 
 class TestIdentitySchema:
