@@ -331,8 +331,6 @@ def cmd_check_rho(args):
 
 
 def cmd_verify(args):
-    if args.what != "paper":
-        raise InputError("only 'verify paper' is available")
     return run_suite(args.suite)
 
 

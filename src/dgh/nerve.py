@@ -182,8 +182,9 @@ class TruncatedCubicalSet:
     level-(n-1) columns (`_ranked`), and the box-hom heads are walks
     constrained slice by slice (`_heads`); both extend prefixes by the
     blocks (`_extended`).  The constructor holds level 0,
-    `_add_level` appends a level from its step lists, and `_build_tables`
-    builds the tables once every level is there (`nerve_levels`).
+    `_add_level` counts and appends a level from its step lists, and
+    `_build_tables` builds the tables once every level is there
+    (`nerve_levels`).
     """
 
     def __init__(self, target, m, sign):
@@ -199,11 +200,17 @@ class TruncatedCubicalSet:
     def top_dim(self):
         return len(self.cubes) - 1
 
-    def _add_level(self, steps):
+    def _add_level(self, steps, remaining):
         """Append the next level: the walks along `steps`, its step
-        head-lists over the current top level."""
+        head-lists over the current top level.  The walks are counted from
+        the rank tables, as the completions from every cube, and
+        BudgetExceeded is raised when they number more than `remaining`,
+        before any walk is listed."""
         arrows = list(map(_step_arrows, steps))
         start, pos, completions = _rank_tables(arrows, len(self.cubes[-1]))
+        walks = sum(completions[0])
+        if walks > remaining:
+            raise BudgetExceeded(f"{walks} walks")
         columns = _walk_columns(steps, completions)
         self.steps.append(steps)
         self._arrows.append(arrows)
@@ -617,22 +624,25 @@ def nerve_levels(g, m=1, sign=1, top_dim=2, budget=DEFAULT_MAX_CUBES):
 
     Budget: raises BudgetExceeded, naming `budget` and the level, when the
     levels hold more than `budget` cubes in total, before any walk of the
-    offending level is built.  The walks are counted exactly first, as a
-    vector-matrix product over the adjacency.  The adjacency search stops
-    early too: each arrow a -> b, a != b, is its own non-constant walk
-    (a, b, b, ...) or (b, a, a, ...), whichever the first step reads, and
-    the |X_{n-1}| constant walks are the others, so
-    |X_n| >= |X_{n-1}| + #arrows.  The structure tables are built only
-    after every level has passed the budget.
+    offending level is listed.  A level n >= 1 holds its walks, counted
+    exactly by the completions its rank tables push back through the
+    adjacency (`_add_level`), so only level 0 is counted as a list.  The
+    adjacency search stops early too: each arrow a -> b, a != b, is its
+    own non-constant walk (a, b, b, ...) or (b, a, a, ...), whichever the
+    first step reads, and the |X_{n-1}| constant walks are the others, so
+    |X_n| >= |X_{n-1}| + #arrows.  That bound caps the heads, the step
+    arrays and the rank tables made before the count at the budget.  The
+    structure tables are built only after every level has passed the
+    budget.
     """
     x = TruncatedCubicalSet(g, m, sign)
     remaining = budget
     for n in range(top_dim + 1):
         try:
             if n:
-                x._add_level(_next_steps(x, remaining))
-            if len(x.cubes[n]) > remaining:
-                raise BudgetExceeded(f"{len(x.cubes[n])} cubes")
+                x._add_level(_next_steps(x, remaining), remaining)
+            elif len(x.cubes[0]) > remaining:
+                raise BudgetExceeded(f"{len(x.cubes[0])} cubes")
         except BudgetExceeded:
             raise BudgetExceeded(
                 f"nerve exceeds {budget} total cubes at level {n}"
@@ -646,27 +656,14 @@ def _next_steps(x, remaining):
     """The step head-lists of the level after the top level of x, in
     interval-word order: the box-hom heads on the top level (`_heads`) at
     the forward steps, and their tails at the backward steps.  Raises
-    BudgetExceeded when the walks along them number more than `remaining`,
-    before any walk is built."""
+    BudgetExceeded when the level after would hold more than `remaining`
+    cubes by the arrow bound (`nerve_levels`)."""
     word = x._word
     if not word:  # m = 0: the one-vertex grid, each level is level 0
         return []
     heads = x._heads(remaining - len(x.cubes[-1]))
     tails = _transposed(heads) if BWD in word else None
-    steps = [heads if step == FWD else tails for step in word]
-    walks = _walk_count(steps)
-    if walks > remaining:
-        raise BudgetExceeded(f"{walks} walks")
-    return steps
-
-
-def _walk_count(steps):
-    """The number of walks whose step k goes from a to one of steps[k][a]:
-    all-ones weights pushed back through the steps, last step first."""
-    weights = [1] * len(steps[0])
-    for heads in reversed(steps):
-        weights = [sum(map(weights.__getitem__, hs)) for hs in heads]
-    return sum(weights)
+    return [heads if step == FWD else tails for step in word]
 
 
 def _step_arrows(heads):
@@ -688,8 +685,9 @@ def _rank_tables(arrows, size):
     walks that begin before a, and pos[k][a, b] counts, over the heads
     b' < b of a at step k, the walk completions from b'.  A step that is
     not an arrow is missing from pos[k].  Also returns completions[k][a],
-    the number of walks along steps k, k+1, ... from a (the weights of
-    `_walk_count`), for k = 0..m."""
+    the number of walks along steps k, k+1, ... from a, for k = 0..m: all
+    ones pushed back through the steps, last step first, so that
+    sum(completions[0]) is the number of walks."""
     completions = [[1] * size]
     pos = []
     for tails, heads, bounds, _, _ in reversed(arrows):
@@ -837,6 +835,11 @@ def _slice_wise_levels(src, dst, vertices, sel):
 # -- the horn filler ---------------------------------------------------------
 
 
+def _central_clamp(x, m):
+    """The central clamp {0..6m} -> {0..2m}: x - 2m, clamped to 0..2m."""
+    return min(max(x - 2 * m, 0), 2 * m)
+
+
 def kan_filler_phi(m, n, i, eps):
     """The filler map from the cube of side 6m onto the (i, eps)-horn of
     side 2m.  Off the distinguished axis it is the central clamp; on the
@@ -852,19 +855,16 @@ def kan_filler_phi(m, n, i, eps):
     def clamp_band(x):
         return min(max(x, 2 * m), 4 * m)
 
-    def central(x):
-        return min(max(x - 2 * m, 0), 2 * m)
-
     def image(v):
         d = max((abs(c - clamp_band(c)) for k, c in enumerate(v) if k != i - 1), default=0)
         out = []
         for k, c in enumerate(v):
             if k != i - 1:
-                out.append(central(c))
+                out.append(_central_clamp(c, m))
             elif eps == 0:
-                out.append(max(central(c), 2 * m - d))
+                out.append(max(_central_clamp(c, m), 2 * m - d))
             else:
-                out.append(min(central(c), d))
+                out.append(min(_central_clamp(c, m), d))
         return tuple(out)
 
     assignment = {v: image(v) for v in domain.vertices}
@@ -887,9 +887,8 @@ def kan_filler_report(m, n, i, eps):
         report["is_digraph_map"] = False
         report["pass"] = False
         return report
-    central = {x: min(max(x - 2 * m, 0), 2 * m) for x in range(6 * m + 1)}
     for v in horn_vertices(6 * m, n, i, eps):
-        expected = tuple(central[c] for c in v)
+        expected = tuple(_central_clamp(c, m) for c in v)
         if phi.assignment[v] != expected:
             report["restricts_to_central_clamp"] = False
             report["witness"] = list(v)
@@ -922,19 +921,15 @@ def rho(m, n, j):
     two = standard_interval(2)
     domain = mixed_realization([big] * n + [two])
     target = mixed_realization([big] * (j + 1) + [small] * (n - j - 1))
-
-    def image(v):
-        out = list(v[:j])
-        out.append(min(v[j], m + 2 - v[n]))
-        out.extend(min(c, m) for c in v[j + 1 : n])
-        return tuple(out)
-
+    # the cylinder coordinate is in 0..2, where the cap leaves it alone
+    image = rho_bar_function(m, n, j)
     return DigraphMap(domain, target, {v: image(v) for v in domain.vertices})
 
 
 def rho_bar_function(m, n, j):
     """rho composed with capping the last cube coordinate to {0, 1, 2}, as
-    a function on grid points."""
+    a function on grid points; on rho's domain the cap is the identity, so
+    this is rho's image formula too."""
 
     def image(v):
         last = min(v[n], 2)

@@ -478,3 +478,12 @@ class TestCommands:
 
     def test_unknown_suite(self, files, capsys):
         assert main(["verify", "paper", "--suite", "nope"]) == 2
+
+    def test_unknown_verify_target(self, capsys):
+        # argparse's choices reject it: exit 2, nothing on stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "other"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'other'" in captured.err

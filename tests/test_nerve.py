@@ -1,12 +1,14 @@
 import json
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgh import nerve
-from dgh.digraph import DigraphMap, box_product, point
+from dgh.config import DEFAULT_MAX_CUBES
+from dgh.corpus import fan_out
+from dgh.digraph import Digraph, DigraphMap, box_product, point
 from dgh.errors import BadIndex, BudgetExceeded, ParityError
 from dgh.intervals import standard_interval
 from dgh.nerve import (
@@ -149,16 +151,17 @@ class TestNerveLevels:
         return calls
 
     def test_arrow_bound_trips_before_the_walk_count(self, c3, monkeypatch):
-        counted = self.spy(monkeypatch, "_walk_count")
+        counted = self.spy(monkeypatch, "_rank_tables")
         built = self.spy(monkeypatch, "_walk_columns")
         budget = self.LEVELS_0_TO_2 + self.ARROW_BOUND - 1
         with pytest.raises(BudgetExceeded, match=f"nerve exceeds {budget} total cubes at level 3$"):
             nerve_levels(c3, 2, 1, 3, budget=budget)
-        assert counted == ["_walk_count"] * 2  # levels 1 and 2 only
+        assert counted == ["_rank_tables"] * 2  # levels 1 and 2 only
         assert built == ["_walk_columns"] * 2
 
     def test_walk_count_trips_before_the_level_is_built(self, c3, monkeypatch):
-        counted = self.spy(monkeypatch, "_walk_count")
+        # the walks are counted from the rank tables' completions
+        counted = self.spy(monkeypatch, "_rank_tables")
         built = self.spy(monkeypatch, "_walk_columns")
         for budget in (
             self.LEVELS_0_TO_2 + self.ARROW_BOUND,
@@ -211,6 +214,30 @@ class TestNerveLevels:
         assert searched == []
         with pytest.raises(BudgetExceeded, match="at level 2$"):
             nerve_levels(c3, 0, 1, 3, budget=8)
+
+    # every word shape: m = 0..3 steps, forward or backward, on digraphs
+    # with cycles, sources, sinks and a single vertex
+    BUDGET_SHAPES = {
+        "c3": cycle(3),
+        "fan": fan_out(),
+        "i1": line(1),
+        "point": point(),
+        "zigzag4": Digraph(range(4), [(0, 1), (2, 1), (2, 3), (0, 3)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUDGET_SHAPES))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", range(4))
+    def test_budget_is_exact_at_every_level(self, m, sign, name):
+        # T_k cubes in levels 0..k: a budget of T_k - 1 trips at level k,
+        # and a budget of T_2 builds the whole truncation
+        g = self.BUDGET_SHAPES[name]
+        counts = nerve_levels(g, m, sign, 2).counts()["cubes"]
+        for k, total in enumerate(accumulate(counts)):
+            short = total - 1
+            with pytest.raises(BudgetExceeded, match=f"^nerve exceeds {short} total cubes at level {k}$"):
+                nerve_levels(g, m, sign, 2, budget=short)
+        assert nerve_levels(g, m, sign, 2, budget=sum(counts)).counts()["cubes"] == counts
 
     def test_opposite_orientation_duality(self, c3):
         # maps from the reversed interval power match maps into the
@@ -388,8 +415,8 @@ class TestValidatorTeeth:
         steps = [[list(hs) for hs in heads] for heads in x.steps[2]]
         steps[0][edges.index((0, 0))].remove(edges.index((1, 1)))
         y = TruncatedCubicalSet(c3, 1, 1)
-        y._add_level(x.steps[1])
-        y._add_level(steps)
+        y._add_level(x.steps[1], DEFAULT_MAX_CUBES)
+        y._add_level(steps, DEFAULT_MAX_CUBES)
         assert set(x.cubes[2]) - set(y.cubes[2]) == {(0, 0, 1, 1)}
         with pytest.raises(InvalidCubicalSet, match="left the enumerated level 2"):
             y._build_tables()

@@ -1,4 +1,5 @@
-"""Surface guard: no public name in `src/dgh` is reached only from tests.
+"""Surface guard: no public name in `src/dgh` is reached only from tests,
+and no private function is reached by nothing.
 
 Every public function, class and method of the package must be referenced
 by name somewhere in `src/dgh` outside its own definition (as a name, an
@@ -6,6 +7,9 @@ attribute, an import alias or an identifier string), open an inline code
 span of README.md (`name(...)` or `Class.name(...)`), or be a qualified
 name in the `LAYERS` table of the benchmark's layer tracer
 (`perfbench/spans.py`).  A test helper belongs in `tests/conftest.py`.
+Every private module-level function and private method must be referenced
+in `src/dgh` outside its own definition, so that a superseded helper does
+not linger.
 
 The package imports nothing but itself and the standard library.
 """
@@ -49,6 +53,23 @@ def _public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_functions(tree):
+    """(qualified name, node) of each private module-level function, and of
+    each private method of a module-level class; a dunder is not private."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs) and _is_private(node.name):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and _is_private(item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
 def readme_names():
     """The name called at the start of an inline code span of README.md:
     `wedge` for `Interval.wedge(other)`."""
@@ -66,13 +87,15 @@ def traced_names():
     return {row.elts[1].value.rsplit(".", 1)[-1] for row in table.elts}
 
 
-def unreferenced_names():
+def unreferenced_names(definitions, words=frozenset()):
+    """module:qualname of each of `definitions` (per syntax tree) that no
+    code of the package references outside its own definition, and that
+    is not among `words`."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     everywhere = sum(map(_references, trees.values()), Counter())
-    words = readme_names() | traced_names()
     out = []
     for module, tree in trees.items():
-        for qualname, node in _public_definitions(tree):
+        for qualname, node in definitions(tree):
             outside = everywhere[node.name] - _references(node)[node.name]
             if outside <= 0 and node.name not in words:
                 out.append(f"{module}:{qualname}")
@@ -80,7 +103,11 @@ def unreferenced_names():
 
 
 def test_every_public_name_is_used_documented_or_traced():
-    assert unreferenced_names() == []
+    assert unreferenced_names(_public_definitions, readme_names() | traced_names()) == []
+
+
+def test_every_private_function_is_used():
+    assert unreferenced_names(_private_functions) == []
 
 
 def imported_modules(tree):
