@@ -25,8 +25,22 @@ blocks of its end, so extending it costs only its own arrows.  The columns
 chain the head blocks: column m lists the heads of each (m-1)-step
 prefix's end, and column j < m repeats the end of each j-step prefix once
 per walk completing it (`_walk_columns`).  The walk-mapped tables and the
-heads search add one offset per arrow taken, read in per-cube blocks cut
-once per table or search (`_extended`, `_blocks`).
+heads search add one offset per arrow taken (`_extended`); the heads search
+ranks the one-step prefixes once and reads each cube's in blocks.
+
+Each step of such an expansion is one addition of two big ints, each a row
+of fixed-width lanes, one lane per extended prefix: the prefix sums, each
+repeated once per arrow taken from its end, and the offsets of those
+arrows, packed into per-cube blocks once per table or search
+(`_packed_blocks`).  No lane carries into the next.  The offsets are
+counts, so no sum is negative; each is looked up before anything is
+packed, so a mapped step that is not an arrow is reported first.  A sum
+is start[d_0] + pos_0[d_0, d_1] + ... along a prefix of a walk of the
+ranked level n, the number of walks listed before the walks that begin
+with that prefix, so it is at most |X_n|, and a lane of w = 1, 2, 4 or 8
+bytes holds it when |X_n| < 2^(8w) (`_lane`).  The repeats of a column
+j < m are joined in lanes the same way.  Every result is read back as a
+list of ints, so the tables stay lists.
 
 Every structure map is a walk map, read slice by slice and ranked.  On the
 big side, X_n -> X_{n-1} and the level maps, the walks are mapped as they
@@ -68,9 +82,11 @@ successors and itself.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, count, islice, product, repeat
-from operator import add, ne, sub
+from operator import add, mul, ne, sub
+from struct import Struct, pack
 
 from .config import DEFAULT_MAX_CUBES
 from .digraph import Digraph, DigraphMap
@@ -171,7 +187,7 @@ class TruncatedCubicalSet:
     faces[n]        : {(i, eps): index list}, X_n -> X_{n-1},   1 <= i <= n
     degens[n]       : {i: index list},        X_{n-1} -> X_n,   1 <= i <= n
     connections[n]  : {(i, eps): index list}, X_{n-1} -> X_n,   1 <= i <= n-1
-    nondegenerate[n]: a flag per level-n cube
+    nondegenerate[n]: a bytearray, a flag 1 or 0 per level-n cube
 
     The arrows of each step of steps[n] are `_arrows[n]`, listed flat and
     in per-cube blocks (`_step_arrows`), and the rank tables start and pos_k
@@ -181,9 +197,9 @@ class TruncatedCubicalSet:
     (`_walk_positions`), the small-side tables rank lists read off the
     level-(n-1) columns (`_ranked`), and the box-hom heads are walks
     constrained slice by slice (`_heads`); both extend prefixes by the
-    blocks (`_extended`).  The constructor holds level 0,
-    `_add_level` counts and appends a level from its step lists, and
-    `_build_tables` builds the tables once every level is there
+    blocks, adding in packed lanes (`_extended`).  The constructor holds
+    level 0, `_add_level` counts and appends a level from its step lists,
+    and `_build_tables` builds the tables once every level is there
     (`nerve_levels`).
     """
 
@@ -222,7 +238,9 @@ class TruncatedCubicalSet:
         """Per cube d of the top level n, the sorted positions of its heads
         in the box hom on level n, d included: at n >= 1 the walks e with e_t
         among the heads of d_t (module docstring), found by extending the
-        prefixes e_0 ... e_t along step t to the heads of d_{t+1}.  Raises
+        prefixes e_0 ... e_t along step t to the heads of d_{t+1}.  The
+        one-step prefixes are ranked once per search, not once per cube:
+        those of d are the blocks of the heads e_0 of d_0.  Raises
         BudgetExceeded as soon as the heads other than the cubes themselves
         number more than `arrow_budget`."""
         n = self.top_dim
@@ -235,17 +253,26 @@ class TruncatedCubicalSet:
         allowed = list(map(set, below))
         start, pos = self._ranks[n]
         arrows = self._arrows[n]
-        # pos[k] holds the arrows of step k in walk order
-        offsets = [_blocks(list(p.values()), step[2]) for p, step in zip(pos, arrows)]
+        lane = _lane(len(self.cubes[n]))
+        # pos[k] holds the arrows of step k in walk order; the first step's
+        # blocks hold the ranks of the one-step prefixes e_0 e_1 themselves
+        values = [list(p.values()) for p in pos]
+        tails, _, _, first_heads, _ = arrows[0]
+        values[0] = list(map(add, map(start.__getitem__, tails), values[0]))
+        offsets = [_packed_blocks(v, step[2], lane) for v, step in zip(values, arrows)]
         heads, found = [], 0
         for d in zip(*self.columns[n]):
             ends = below[d[0]]
-            ranks = list(map(start.__getitem__, ends))
-            for step, offs, slot in zip(arrows, offsets, d[1:]):
-                reached, grown = _extended(ends, ranks, step, offs)
+            reached = chain.from_iterable(map(first_heads.__getitem__, ends))
+            grown = _unpacked(b"".join(map(offsets[0].__getitem__, ends)), lane)
+            for t, slot in enumerate(d[1:], 1):
                 reached = list(reached)
                 keep = list(map(allowed[slot].__contains__, reached))
-                ranks, ends = list(compress(grown, keep)), list(compress(reached, keep))
+                # read lazily by the next step, if there is one
+                ranks, ends = compress(grown, keep), compress(reached, keep)
+                if t < len(arrows):
+                    reached, grown = _extended(list(ends), ranks, arrows[t], offsets[t], lane)
+            ranks = list(ranks)
             found += len(ranks) - 1
             if found > arrow_budget:
                 raise BudgetExceeded(f"more than {arrow_budget} box-hom arrows")
@@ -293,7 +320,7 @@ class TruncatedCubicalSet:
                 offsets.append(_padded(offs, pad, mapped))
         except KeyError:
             raise _left_level(n) from None
-        return _walk_sums(arrows, first, offsets)
+        return _walk_sums(arrows, first, offsets, _lane(len(self.cubes[n])))
 
     def _build_tables(self):
         m = self.m
@@ -326,7 +353,7 @@ class TruncatedCubicalSet:
         self.nondegenerate = self._nondegenerate_flags()
 
     def _nondegenerate_flags(self):
-        flags = [[True] * len(level) for level in self.cubes]
+        flags = [bytearray(b"\1") * len(level) for level in self.cubes]
         for n in range(1, self.top_dim + 1):
             hit = set()
             for table in self.degens[n].values():
@@ -334,7 +361,7 @@ class TruncatedCubicalSet:
             for table in self.connections[n].values():
                 hit.update(table)
             for k in hit:
-                flags[n][k] = False
+                flags[n][k] = 0
         return flags
 
     def nondegenerate_cubes(self, n):
@@ -698,39 +725,75 @@ def _rank_tables(arrows, size):
     return list(accumulate(completions[-1], initial=0))[:-1], pos[::-1], completions[::-1]
 
 
-def _blocks(values, bounds):
-    """A list over the arrows of one step cut into per-cube blocks: block a
-    holds the values of the arrows from a, bounds[a] up to bounds[a + 1]."""
-    return list(map(values.__getitem__, map(slice, bounds, islice(bounds, 1, None))))
+#: the lanes of a packed walk expansion, narrowest first: an unsigned int
+#: of 1, 2, 4 or 8 bytes in native byte order, whose type code `struct` and
+#: `memoryview.cast` read as the same C type
+_LANES = tuple(map(Struct, ("=B", "=H", "=I", "=Q")))
 
 
-def _walk_sums(arrows, first, offsets):
+def _lane(size):
+    """The narrowest lane that holds every integer in 0..size.  The sizes
+    are list lengths, so size <= sys.maxsize < 2**64 and 8 bytes hold it."""
+    return next(lane for lane in _LANES if size < 256 ** lane.size)
+
+
+def _unpacked(data, lane):
+    """The lanes of a packed buffer as a list of ints."""
+    return memoryview(data).cast(lane.format[1]).tolist()
+
+
+def _packed_blocks(values, bounds, lane):
+    """A list over the arrows of one step, packed in `lane` and cut into
+    per-cube blocks: block a holds the values of the arrows from a, bounds[a]
+    up to bounds[a + 1], as bytes.  Made once per table or heads search."""
+    packed = pack(f"={len(values)}{lane.format[1]}", *values)
+    cuts = [b * lane.size for b in bounds]
+    return list(map(packed.__getitem__, map(slice, cuts, islice(cuts, 1, None))))
+
+
+def _walk_sums(arrows, first, offsets, lane):
     """For each walk d_0 ... d_k along `arrows` (`_step_arrows` per step),
     in lexicographic order, first[d_0] plus offsets[i][e] for the arrow e
     taken at each step i.  The one-step walks are the first step's arrows,
     in order; each later step extends the prefixes in order (`_extended`),
-    its offsets cut into per-cube blocks once."""
+    its offsets packed in `lane` and cut into per-cube blocks once."""
     if not arrows:
         return list(first)
     (tails, ends, *_), *rest = arrows
     sums = list(map(add, map(first.__getitem__, tails), offsets[0]))
     for k, step in enumerate(rest, 1):
-        reached, sums = _extended(ends, sums, step, _blocks(offsets[k], step[2]))
+        blocks = _packed_blocks(offsets[k], step[2], lane)
+        reached, sums = _extended(ends, sums, step, blocks, lane)
         if k < len(rest):
             ends = list(reached)
     return sums
 
 
-def _extended(ends, sums, step, offsets):
+def _extended(ends, sums, step, blocks, lane):
     """The prefixes ending at ends[x] with sums[x], each extended by every
     arrow e of `step` from its end, in order: the heads reached, lazily,
     and the sums plus the offsets of the arrows taken.  Each prefix draws
     the blocks of its end, the head list and arrow count of `step`
-    (`_step_arrows`) and offsets[end] (`_blocks`), so it costs no more than
-    its own arrows."""
+    (`_step_arrows`) and blocks[end], its arrows' offsets packed in `lane`
+    (`_packed_blocks`), so it costs no more than its own arrows.
+
+    The addition is one big-int addition over the lanes, one lane per
+    extended prefix: each sum repeated once per arrow taken from its end,
+    joined, plus the offset blocks of the ends, joined.  No lane carries
+    into the next when the sums and offsets are non-negative and every
+    total fits its lane, as for the ranks of a level of at most `size`
+    walks in `_lane(size)` (module docstring).  Each joined buffer is freed
+    once its int exists."""
     _, _, _, heads, counts = step
-    repeated = chain.from_iterable(map(repeat, sums, map(counts.__getitem__, ends)))
-    grown = list(map(add, repeated, chain.from_iterable(map(offsets.__getitem__, ends))))
+    order = sys.byteorder
+    packed = b"".join(map(mul, map(lane.pack, sums), map(counts.__getitem__, ends)))
+    total = int.from_bytes(packed, order)
+    del packed
+    packed = b"".join(map(blocks.__getitem__, ends))
+    total += int.from_bytes(packed, order)
+    size = len(packed)
+    del packed
+    grown = _unpacked(total.to_bytes(size, order), lane)
     return chain.from_iterable(map(heads.__getitem__, ends)), grown
 
 
@@ -740,12 +803,13 @@ def _walk_columns(steps, completions):
     holds each walk's d_j.  The j-step prefixes, in order, are the head
     blocks of step j-1 chained along the (j-1)-step prefixes, and each is
     the start of completions[j][d_j] consecutive walks, so column j < m
-    repeats each prefix end that often and column m is the ends of the
-    m-step walks themselves."""
+    repeats each prefix end that often, as its lane repeated and joined,
+    and column m is the ends of the m-step walks themselves."""
     ends, columns = list(range(len(completions[0]))), []
+    lane = _lane(len(ends))
     for heads, weights in zip(steps, completions):
-        repeats = map(repeat, ends, map(weights.__getitem__, ends))
-        columns.append(list(chain.from_iterable(repeats)))
+        repeats = map(mul, map(lane.pack, ends), map(weights.__getitem__, ends))
+        columns.append(_unpacked(b"".join(repeats), lane))
         ends = list(chain.from_iterable(map(heads.__getitem__, ends)))
     return columns + [ends]
 

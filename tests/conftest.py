@@ -7,9 +7,9 @@ cross-check.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from math import gcd
-from operator import contains
+from operator import add, contains
 
 import pytest
 
@@ -528,6 +528,35 @@ def image_tuple_comparison_levels(t, src, dst):
         index = {cube: k for k, cube in enumerate(dst_level)}
         out.append(_image_lookup(index, src_level, rows))
     return out
+
+
+# -- the walk expansion in list form -------------------------------------------
+#
+# The reference for `nerve._extended` and `nerve._walk_sums`, which add in
+# packed fixed-width lanes: the same expansion with one int addition per
+# walk.
+
+
+def list_extended(ends, sums, step, offsets):
+    """The prefixes ending at ends[x] with sums[x], each extended by every
+    arrow e of `step` (`nerve._step_arrows`) from its end, in order: the
+    heads reached and the sums plus offsets[e], as lists."""
+    _, _, bounds, heads, counts = step
+    blocks = [offsets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    repeated = chain.from_iterable(map(repeat, sums, map(counts.__getitem__, ends)))
+    grown = list(map(add, repeated, chain.from_iterable(map(blocks.__getitem__, ends))))
+    return list(chain.from_iterable(map(heads.__getitem__, ends))), grown
+
+
+def list_walk_sums(arrows, first, offsets):
+    """For each walk d_0 ... d_k along `arrows` (`nerve._step_arrows` per
+    step), in lexicographic order, first[d_0] plus offsets[i][e] for the
+    arrow e taken at each step i: the one-cube walks, extended step by step
+    by `list_extended`."""
+    ends, sums = range(len(first)), first
+    for step, values in zip(arrows, offsets):
+        ends, sums = list_extended(ends, sums, step, values)
+    return list(sums)
 
 
 # -- dense chain-complex references ---------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from itertools import accumulate, product
 
@@ -179,10 +180,10 @@ class TestNerveLevels:
     @pytest.mark.parametrize("m", [1, 2])
     def test_blocks_are_made_per_step_not_per_cube(self, c3, monkeypatch, m):
         # the per-cube blocks of a step are made once per level and the
-        # offsets cut into blocks once per table or heads search, never once
-        # per cube: as often for 3 target vertices as for 150
+        # offsets packed into blocks once per table or heads search, never
+        # once per cube: as often for 3 target vertices as for 150
         made = self.spy(monkeypatch, "_step_arrows")
-        cut = self.spy(monkeypatch, "_blocks")
+        cut = self.spy(monkeypatch, "_packed_blocks")
         runs = []
         for g in (c3, cycle(150)):
             made.clear()
@@ -191,7 +192,7 @@ class TestNerveLevels:
             runs.append((len(made), len(cut)))
         assert runs[0] == runs[1]
         # m steps per level over levels 1 and 2; the heads search on level
-        # 1 cuts m, and at m = 2 each level-2 face (2, eps) cuts its second
+        # 1 packs m, and at m = 2 each level-2 face (2, eps) packs its second
         # step
         assert runs[0] == {1: (2, 1), 2: (4, 4)}[m]
 
@@ -490,6 +491,19 @@ class TestNerveFunctorMap:
         cgf = nerve_functor_map(g.compose(f), 1, 2)
         for n in range(3):
             assert [cg.levels[n][k] for k in cf.levels[n]] == cgf.levels[n]
+
+    def test_four_byte_lanes_on_level_three(self, c3):
+        # the 426,342 level-3 cubes of N_2(C3) are ranked in 4-byte lanes,
+        # the only lanes of that width a nerve test reaches
+        assert nerve._lane(426342).size == 4
+        cm = nerve_functor_map(DigraphMap.identity(c3), 2, 3)
+        for level in cm.levels:
+            assert level == list(range(len(level)))
+        rotation = DigraphMap(c3, c3, {0: 1, 1: 2, 2: 0})
+        cm = nerve_functor_map(rotation, 2, 3)
+        source, target, level = cm.source.cubes[3], cm.target.cubes[3], cm.levels[3]
+        for k in random.Random(3).sample(range(len(source)), 200):
+            assert target[level[k]] == tuple((v + 1) % 3 for v in source[k])
 
 
 class TestComparisonMaps:

@@ -42,6 +42,8 @@ from conftest import (
     image_tuple_functor_levels,
     image_tuple_tables,
     line,
+    list_extended,
+    list_walk_sums,
     naive_components,
     naive_digraph_maps,
     naive_one_step,
@@ -296,6 +298,61 @@ def test_walk_levels_are_the_enumerated_cube_maps(g, m, sign):
 
 
 TABLE_ORACLE_BUDGET = 20_000
+
+
+#: level sizes on both sides of every switch of lane width (1, 2, 4 and 8
+#: bytes); the lane of a size holds every count up to the size itself
+LANE_SIZES = [255, 256, 257, 65535, 65536, 65537, 2**32 - 1, 2**32]
+
+
+def test_lane_widths_switch_where_the_size_needs_a_wider_lane():
+    assert [nerve._lane(size).size for size in LANE_SIZES] == [1, 2, 2, 2, 4, 4, 4, 8]
+
+
+@st.composite
+def walk_steps(draw, max_cubes=5, max_steps=3):
+    """The number n of cubes and the step lists of a few steps over them:
+    steps[k][a] is a sorted list of cubes, possibly empty."""
+    n = draw(st.integers(1, max_cubes))
+    heads = st.lists(st.sets(st.integers(0, n - 1)).map(sorted), min_size=n, max_size=n)
+    return n, draw(st.lists(heads, min_size=1, max_size=max_steps))
+
+
+def counts_up_to(length, cap):
+    """Lists of `length` counts in 0..cap, cap itself drawn half the time."""
+    return st.lists(st.just(cap) | st.integers(0, cap), min_size=length, max_size=length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), walk_steps(max_steps=1), st.sampled_from(LANE_SIZES))
+def test_packed_extension_matches_the_list_form(data, walk, size):
+    # a sum and an offset together reach at most `size`, and reach it when
+    # both are drawn at their caps
+    n, (heads,) = walk
+    step = nerve._step_arrows(heads)
+    ends = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    cap = data.draw(st.integers(0, size))
+    sums = data.draw(counts_up_to(len(ends), cap))
+    offsets = data.draw(counts_up_to(len(step[0]), size - cap))
+    lane = nerve._lane(size)
+    blocks = nerve._packed_blocks(offsets, step[2], lane)
+    reached, grown = nerve._extended(ends, sums, step, blocks, lane)
+    assert (list(reached), grown) == list_extended(ends, sums, step, offsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), walk_steps(), st.sampled_from(LANE_SIZES))
+def test_packed_walk_sums_match_the_list_form(data, walk, size):
+    # the caps of the first values and of each step's offsets add up to
+    # `size`, so every walk sums to at most `size`, and to `size` itself
+    # when its every term is drawn at its cap
+    n, steps = walk
+    arrows = list(map(nerve._step_arrows, steps))
+    caps = [size // (len(steps) + 1)] * len(steps)
+    first = data.draw(counts_up_to(n, size - sum(caps)))
+    offsets = [data.draw(counts_up_to(len(step[0]), cap)) for step, cap in zip(arrows, caps)]
+    sums = nerve._walk_sums(arrows, first, offsets, nerve._lane(size))
+    assert sums == list_walk_sums(arrows, first, offsets)
 
 
 def _largest_fitting(build, top_dim):
