@@ -235,8 +235,7 @@ class HomologyCoordinates:
         uinv = unimodular_inverse(self.u)
         cycles = []
         for i in self.free_rows + self.torsion_rows:
-            e = [1 if k == i else 0 for k in range(self.z)]
-            alpha = mat_vec(uinv, e)
+            alpha = [row[i] for row in uinv]  # uinv times the i-th unit vector
             cycles.append(mat_vec(self.kernel, alpha))
         return cycles
 

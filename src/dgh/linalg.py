@@ -16,6 +16,13 @@ small or empty.  Transforms are built only for callers that read one:
 `kernel_basis`, `solve_integer` and `unimodular_inverse` (U and V), and
 homology coordinates, which read U alone and skip V.
 
+The dense Smith loop takes as pivot the first entry of least absolute
+value in row-major order from (t, t).  Its search goes row by row and
+stops at the first entry of absolute value 1, since nothing is smaller,
+and a unit pivot skips the sweep that checks it divides the rest of the
+block.  `dgh compare` prints matrices read off U, so this rule is part of
+its output and must not change.
+
 Callers factor each matrix once and read everything they need from that
 one result: homology takes ranks and torsion from one factor list per
 boundary, and homology coordinates solve against one factorization of
@@ -88,6 +95,14 @@ def _smith(a, with_v=True, modulus=None):
     modulo it, so D is diagonal over the integers modulo `modulus` but need
     not be a divisibility chain.  Without one, entries can grow doubly
     exponentially in the number of pivots on dense matrices with no unit.
+
+    The pivot of step t is the first entry of least absolute value in
+    row-major order from (t, t).  The search reads one row at a time and
+    stops at the first unit; entries modulo `modulus` are nonnegative, so
+    there too nothing is smaller than 1.  A unit pivot divides everything
+    and skips the divisibility sweep; any other pivot is swept row by row
+    and the first row it does not divide is added to row t.  U is printed
+    by `dgh compare`, so the pivot rule must not change.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
@@ -134,14 +149,14 @@ def _smith(a, with_v=True, modulus=None):
 
     t = 0
     while True:
-        pivot = None
-        best = None
+        pivot = best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
+            sizes = list(map(abs, d[i][t:]))
+            x = min(filter(None, sizes), default=0)
+            if x and (best is None or x < best):
+                best, pivot = x, (i, t + sizes.index(x))
+                if x == 1:
+                    break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -164,19 +179,16 @@ def _smith(a, with_v=True, modulus=None):
                         reduced = False
             if reduced:
                 break
-        # enforce that the pivot divides the remaining block
-        stray = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
-                    stray = i
-                    break
+        # enforce that the pivot divides the remaining block; a unit does
+        p = d[t][t]
+        if abs(p) != 1:
+            stray = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1 :])), None
+            )
             if stray is not None:
-                break
-        if stray is not None:
-            add_row(stray, t, 1)
-            continue
-        if d[t][t] < 0:
+                add_row(stray, t, 1)
+                continue
+        if p < 0:
             negate_row(t)
         t += 1
         if t >= min(rows, cols):

@@ -688,3 +688,112 @@ def dense_noncommuting_degree(cmap):
         if dense_product(dst[n], maps[n], width) != dense_product(maps[n - 1], src[n], width):
             return n
     return None
+
+
+# -- the full-scan Smith loop -----------------------------------------------------
+#
+# `dgh.linalg._smith` as it was before its pivot search stopped at the first
+# unit: every pivot scans the whole remaining block for the first entry of
+# least absolute value, and every pivot, a unit included, is swept for
+# divisibility entry by entry.  The reference for the pivot order, which
+# `dgh compare` prints through U.
+
+
+def full_scan_smith(a, with_v=True, modulus=None):
+    """U, D, V (V None unless `with_v`; U and V None with a `modulus`) by
+    the full-scan pivot rule."""
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    if modulus is None:
+        d = [list(row) for row in a]
+        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        v = [[int(i == j) for j in range(cols)] for i in range(cols)] if with_v else None
+    else:
+        d = [[x % modulus for x in row] for row in a]
+        u = v = None
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
+        if modulus is not None:
+            d[dst] = [x % modulus for x in d[dst]]
+        if u is not None:
+            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, factor):
+        for row in d:
+            row[dst] += factor * row[src]
+            if modulus is not None:
+                row[dst] %= modulus
+        if v is not None:
+            for row in v:
+                row[dst] += factor * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(d[i][j])
+                if x and (best is None or x < best):
+                    best = x
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            reduced = True
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    add_row(t, i, -q)
+                    if d[i][t]:
+                        swap_rows(t, i)
+                        reduced = False
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    add_col(t, j, -q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        reduced = False
+            if reduced:
+                break
+        stray = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i][j] % d[t][t]:
+                    stray = i
+                    break
+            if stray is not None:
+                break
+        if stray is not None:
+            add_row(stray, t, 1)
+            continue
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+        if t >= min(rows, cols):
+            break
+    for i in range(min(rows, cols)):
+        if d[i][i] < 0:
+            negate_row(i)
+    return u, d, v

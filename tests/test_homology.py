@@ -18,6 +18,8 @@ from dgh.homology import (
     pi1_presentation,
 )
 from dgh.linalg import (
+    _rank_and_minor,
+    _smith,
     invariant_factors,
     kernel_basis,
     matmul,
@@ -35,6 +37,7 @@ from conftest import (
     dense_square_defect,
     determinant,
     determinantal_divisor,
+    full_scan_smith,
     line,
     value_keys,
 )
@@ -148,6 +151,86 @@ class TestUnitPivotElimination:
         ]
         assert invariant_factors(a) == [1, 1, 1, 1, 1, 2, 2]
         assert determinantal_divisor(a, 7) == 4
+
+
+@st.composite
+def wide_unit_rich(draw):
+    """Sparse matrices up to 6 x 60 with entries in {-2, ..., 2}, most of
+    them zero, so nearly every pivot is a unit."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2])
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+class TestSmithPivotRule:
+    """`_smith` picks the same pivots as the full-scan loop of
+    `conftest.full_scan_smith`, so U, D and V are equal entry for entry:
+    `dgh compare` prints matrices read off U."""
+
+    def check(self, a):
+        assert _smith(a) == full_scan_smith(a)
+        assert _smith(a, with_v=False) == full_scan_smith(a, with_v=False)
+        _, minor = _rank_and_minor(a)
+        assert _smith(a, modulus=minor) == full_scan_smith(a, modulus=minor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(st.integers(-3, 3)))
+    def test_small_matrices(self, a):
+        self.check(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_unit_rich())
+    def test_wide_unit_rich_matrices(self, a):
+        self.check(a)
+
+    # U, D, V captured from the full-scan loop, one pivot rule each
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            pytest.param(  # row 0's least entry is 2; the first unit is in row 1
+                [[2, 3, 4], [5, 1, 7], [0, -1, 2]],
+                (
+                    [[0, 1, 0], [-2, 1, -5], [5, -2, 13]],
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 32]],
+                    [[0, 1, 11], [1, -5, -62], [0, 0, 1]],
+                ),
+                id="unit-in-later-row",
+            ),
+            pytest.param(  # the -1 comes before the 1 in row 0
+                [[3, -1, 1], [1, 2, 2]],
+                (
+                    [[-1, 0], [2, 1]],
+                    [[1, 0, 0], [0, 1, 0]],
+                    [[0, -1, 4], [1, -1, 5], [0, 2, -7]],
+                ),
+                id="minus-one-first",
+            ),
+            pytest.param(  # the first of three tied 2s, then the sweep
+                [[4, 2, 2], [2, 6, 8]],
+                ([[1, 0], [-3, 1]], [[2, 0, 0], [0, 2, 0]], [[0, 0, 1], [1, -1, -7], [0, 1, 5]]),
+                id="tied-twos",
+            ),
+            pytest.param(  # at t = 1 the unit d[0][0] is not searched
+                [[1, 0, 0], [0, 2, 3], [0, 3, 1]],
+                (
+                    [[1, 0, 0], [0, 0, 1], [0, -1, 3]],
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 7]],
+                    [[1, 0, 0], [0, 0, 1], [0, 1, -3]],
+                ),
+                id="unit-left-of-t",
+            ),
+            pytest.param(  # 2 does not divide 3: the sweep adds row 1 to row 0
+                [[2, 0], [0, 3]],
+                ([[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+                id="divisibility-sweep",
+            ),
+        ],
+    )
+    def test_pinned_pivots(self, a, expected):
+        assert _smith(a) == expected
+        assert _smith(a, with_v=False) == (*expected[:2], None)
+        assert full_scan_smith(a) == expected
 
 
 class TestKernelCoordinates:
