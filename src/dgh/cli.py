@@ -35,8 +35,8 @@ from .covers import (
 )
 from .coverings import (
     check_unique_lifting,
+    covering_witness,
     is_l_covering,
-    is_one_covering,
 )
 from .suites import run_suite
 from .triangulation import triangulate
@@ -299,8 +299,8 @@ def cmd_nerve_theorem(args):
 def cmd_check_covering(args):
     p = load_map(args.map)
     report = is_l_covering(p, args.l)
-    ok, witness = is_one_covering(p, with_witness=True)
-    report["one_covering"] = ok
+    witness = covering_witness(p)
+    report["one_covering"] = witness is None
     if witness:
         report["witness"] = witness
     return report

@@ -10,11 +10,14 @@ evaluated independently so their agreement can be tested.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from operator import and_
 
 from .config import DEFAULT_MAX_MAPS, MAX_HORN_BASE_MAPS
 from .digraph import (
     Digraph,
     DigraphMap,
+    _map_plan,
     count_digraph_maps,
     distances_from,
     enumerate_digraph_maps,
@@ -22,7 +25,7 @@ from .digraph import (
     pi0,
     power_digraph,
 )
-from .errors import BadIndex
+from .errors import BadIndex, BudgetExceeded
 from .nerve import cube_realization, horn_vertices
 from .intervals import standard_interval
 
@@ -32,10 +35,6 @@ def _fibers(p):
     for v in p.source.vertices:
         fibers.setdefault(p.assignment[v], []).append(v)
     return fibers
-
-
-def _steps(g):
-    return set(g.arrows) | {(v, v) for v in g.vertices}
 
 
 def _step_groups(p):
@@ -54,9 +53,10 @@ def _step_groups(p):
     return table
 
 
-def _covering_witness(p, groups):
-    """The first one-arrow diagram without a unique lift, or None; the
-    lifts are read from `groups` (`_step_groups(p)`)."""
+def covering_witness(p):
+    """The first one-arrow diagram without a unique lift through p, or
+    None when p is a 1-covering (`is_one_covering`)."""
+    groups = _step_groups(p)
     h = p.target
     for v in p.source.vertices:
         pv = p.assignment[v]
@@ -75,15 +75,14 @@ def _covering_witness(p, groups):
     return None
 
 
-def is_one_covering(p, with_witness=False):
+def is_one_covering(p):
     """Unique lifting of arrows-or-equality through each endpoint.
 
     For every source vertex g, every map from the one-arrow interval into
     the target hitting p(g) at endpoint k must lift uniquely to a map
     hitting g at k.
     """
-    witness = _covering_witness(p, _step_groups(p))
-    return (witness is None, witness) if with_witness else witness is None
+    return covering_witness(p) is None
 
 
 def _power_map(p, k):
@@ -258,65 +257,6 @@ def check_lifting_hypotheses_dual(a, b):
     return check_lifting_hypotheses(a.opposite(), b.opposite())
 
 
-def _spread_plan(d, root, position):
-    """How to spread a lift over the weakly connected digraph d from root.
-
-    Returns (schedule, arrows) with every vertex given by `position`, its
-    place in the base-map tuples: schedule lists (v, u, forward) in
-    breadth-first order over weak adjacency, once for each vertex v other
-    than root, where u is placed before v and forward says the arrow runs
-    u -> v; arrows lists every arrow of d.
-    """
-    schedule = []
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            neighbours = [(v, True) for v in d.successors(u)]
-            neighbours += [(v, False) for v in d.predecessors(u)]
-            for v, forward in neighbours:
-                if v not in seen:
-                    seen.add(v)
-                    schedule.append((position[v], position[u], forward))
-                    nxt.append(v)
-        frontier = nxt
-    return schedule, [(position[u], position[v]) for u, v in d.arrows]
-
-
-def _step_lifts(groups):
-    """The one-element entries of `_step_groups`, as (x, y, forward) -> w."""
-    return {key: ws[0] for key, ws in groups.items() if len(ws) == 1}
-
-
-def _spread(plan, lifts, steps, beta, root, anchor):
-    """The lift of the base map `beta` (a tuple) through `anchor` at
-    position `root`, as a list by position; None when it breaks.
-
-    Each scheduled vertex takes the one vertex of its fiber that is one
-    step from its placed neighbour (`lifts`, from `_step_lifts`), and the
-    result must then preserve every arrow (`steps`: the arrow-or-equality
-    pairs of the source).
-
-    The spread order does not matter.  Any lift through `anchor` gives each
-    vertex a value in its fiber one step from the value of its placed
-    neighbour, and over a verified 1-covering at most one fiber vertex is
-    that step away.  So every lift agrees with the spread, in any spanning
-    order: the lift is the result, or there is none.
-    """
-    schedule, arrows = plan
-    lift = [None] * len(beta)
-    lift[root] = anchor
-    try:
-        for v, u, forward in schedule:
-            lift[v] = lifts[lift[u], beta[v], forward]
-    except KeyError:
-        return None
-    if all((lift[u], lift[v]) in steps for u, v in arrows):
-        return lift
-    return None
-
-
 def _squares_by_enumeration(p, a, b, budget=DEFAULT_MAX_MAPS):
     """The lifting check by listing: for each base map beta: b -> target
     (at most `budget` of them), pin every vertex of b to the fiber over its
@@ -324,8 +264,8 @@ def _squares_by_enumeration(p, a, b, budget=DEFAULT_MAX_MAPS):
     maps b -> source, each counted against the square it restricts to.
 
     `a.vertices[0]` is enumerated first, so the squares of one base map
-    come out anchor by anchor.  Any p, a and b will do; this is the oracle
-    of the spread in `check_unique_lifting`.
+    come out anchor by anchor.  Any p, a and b will do; this is the route
+    of `check_unique_lifting` off 1-coverings, and an oracle of its counts.
     """
     report = {"squares": 0, "unique": True, "pass": True}
     fibers = _fibers(p)
@@ -350,33 +290,32 @@ def _squares_by_enumeration(p, a, b, budget=DEFAULT_MAX_MAPS):
     return report
 
 
-def _squares_by_counting(p, b, root, budget):
-    """The number of squares of a lifting check that passes, found by
-    counting maps instead of listing them: the number of pairs (beta,
-    anchor) when the counts show that every one of them lifts, else None.
+def _twin(p, a, b):
+    """A source and target, on integers, whose maps that send b into B and
+    a copy a' into E are the squares (beta: b -> B, alpha: a -> E over it)
+    of a lifting check of p: E -> B.
 
-    Let p: E -> B be a verified 1-covering and b weakly connected.  A lift
-    of b is fixed by its value at `root` (the spread, `_spread`), so
-    lift -> (p o lift, lift(root)) is injective into the pairs (beta, e)
-    with beta: b -> B and e in the fiber over beta(root).  If
-    #Hom(b, E) = sum over beta of |p^-1(beta(root))|, that injection
-    between finite sets of one size is onto: every pair lifts, so every
-    spread from every anchor succeeds and the sum is the number of squares.
-
-    The sum is counted only when #Hom(b, B) is at most `budget`, so that a
-    base-map ceiling that listing would trip is left to the listing, which
-    raises.  The live states of a count are held in memory, so there are
-    at most DEFAULT_MAX_MAPS of them, whatever `budget` is.  A count that
-    gives up, and counts that differ, give None.
+    b's vertex of index k is 2k, and its copy 2k + 1 when it lies in a,
+    with a's arrows among the copies and an arrow from each copy to its
+    twin.  The target is E (index i is i) beside B (index j is len(E) + j)
+    with an arrow e -> p(e) for each e, the one step from E into B.
     """
-    states = min(budget, DEFAULT_MAX_MAPS)
-    base = count_digraph_maps(b, p.target, states)
-    if base is None or base > budget:
-        return None
-    fiber_sizes = {y: len(xs) for y, xs in _fibers(p).items()}
-    pairs = count_digraph_maps(b, p.target, states, root=root, weight=fiber_sizes)
-    lifts = count_digraph_maps(b, p.source, states)
-    return pairs if pairs is not None and pairs == lifts else None
+    cover, base = p.source, p.target
+    k, e, y = b._index, cover._index, base._index
+    shift = len(cover)
+    source = Digraph(
+        sorted([2 * k[v] for v in b.vertices] + [2 * k[v] + 1 for v in a.vertices]),
+        [(2 * k[u], 2 * k[v]) for u, v in b.arrows]
+        + [(2 * k[u] + 1, 2 * k[v] + 1) for u, v in a.arrows]
+        + [(2 * k[v] + 1, 2 * k[v]) for v in a.vertices],
+    )
+    target = Digraph(
+        range(shift + len(base)),
+        [(e[u], e[v]) for u, v in cover.arrows]
+        + [(shift + y[u], shift + y[v]) for u, v in base.arrows]
+        + [(e[x], shift + y[p.assignment[x]]) for x in cover.vertices],
+    )
+    return source, target
 
 
 def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
@@ -386,64 +325,111 @@ def check_unique_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
     The lifting hypotheses are not checked here: for horn inclusions they
     hold along the slab filtration instead (`check_two_covering_filtration`).
 
-    When a is a non-empty subdigraph of b (its arrows among b's), p is a
-    verified 1-covering and a and b are each weakly connected, a lift is
-    determined by its value at one anchor vertex.  A pass is then settled
-    by counting maps (`_squares_by_counting`), without listing any; when
-    the counts do not settle it, the squares and lifts spread in linear
-    time per base map.  Otherwise the check lists them
-    (`_squares_by_enumeration`).  At most `budget` base maps.  Either route
-    stops at the first square without a unique lift (the witness), and
-    `squares` counts the squares up to and including it.
+    When a is a non-empty subdigraph of b (its arrows among b's), p: E -> B
+    is a verified 1-covering and a and b are weakly connected, maps are
+    counted, never listed.  A lift of b is fixed by its value at one vertex,
+    so lifts restrict one-to-one to squares.  Over a prefix P of the base
+    maps, in the lister's order, let L(P) count the maps b -> E with each
+    placed vertex pinned to the fiber over its image, and S(P) the squares
+    (maps of `_twin`); then S(P) >= L(P), with equality exactly when every
+    square over P lifts.  S = L at the empty prefix is a pass with S
+    squares.  Otherwise the check descends into the first child with S > L,
+    adding up the settled squares before it, and at that base map pins a's
+    first vertex to each anchor of its fiber in turn.  A count that gives up
+    (more than DEFAULT_MAX_MAPS live states) splits its prefix into its
+    children instead of settling it.  Other inputs are listed
+    (`_squares_by_enumeration`).
 
-    One spread settles most squares: a lift of b through the anchor
-    restricts to a lift of a through it, which is then the square (the one
-    lift of a there).  Only when b's spread breaks is a spread too, to tell
-    a square without a lift (the failure) from no square at all.
+    Either route raises BudgetExceeded when b has more than `budget` maps
+    into B, and stops at the first square without a unique lift (the
+    witness); `squares` counts the squares up to and including it.
     """
     return _unique_lifting(p, a, b, budget, {})
 
 
 def _unique_lifting(p, a, b, budget, counted):
-    """`check_unique_lifting`, with `counted` holding the results of
-    `_squares_by_counting(p, b, root, budget)` by root, for the checks
-    that share p, b and budget."""
+    """`check_unique_lifting`, with `counted` holding the counts that
+    depend on p and b alone, for the checks that share them: the base maps
+    under None, and L by (prefix, anchor)."""
     b.check_vertices(a.vertices)
-    groups = _step_groups(p)
     if not (
         a.vertices
         and a.arrows <= b.arrows
-        and _covering_witness(p, groups) is None
+        and is_one_covering(p)
         and len(pi0(a)) == 1
         and len(pi0(b)) == 1
     ):
         return _squares_by_enumeration(p, a, b, budget)
-    a0 = a.vertices[0]
-    if a0 not in counted:
-        counted[a0] = _squares_by_counting(p, b, a0, budget)
-    squares = counted[a0]
-    if squares is not None:
-        return {"squares": squares, "unique": True, "pass": True}
-    report = {"squares": 0, "unique": True, "pass": True}
+    cover, base = p.source, p.target
+    source, target = _twin(p, a, b)
+    checks, _, _ = _map_plan(b, base, None)  # prefixes hold base indices
     fibers = _fibers(p)
-    lifts, steps = _step_lifts(groups), _steps(p.source)
-    root = b.index(a0)
-    plan_a = _spread_plan(a, a0, b._index)
-    plan_b = _spread_plan(b, a0, b._index)
-    for beta_images in enumerate_digraph_maps(b, p.target, budget=budget):
-        for anchor in fibers.get(beta_images[root], []):
-            if _spread(plan_b, lifts, steps, beta_images, root, anchor) is not None:
-                report["squares"] += 1
-            elif _spread(plan_a, lifts, steps, beta_images, root, anchor) is not None:
-                report["squares"] += 1
-                report["unique"] = False
-                report["pass"] = False
-                report["witness"] = {
-                    "beta": [repr(x) for x in beta_images],
+    over = [fibers.get(y, []) for y in base.vertices]
+    # b into B and a' into E, whose copies of placed vertices then lie over
+    # their twins' images
+    unplaced = {x: range(len(cover)) if x % 2 else range(len(cover), len(target))
+                for x in source.vertices}
+    root = b.index(a.vertices[0])
+
+    def children(prefix):  # the candidates the lister draws, in its order
+        earlier = checks[len(prefix)]
+        if not earlier:
+            return range(len(base))
+        return sorted(reduce(and_, [steps[prefix[j]] for j, steps in earlier]))
+
+    def base_maps(prefix):
+        pins = {b.vertices[k]: (base.vertices[y],) for k, y in enumerate(prefix)}
+        found = count_digraph_maps(b, base, DEFAULT_MAX_MAPS, pins)
+        if found is None:
+            found = sum(base_maps(prefix + (y,)) for y in children(prefix))
+        return found
+
+    def counts(prefix, anchor=None):
+        """(S, L) over `prefix`, or None when a count gives up.  With an
+        `anchor`, a's first vertex lifts to it, so each is 0 or 1, and with
+        no children left to split into, the counts have no state limit."""
+        limit = DEFAULT_MAX_MAPS if anchor is None else float("inf")
+        squares = {**unplaced, **{2 * k: (len(cover) + y,) for k, y in enumerate(prefix)}}
+        lifts = {b.vertices[k]: over[y] for k, y in enumerate(prefix)}
+        if anchor is not None:
+            squares[2 * root + 1] = (cover.index(anchor),)
+            lifts[a.vertices[0]] = (anchor,)
+        key = prefix, anchor
+        if key not in counted:
+            counted[key] = count_digraph_maps(b, cover, limit, lifts)
+        if counted[key] is None:
+            return None
+        total = count_digraph_maps(source, target, limit, squares)
+        return None if total is None else (total, counted[key])
+
+    if None not in counted:
+        counted[None] = base_maps(())
+    if counted[None] > budget:
+        raise BudgetExceeded(f"more than {budget} digraph maps during enumeration")
+    report = {"squares": 0, "unique": True, "pass": True}
+
+    def fails(prefix):
+        """Add up the squares over `prefix` in the lister's order; True at
+        the first square without a lift, which is then the witness."""
+        settled = counts(prefix)
+        if settled is not None and settled[0] == settled[1]:
+            report["squares"] += settled[0]
+            return False
+        if len(prefix) < len(b):
+            return any(fails(prefix + (y,)) for y in children(prefix))
+        for anchor in over[prefix[root]]:
+            squares, lifts = counts(prefix, anchor)
+            report["squares"] += squares
+            if squares != lifts:
+                report.update({"unique": False, "pass": False, "witness": {
+                    "beta": [repr(base.vertices[y]) for y in prefix],
                     "anchor": repr(anchor),
                     "lifts": 0,
-                }
-                return report
+                }})
+                return True
+        return False
+
+    fails(())
     return report
 
 
@@ -451,15 +437,11 @@ def check_unique_lifting_all_horns(p, side, n):
     """Unique lifting against every (i, eps) horn of the side^n cube: one
     `check_unique_lifting` per horn, with at most MAX_HORN_BASE_MAPS base
     maps, so a horn report is the one `dgh check lifting` prints for that
-    horn (within the CLI's map budget).
+    horn (within the CLI's map budget).  Any p and any n >= 1 will do.
 
-    On a verified 1-covering a pass is settled by counting maps, without
-    listing any; a failing horn stops at its first square without a lift,
-    which is its witness.  Any p and any n >= 1 will do.
-
-    The horns share one cube, so its maps are counted once per anchor: at
-    n >= 2 every horn's first vertex is the origin, and one count serves
-    all 2n horns.
+    On a verified 1-covering no map is listed.  The cube's base maps and
+    its lifts over each prefix depend on p and the cube alone, so the
+    horns count them once between them.
     """
     cube = cube_realization(standard_interval(side), n)
     counted = {}

@@ -357,47 +357,62 @@ def enumerate_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None)
     return list(iter_digraph_maps(source, target, budget=budget, pinned=pinned))
 
 
-def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, root=None, weight=None):
-    """The number of the maps `iter_digraph_maps` lists, without listing
-    them; with `weight`, a mapping from target vertices to integers (0 for
-    a vertex it lacks), the sum over the maps of weight[image of `root`].
-    None once more than `budget` states are live.
+def count_digraph_maps(source, target, budget=DEFAULT_MAX_MAPS, pinned=None):
+    """The number of the maps `iter_digraph_maps` lists with the same
+    `pinned`, without listing them; each pinned tuple is read as a set, its
+    order ignored.  None once more than `budget` states are live.
 
     A transfer-matrix sweep (Díaz, Serna and Thilikos, "Counting
     H-colorings of partial k-trees", TCS 2002) over the positions of
     `_map_plan`.  After position k is placed, a state is the images of the
     placed positions that still have an unplaced neighbour, and it carries
-    the weighted number of partial maps that reach it; a placed position
-    with no later neighbour constrains nothing further, so partial maps
-    that agree on the state extend alike.  Each state extends by the
-    candidates the lister would draw, with no pins, for the same images,
-    so the cost follows the number of states, not the number of maps.
+    the number of partial maps that reach it; a placed position with no
+    later neighbour constrains nothing further, so partial maps that agree
+    on the state extend alike.  Each state extends by the candidates the
+    lister would draw for the same images, so the cost follows the number
+    of states, not the number of maps.
     """
-    checks, _, last = _map_plan(source, target, None)
+    checks, candidates, last = _map_plan(source, target, pinned)
     everything = range(len(target.vertices))
-    ones = [1] * len(everything)
-    weights = ones if weight is None else [weight.get(v, 0) for v in target.vertices]
-    root = source._index[root] if weight is not None else -1
     states = {(): 1}
     live = []  # the positions whose images make up a state, in order
     for k, earlier in enumerate(checks):
         slot = {j: s for s, j in enumerate(live)}
         reads = [(slot[j], steps) for j, steps in earlier]
+        allowed = frozenset(everything if candidates[k] is None else candidates[k])
         kept = [s for s, j in enumerate(live) if last[j] > k]
         grows = last[k] > k
         live = [live[s] for s in kept] + [k] * grows
-        factor = weights if k == root else ones
+        head, read = _picker(kept), _picker([s for s, _ in reads])
+        options = {}  # the candidates by the images the position reads
         nxt = {}
+        get = nxt.get
         for state, ways in states.items():
-            head = tuple([state[s] for s in kept])
-            sets = [steps[state[s]] for s, steps in reads]
-            for c in reduce(and_, sets) if sets else everything:
-                key = head + (c,) if grows else head
-                nxt[key] = nxt.get(key, 0) + ways * factor[c]
+            seen = read(state)
+            got = options.get(seen)
+            if got is None:
+                got = options[seen] = reduce(
+                    and_, [steps[state[s]] for s, steps in reads], allowed
+                )
+            if grows:
+                start = head(state)
+                for c in got:
+                    key = start + (c,)
+                    nxt[key] = get(key, 0) + ways
+            else:
+                key = head(state)
+                nxt[key] = get(key, 0) + ways * len(got)
             if len(nxt) > budget:
                 return None
         states = nxt
     return states.get((), 0)
+
+
+def _picker(slots):
+    """A function state -> the tuple of state[s] for s in `slots`."""
+    if len(slots) == 1:
+        return lambda state, s=slots[0]: (state[s],)
+    return itemgetter(*slots) if slots else lambda state: ()
 
 
 def _image_bitsets(target, maps, n):

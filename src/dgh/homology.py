@@ -170,7 +170,7 @@ class HomologyCoordinates:
 
     def __init__(self, complex_, n):
         self.n = n
-        rank_n = complex_.ranks[n]
+        self.rank = rank_n = complex_.ranks[n]
         if n >= 1:
             self.kernel = kernel_basis(
                 complex_.boundaries[n]
@@ -188,7 +188,7 @@ class HomologyCoordinates:
             self.kernel_cols = transpose(self.kernel)
         if n + 1 <= complex_.top:
             rel = []
-            for column in transpose(complex_.boundaries[n + 1]):
+            for column in complex_.columns[n + 1]:
                 alpha = self._kernel_coords(column)
                 if alpha is None:
                     raise NotChainMap("image does not lie in the kernel")
@@ -210,16 +210,18 @@ class HomologyCoordinates:
         self.torsion_rows = [i for i, f in enumerate(diag) if f > 1]
 
     def _kernel_coords(self, cycle):
-        """The kernel coordinates of `cycle`, or None if it is not in the
-        kernel lattice (the multiply-back check)."""
+        """The kernel coordinates of `cycle`, a sparse column {row:
+        coefficient}, or None if it is not in the kernel lattice (the
+        multiply-back check)."""
         if self.z == 0:
-            return [] if not any(cycle) else None
-        alpha = column_combination(self.left_inverse_cols, cycle, self.z)
-        back = column_combination(self.kernel_cols, alpha, len(cycle))
-        return alpha if back == list(cycle) else None
+            return [] if not any(cycle.values()) else None
+        alpha = column_combination(self.left_inverse_cols, cycle.items(), self.z)
+        back = column_combination(self.kernel_cols, enumerate(alpha), self.rank)
+        return alpha if back == [cycle.get(row, 0) for row in range(self.rank)] else None
 
     def coordinates(self, cycle):
-        """(free coordinates, torsion residues) of an n-cycle, or None."""
+        """(free coordinates, torsion residues) of an n-cycle, a sparse
+        column {row: coefficient}, or None."""
         alpha = self._kernel_coords(cycle)
         if alpha is None:
             return None
@@ -229,14 +231,15 @@ class HomologyCoordinates:
         return free, tor
 
     def generator_cycles(self):
-        """Cycle representatives for free then torsion generators."""
+        """Cycle representatives for free then torsion generators, as
+        sparse columns {row: coefficient}."""
         if self.z == 0:
             return []
         uinv = unimodular_inverse(self.u)
         cycles = []
         for i in self.free_rows + self.torsion_rows:
             alpha = [row[i] for row in uinv]  # uinv times the i-th unit vector
-            cycles.append(mat_vec(self.kernel, alpha))
+            cycles.append({row: c for row, c in enumerate(mat_vec(self.kernel, alpha)) if c})
         return cycles
 
     def group(self):
@@ -280,9 +283,7 @@ def induced_homology_map(cmap, degree):
     dst = HomologyCoordinates(dst_complex, degree)
     columns = []
     for cycle in src.generator_cycles():
-        image = _compose(maps[degree], {k: c for k, c in enumerate(cycle) if c})
-        rank = dst_complex.ranks[degree]
-        coords = dst.coordinates([image.get(row, 0) for row in range(rank)])
+        coords = dst.coordinates(_compose(maps[degree], cycle))
         if coords is None:
             raise NotChainMap("image of a cycle is not a cycle")
         free, tor = coords

@@ -68,12 +68,14 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def column_combination(columns, coefficients, length):
-    """The sum of coefficients[k] * columns[k] (each column `length` long),
-    skipping zero coefficients: a product with a sparse vector."""
+def column_combination(columns, pairs, length):
+    """The sum of c * columns[k] over the pairs (k, c) (each column
+    `length` long), skipping zero coefficients: a product with a vector
+    given by its entries, such as `enumerate(dense)` or `sparse.items()`."""
     out = [0] * length
-    for k in compress(range(len(coefficients)), coefficients):
-        out = list(map(add, out, map(coefficients[k].__mul__, columns[k])))
+    for k, c in pairs:
+        if c:
+            out = list(map(add, out, map(c.__mul__, columns[k])))
     return out
 
 
@@ -193,10 +195,6 @@ def _smith(a, with_v=True, modulus=None):
         t += 1
         if t >= min(rows, cols):
             break
-    # one more divisibility sweep for entries beyond min(rows, cols) loop exit
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            negate_row(i)
     return u, d, v
 
 

@@ -13,7 +13,16 @@ from operator import add, contains
 
 import pytest
 
-from dgh.digraph import Digraph, DigraphMap, box_product, one_step_pairs
+from dgh.config import DEFAULT_MAX_MAPS
+from dgh.coverings import _squares_by_enumeration, is_one_covering
+from dgh.digraph import (
+    Digraph,
+    DigraphMap,
+    box_product,
+    enumerate_digraph_maps,
+    one_step_pairs,
+    pi0,
+)
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
 from dgh.nerve import (
@@ -797,3 +806,103 @@ def full_scan_smith(a, with_v=True, modulus=None):
         if d[i][i] < 0:
             negate_row(i)
     return u, d, v
+
+
+# -- the spread route of unique lifting --------------------------------------------
+# `dgh.coverings.check_unique_lifting` as it was before one counting descent
+# decided it on 1-coverings: every base map is listed, and a lift is spread
+# from each anchor, in linear time per base map.  The reference for the
+# counted reports, witness anchor included.
+
+
+def _spread_plan(d, root, position):
+    """(schedule, arrows) for spreading a lift over the weakly connected d
+    from root, each vertex given by `position`: schedule lists (v, u,
+    forward) in breadth-first order, once for each vertex v other than
+    root, where u is placed before v and forward says the arrow runs
+    u -> v; arrows lists every arrow of d."""
+    schedule = []
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            neighbours = [(v, True) for v in d.successors(u)]
+            neighbours += [(v, False) for v in d.predecessors(u)]
+            for v, forward in neighbours:
+                if v not in seen:
+                    seen.add(v)
+                    schedule.append((position[v], position[u], forward))
+                    nxt.append(v)
+        frontier = nxt
+    return schedule, [(position[u], position[v]) for u, v in d.arrows]
+
+
+def _spread(plan, lifts, steps, beta, root, anchor):
+    """The lift of the base map `beta` through `anchor` at position `root`,
+    or None: each scheduled vertex takes the one vertex of its fiber one
+    step from its placed neighbour, and the result must preserve every
+    arrow.  Over a 1-covering any lift agrees with the spread."""
+    schedule, arrows = plan
+    lift = [None] * len(beta)
+    lift[root] = anchor
+    try:
+        for v, u, forward in schedule:
+            lift[v] = lifts[lift[u], beta[v], forward]
+    except KeyError:
+        return None
+    if all((lift[u], lift[v]) in steps for u, v in arrows):
+        return lift
+    return None
+
+
+def spread_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
+    """The report of `check_unique_lifting(p, a, b, budget)` by spreading.
+
+    On its counted route (a non-empty, its arrows among b's, p a
+    1-covering, a and b weakly connected) each base map is listed, and for
+    each anchor over the image of a's first vertex a lift of b is spread;
+    when that breaks, a spread along a tells a square without a lift (the
+    witness) from no square.  Other inputs are listed by
+    `_squares_by_enumeration`.
+    """
+    b.check_vertices(a.vertices)
+    if not (
+        a.vertices
+        and a.arrows <= b.arrows
+        and is_one_covering(p)
+        and len(pi0(a)) == 1
+        and len(pi0(b)) == 1
+    ):
+        return _squares_by_enumeration(p, a, b, budget)
+    e = p.source
+    steps = set(e.arrows) | {(v, v) for v in e.vertices}
+    # (x, y, forward) -> the vertex w over y with x -> w (forward) or w -> x;
+    # one, since p is a 1-covering
+    lifts = {}
+    for x, w in steps:
+        lifts[x, p.assignment[w], True] = w
+        lifts[w, p.assignment[x], False] = x
+    fibers = {}
+    for v in e.vertices:
+        fibers.setdefault(p.assignment[v], []).append(v)
+    report = {"squares": 0, "unique": True, "pass": True}
+    a0 = a.vertices[0]
+    root = b.index(a0)
+    plan_a = _spread_plan(a, a0, b._index)
+    plan_b = _spread_plan(b, a0, b._index)
+    for beta in enumerate_digraph_maps(b, p.target, budget=budget):
+        for anchor in fibers.get(beta[root], []):
+            if _spread(plan_b, lifts, steps, beta, root, anchor) is not None:
+                report["squares"] += 1
+            elif _spread(plan_a, lifts, steps, beta, root, anchor) is not None:
+                report["squares"] += 1
+                report["unique"] = False
+                report["pass"] = False
+                report["witness"] = {
+                    "beta": [repr(x) for x in beta],
+                    "anchor": repr(anchor),
+                    "lifts": 0,
+                }
+                return report
+    return report

@@ -8,10 +8,11 @@ from dgh.digraph import (
     count_digraph_maps,
     disjoint_union,
     distance,
+    pi0,
     power_digraph,
 )
 from dgh.config import MAX_HORN_BASE_MAPS
-from dgh.errors import BadIndex, UnknownVertex
+from dgh.errors import BadIndex, BudgetExceeded, UnknownVertex
 from dgh.coverings import (
     _squares_by_enumeration,
     check_lifting_hypotheses,
@@ -19,12 +20,13 @@ from dgh.coverings import (
     check_two_covering_filtration,
     check_unique_lifting,
     check_unique_lifting_all_horns,
+    covering_witness,
     is_l_covering,
     is_one_covering,
 )
 from dgh.nerve import horn_inclusion
 
-from conftest import cycle, hypothesis_two_grade, line
+from conftest import cycle, hypothesis_two_grade, line, spread_lifting
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,19 @@ def fold():
     c3 = cycle(3)
     c6 = cycle(6)
     return DigraphMap(c6, c3, {i: i % 3 for i in range(6)})
+
+
+@pytest.fixture(scope="module")
+def square_cover():
+    # the square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover:
+    # a 1-covering through which the square does not close up
+    base = Digraph(range(4), [(0, 1), (1, 3), (0, 2), (2, 3)])
+    cover = Digraph(
+        [(v, s) for s in (0, 1) for v in range(4)],
+        [((u, s), (v, s)) for u, v in ((0, 1), (1, 3), (0, 2)) for s in (0, 1)]
+        + [((2, s), (3, 1 - s)) for s in (0, 1)],
+    )
+    return DigraphMap(cover, base, {v: v[0] for v in cover.vertices})
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +70,11 @@ class TestOneCovering:
 
     def test_non_covering_with_witness(self, c3):
         p = DigraphMap(line(1), c3, {0: 0, 1: 1})
-        ok, witness = is_one_covering(p, with_witness=True)
-        assert not ok and witness is not None
+        assert not is_one_covering(p)
+        assert covering_witness(p) == {
+            "vertex": 0, "edge": (2, 0), "endpoint": 1, "lifts": 0,
+        }
+        assert covering_witness(DigraphMap.identity(c3)) is None
 
 
 class TestLCovering:
@@ -186,17 +204,24 @@ class TestUniqueLifting:
         assert rep == _squares_by_enumeration(p, horn, cube)
         assert rep["pass"] is False and rep["squares"] == 44
 
-    def test_counts_that_differ_fall_back_to_the_spread(self, fold):
-        # C3 -> C6 has only the 6 constant maps, but C3 -> C3 has 6 maps
-        # with fibers of 2 over their images: 6 against 12, so the rotations
-        # are left to the spread, which finds them no square
+    def test_counts_that_differ_fall_back_to_the_spread(self, fold, monkeypatch):
+        # C3 -> C3 has 6 maps: the 3 rotations, which no map C3 -> C6 lies
+        # over (no square), and the 3 constants, each with 2 lifts.  So
+        # S = L = 6 and the counts settle at the root: one count of the base
+        # maps, one of the lifts and one of the squares
         c3 = cycle(3)
         assert count_digraph_maps(c3, fold.source) == 6
-        sizes = {y: 2 for y in c3.vertices}
-        assert count_digraph_maps(c3, c3, root=0, weight=sizes) == 12
-        assert check_unique_lifting(fold, c3, c3) == {
-            "squares": 6, "unique": True, "pass": True,
-        }
+        counted = []
+
+        def spied(source, target, budget, pinned):
+            counted.append(digraph.count_digraph_maps(source, target, budget, pinned))
+            return counted[-1]
+
+        monkeypatch.setattr(coverings, "count_digraph_maps", spied)
+        rep = check_unique_lifting(fold, c3, c3)
+        assert rep == {"squares": 6, "unique": True, "pass": True}
+        assert rep == spread_lifting(fold, c3, c3)
+        assert counted == [6, 6, 6]
 
     def test_counted_check_lists_no_map(self, fold, monkeypatch):
         def listing(*args, **kwargs):
@@ -237,33 +262,25 @@ class TestUniqueLifting:
             for eps in (0, 1)
         }
 
-    @pytest.mark.parametrize("n, anchors", [(1, [(2,), (0,)]), (2, [(0, 0)]), (3, [(0, 0, 0)])])
-    def test_all_horns_count_the_cube_once_per_anchor(self, fold, monkeypatch, n, anchors):
-        # at n >= 2 every horn starts at the origin, so one count of the
-        # cube's maps settles all 2n horns; at n = 1 the two horns are the
-        # two endpoints
-        counted = []
-        original = coverings._squares_by_counting
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_horns_count_the_cube_once(self, fold, monkeypatch, n):
+        # the base maps and the lifts of the cube depend on p and the cube
+        # alone, so one count of each serves all 2n horns; each horn counts
+        # its own squares, and each settles at the root
+        targets = []
 
-        def spied(p, b, root, budget):
-            counted.append(root)
-            return original(p, b, root, budget)
+        def spied(source, target, budget, pinned):
+            targets.append(target)
+            return digraph.count_digraph_maps(source, target, budget, pinned)
 
-        monkeypatch.setattr(coverings, "_squares_by_counting", spied)
+        monkeypatch.setattr(coverings, "count_digraph_maps", spied)
         shared = check_unique_lifting_all_horns(fold, 2, n)
-        assert counted == anchors
         assert shared["pass"] and len(shared["horns"]) == 2 * n
+        assert targets.count(fold.target) == targets.count(fold.source) == 1
+        assert len(targets) == 2 + 2 * n
 
-    def test_all_horns_fall_back_when_the_cube_does_not_lift(self):
-        # the square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover:
-        # a 1-covering through which the square does not close up
-        base = Digraph(range(4), [(0, 1), (1, 3), (0, 2), (2, 3)])
-        cover = Digraph(
-            [(v, s) for s in (0, 1) for v in range(4)],
-            [((u, s), (v, s)) for u, v in ((0, 1), (1, 3), (0, 2)) for s in (0, 1)]
-            + [((2, s), (3, 1 - s)) for s in (0, 1)],
-        )
-        p = DigraphMap(cover, base, {v: v[0] for v in cover.vertices})
+    def test_all_horns_fall_back_when_the_cube_does_not_lift(self, square_cover):
+        p = square_cover
         assert is_one_covering(p)
         shared = check_unique_lifting_all_horns(p, 2, 2)
         assert shared["pass"] is False
@@ -274,7 +291,110 @@ class TestUniqueLifting:
                 brute = _squares_by_enumeration(p, horn, cube)
                 assert one["pass"] is brute["pass"] is False
                 assert one["witness"]["beta"] == brute["witness"]["beta"]
+                assert one == spread_lifting(p, horn, cube)
                 assert shared["horns"][f"{i},{eps}"] == one
+
+    @pytest.mark.parametrize("name", ["fold", "square_cover"])
+    @pytest.mark.parametrize(
+        "side, n, i, eps",
+        [(side, n, i, eps) for side in (2, 3) for n in (1, 2)
+         for i in range(1, n + 1) for eps in (0, 1)],
+    )
+    def test_horn_reports_match_the_spread(self, request, name, side, n, i, eps):
+        p = request.getfixturevalue(name)
+        horn, cube = horn_inclusion(side, n, i, eps)
+        assert check_unique_lifting(p, horn, cube) == spread_lifting(p, horn, cube)
+
+    @pytest.mark.parametrize("name", ["fold", "square_cover"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reports_match_the_spread_on_random_pairs(self, request, name, data):
+        p = request.getfixturevalue(name)
+        a, b = data.draw(counted_pairs())
+        assert len(pi0(a)) == len(pi0(b)) == 1 and a.arrows <= b.arrows
+        assert check_unique_lifting(p, a, b) == spread_lifting(p, a, b)
+
+    @pytest.mark.parametrize("name", ["fold", "square_cover"])
+    @pytest.mark.parametrize("side, n, limit", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 24)])
+    def test_counts_that_give_up_split_their_prefix(
+        self, request, monkeypatch, name, side, n, limit
+    ):
+        # with a handful of live states most counts give up, the base count
+        # included, and the prefixes split, some down to base maps (at 3
+        # states the side-3 square would split into its 7,812 base maps)
+        p = request.getfixturevalue(name)
+        monkeypatch.setattr(coverings, "DEFAULT_MAX_MAPS", limit)
+        shared = check_unique_lifting_all_horns(p, side, n)
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                horn, cube = horn_inclusion(side, n, i, eps)
+                expected = spread_lifting(p, horn, cube)
+                assert check_unique_lifting(p, horn, cube) == expected
+                assert shared["horns"][f"{i},{eps}"] == expected
+
+    @pytest.mark.parametrize("limit", [24, 10**5])
+    @pytest.mark.parametrize("name, maps", [("fold", 7812), ("square_cover", 20188)])
+    def test_budget_counts_every_base_map(self, request, monkeypatch, limit, name, maps):
+        # the side-3 square has `maps` base maps, whether the check passes
+        # or fails, and whether or not the counts give up
+        p = request.getfixturevalue(name)
+        monkeypatch.setattr(coverings, "DEFAULT_MAX_MAPS", limit)
+        horn, cube = horn_inclusion(3, 2, 1, 0)
+        message = f"^more than {maps - 1} digraph maps during enumeration$"
+        with pytest.raises(BudgetExceeded, match=message):
+            check_unique_lifting(p, horn, cube, maps - 1)
+        assert check_unique_lifting(p, horn, cube, maps) == spread_lifting(p, horn, cube)
+
+    def test_failing_check_lists_no_base_map(self, square_cover, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("a map was listed")
+
+        for module in (digraph, coverings):
+            monkeypatch.setattr(module, "iter_digraph_maps", listing)
+            monkeypatch.setattr(module, "enumerate_digraph_maps", listing)
+        shared = check_unique_lifting_all_horns(square_cover, 4, 2)
+        assert shared["pass"] is False
+        # what `spread_lifting` gives when it streams the 2,567,778 base
+        # maps instead of listing them up front
+        beta = [0] * 8 + [1] + [0] * 4 + [1, 0, 0, 1, 1, 3, 1, 0, 0, 0, 2, 0]
+        for report in shared["horns"].values():
+            assert report == {
+                "squares": 817, "unique": False, "pass": False,
+                "witness": {"beta": list(map(repr, beta)), "anchor": "(0, 0)", "lifts": 0},
+            }
+
+
+@st.composite
+def counted_pairs(draw, max_vertices=5):
+    """(a, b) on the counted route of `check_unique_lifting`: b weakly
+    connected, and a a weakly connected subdigraph of b that keeps some of
+    b's arrows among its vertices, so it need not be induced."""
+    n = draw(st.integers(1, max_vertices))
+    order = draw(st.permutations(range(n)))
+    arrows = set()
+    joined = 1
+    if n >= 4 and draw(st.booleans()):  # a square w -> x -> z, w -> y -> z
+        w, x, y, z = order[:4]
+        arrows |= {(w, x), (x, z), (w, y), (y, z)}
+        joined = 4
+    for k in range(joined, n):  # each other vertex joined to an earlier one
+        u, v = order[draw(st.integers(0, k - 1))], order[k]
+        arrows.add((u, v) if draw(st.booleans()) else (v, u))
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arrows |= {(u, v) for u, v in draw(st.sets(steps, max_size=3)) if u != v}
+    b = Digraph(range(n), arrows)
+    chosen = {draw(st.sampled_from(b.vertices))}
+    kept = set()
+    for _ in range(n - 1 - draw(st.integers(0, n - 1))):  # mostly large
+        out = sorted((u, v) for u, v in b.arrows if (u in chosen) != (v in chosen))
+        if not out:
+            break
+        u, v = draw(st.sampled_from(out))
+        chosen |= {u, v}
+        kept.add((u, v))
+    inside = sorted((u, v) for u, v in b.arrows if u in chosen and v in chosen)
+    kept |= draw(st.sets(st.sampled_from(inside))) if inside else set()
+    return Digraph(sorted(chosen), kept), b
 
 
 class TestHypotheses:

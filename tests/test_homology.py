@@ -238,8 +238,9 @@ class TestKernelCoordinates:
         complex_, _ = normalized_chain_complex(nerve_levels(c3, 1, 1, 3))
         for n in (0, 1, 2):
             coords = HomologyCoordinates(complex_, n)
-            for column in transpose(complex_.boundaries[n + 1]):
-                alpha = coords._kernel_coords(column)
+            dense = transpose(complex_.boundaries[n + 1])
+            for column, sparse in zip(dense, complex_.columns[n + 1], strict=True):
+                alpha = coords._kernel_coords(sparse)
                 assert alpha is not None
                 assert alpha == solve_integer(coords.kernel, column)
 
@@ -247,7 +248,7 @@ class TestKernelCoordinates:
         complex_, _ = normalized_chain_complex(nerve_levels(c3, 1, 1, 3))
         coords = HomologyCoordinates(complex_, 1)
         edge = [1] + [0] * (complex_.ranks[1] - 1)  # one edge has two ends
-        assert coords._kernel_coords(edge) is None
+        assert coords._kernel_coords({0: 1}) is None
         assert solve_integer(coords.kernel, edge) is None
 
 

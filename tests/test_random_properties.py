@@ -73,12 +73,10 @@ def digraphs(max_vertices=5, max_arrows=10):
 def test_map_count_is_the_enumerated_count(source, target, data):
     maps = enumerate_digraph_maps(source, target)
     assert count_digraph_maps(source, target) == len(maps)
-    root = data.draw(st.sampled_from(source.vertices))
-    weighted = data.draw(st.sets(st.sampled_from(target.vertices)))
-    weight = {v: data.draw(st.integers(-3, 5)) for v in weighted}
-    at_root = source.index(root)
-    expected = sum(weight.get(images[at_root], 0) for images in maps)
-    assert count_digraph_maps(source, target, root=root, weight=weight) == expected
+    pinned = _pins(data, source, target.vertices)
+    assert count_digraph_maps(source, target, pinned=pinned) == len(
+        enumerate_digraph_maps(source, target, pinned=pinned)
+    )
 
 
 @pytest.mark.parametrize(
@@ -94,14 +92,15 @@ def test_map_count_is_the_enumerated_count(source, target, data):
     ids=["empty", "empty-into-empty", "no-arrows", "into-empty", "isolated",
          "two-cycle"],
 )
-def test_map_count_on_degenerate_sources(source, target):
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_map_count_on_degenerate_sources(source, target, data):
     maps = enumerate_digraph_maps(source, target)
     assert count_digraph_maps(source, target) == len(maps)
     if source.vertices:
-        weight = {v: k + 2 for k, v in enumerate(target.vertices)}
-        root = source.vertices[-1]
-        assert count_digraph_maps(source, target, root=root, weight=weight) == sum(
-            weight[images[-1]] for images in maps
+        pinned = _pins(data, source, target.vertices)
+        assert count_digraph_maps(source, target, pinned=pinned) == len(
+            enumerate_digraph_maps(source, target, pinned=pinned)
         )
 
 
@@ -117,10 +116,8 @@ def _pins(data, source, values):
     """A random pinned subset of `source`, each vertex with its own tuple
     of distinct `values` in a random order (possibly empty)."""
     part = data.draw(st.sets(st.sampled_from(source.vertices)))
-    return {
-        v: tuple(data.draw(st.lists(st.sampled_from(values), unique=True)))
-        for v in sorted(part)
-    }
+    tuples = st.lists(st.sampled_from(values), unique=True) if values else st.just([])
+    return {v: tuple(data.draw(tuples)) for v in sorted(part)}
 
 
 def _check_pinned_maps(source, target, pinned):

@@ -57,6 +57,7 @@ def files(tmp_path):
         ("rp2.json", projective_plane()),
         *o_files(),
         *non_covering_files(),
+        *square_cover_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -107,6 +108,22 @@ def non_covering_files():
             "source": "c6.json", "target": "c3.json",
             "assignment": {str(i): "0" for i in range(6)},
         }),
+    ]
+
+
+def square_cover_files():
+    """The square 0 -> 1 -> 3, 0 -> 2 -> 3 and its connected double cover,
+    whose sheets a and b cross over the arrow 2 -> 3: a 1-covering through
+    which the square does not lift."""
+    cover = [f"{v}{s}" for s in "ab" for v in range(4)]
+    arrows = [[f"{u}{s}", f"{v}{s}"] for u, v in ((0, 1), (1, 3), (0, 2)) for s in "ab"]
+    return [
+        ("square.json", {"vertices": ["0", "1", "2", "3"],
+                         "arrows": [["0", "1"], ["1", "3"], ["0", "2"], ["2", "3"]]}),
+        ("square2.json", {"vertices": cover,
+                          "arrows": arrows + [["2a", "3b"], ["2b", "3a"]]}),
+        ("square-cover.json", {"source": "square2.json", "target": "square.json",
+                               "assignment": {v: v[0] for v in cover}}),
     ]
 
 
@@ -335,3 +352,21 @@ def test_non_covering_reports_are_pinned(files, capsys, argv, fragment, sha256):
     out = capsys.readouterr().out
     assert fragment in out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# A 1-covering through which a horn's square does not lift: the counted
+# route's witness is the first base map, in the lister's order, with an
+# anchor that spreads along the horn but not along the cube.  Captured while
+# that route still listed every base map and spread from each anchor.
+FAILING_COVERING_LIFTING = (
+    '{"pass":false,"squares":87,"unique":false,"witness":{"anchor":"\'0a\'",'
+    '"beta":["\'0\'","\'0\'","\'0\'","\'0\'","\'0\'","\'0\'","\'0\'","\'1\'",'
+    '"\'0\'","\'0\'","\'0\'","\'1\'","\'0\'","\'2\'","\'2\'","\'3\'"],'
+    '"lifts":0}}\n'
+)
+
+
+def test_failing_covering_lifting_is_pinned(files, capsys):
+    argv = ["check", "lifting", str(files / "square-cover.json"), "--horn", "2,1,0,3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == FAILING_COVERING_LIFTING
