@@ -9,6 +9,7 @@ pass, 1 a property is violated (the report names the check and witness),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -337,7 +338,10 @@ def cmd_verify(args):
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="dgh",
         description="homotopy invariants of finite directed graphs",

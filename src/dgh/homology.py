@@ -6,6 +6,12 @@ boundaries are the alternating face sums with degenerate faces sent to
 zero.  Integral homology is computed through Smith normal form.  The top
 truncated degree is only a lower bound (its incoming boundary is cut off)
 and is flagged as such everywhere.
+
+Every matrix this module keeps is a list of zero-free sparse columns
+{row: coefficient}, and maps are composed a column at a time (`_compose`).
+Dense rows exist only as the arguments and results of `linalg` calls:
+`dense_rows` builds them for the call and `sparse_columns` reads a result
+back.
 """
 
 from __future__ import annotations
@@ -15,14 +21,11 @@ from itertools import count
 from .config import MAX_MATRIX_DIM
 from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
-    column_combination,
     identity,
     invariant_factors,
     kernel_basis,
     matmul,
-    mat_vec,
     smith_normal_form,
-    transpose,
     unimodular_inverse,
     zeros,
 )
@@ -31,10 +34,10 @@ from .linalg import (
 class ChainComplex:
     """Integer chain complex: ranks per degree and boundary maps.
 
-    columns[n][j] is the boundary of the j-th degree-n generator as a sparse
-    column {row: coefficient} over the degree n-1 basis; boundaries[n] is
-    the same map as dense rows (rows indexed by degree n-1, columns by
-    degree n), the form `linalg` reads.  Degree 0 has the zero map.
+    columns[n][j] is the boundary of the j-th degree-n generator as a
+    zero-free sparse column {row: coefficient} over the degree n-1 basis;
+    degree 0 has the zero map.  This is the only form the complex keeps:
+    `dense_rows(columns[n], ranks[n - 1])` is the matrix `linalg` reads.
     """
 
     def __init__(self, ranks, columns):
@@ -45,13 +48,6 @@ class ChainComplex:
         self.top = len(self.ranks) - 1
         self.columns = [[], *columns]
         assert list(map(len, self.columns[1:])) == self.ranks[1:]
-        self.boundaries = [zeros(0, self.ranks[0])]
-        for n in range(1, self.top + 1):
-            mat = zeros(self.ranks[n - 1], self.ranks[n])
-            for col, column in enumerate(self.columns[n]):
-                for row, coefficient in column.items():
-                    mat[row][col] = coefficient
-            self.boundaries.append(mat)
         for n in range(2, self.top + 1):
             lower = self.columns[n - 1]
             if any(_compose(lower, column) for column in self.columns[n]):
@@ -91,6 +87,23 @@ def _compose(columns, column):
         for row, entry in columns[k].items():
             out[row] = out.get(row, 0) + c * entry
     return {row: c for row, c in out.items() if c}
+
+
+def dense_rows(columns, height):
+    """The `height` x len(columns) matrix of sparse columns as dense rows,
+    the form `linalg` reads."""
+    rows = zeros(height, len(columns))
+    for j, column in enumerate(columns):
+        for i, c in column.items():
+            rows[i][j] = c
+    return rows
+
+
+def sparse_columns(rows, width):
+    """The zero-free sparse columns of a matrix of dense rows with `width`
+    columns, such as a `linalg` result."""
+    dense = zip(*rows) if rows else [()] * width
+    return [{i: c for i, c in enumerate(column) if c} for column in dense]
 
 
 def normalized_chain_complex(x):
@@ -143,7 +156,8 @@ def homology(complex_, reduced=False):
     # one factorization per boundary; degree 0 has no outgoing map and the
     # top degree no incoming one
     factors = [[]] + [
-        invariant_factors(complex_.boundaries[n]) for n in range(1, complex_.top + 1)
+        invariant_factors(dense_rows(complex_.columns[n], complex_.ranks[n - 1]))
+        for n in range(1, complex_.top + 1)
     ] + [[]]
     groups = []
     for n in range(complex_.top + 1):
@@ -164,40 +178,42 @@ def homology_summary(x, reduced=False):
 class HomologyCoordinates:
     """A coordinate system on H_n = ker/im for one chain complex degree.
 
-    Exposes the presentation H = Z^z / columns(rel) together with maps
-    cycle -> coordinates, for computing and comparing induced maps.
+    Exposes the presentation H = Z^z / rel, where the z kernel coordinates
+    of the degree n+1 boundaries are the relation columns, together with
+    maps cycle -> coordinates, for computing and comparing induced maps.
+    `kernel` (a basis of the cycles) and `left_inverse` (a left inverse of
+    it) are zero-free sparse columns; U of the relation matrix's Smith form
+    is kept as the dense rows `linalg` returned.
     """
 
     def __init__(self, complex_, n):
         self.n = n
         self.rank = rank_n = complex_.ranks[n]
         if n >= 1:
-            self.kernel = kernel_basis(
-                complex_.boundaries[n]
-                if complex_.boundaries[n]
-                else zeros(1, rank_n)
-            )
+            # a boundary into an empty degree is read as one zero row
+            lower = complex_.ranks[n - 1] or 1
+            kernel = kernel_basis(dense_rows(complex_.columns[n], lower))
         else:
-            self.kernel = identity(rank_n)
-        self.z = len(self.kernel[0]) if self.kernel else 0
-        if self.z:
+            kernel = identity(rank_n)
+        self.z = z = len(kernel[0]) if kernel else 0
+        self.kernel = sparse_columns(kernel, z)
+        left_inverse = []
+        if z:
             # the kernel is saturated, so U K V = [I; 0] and V times the
             # first z rows of U is a left inverse of K
-            u, _, v = smith_normal_form(self.kernel)
-            self.left_inverse_cols = transpose(matmul(v, u[: self.z]))
-            self.kernel_cols = transpose(self.kernel)
-        if n + 1 <= complex_.top:
-            rel = []
-            for column in complex_.columns[n + 1]:
-                alpha = self._kernel_coords(column)
-                if alpha is None:
-                    raise NotChainMap("image does not lie in the kernel")
-                rel.append(alpha)
-            self.rel = transpose(rel) if rel else zeros(self.z, 0)
-        else:
-            self.rel = zeros(self.z, 0)
+            u, _, v = smith_normal_form(kernel)
+            left_inverse = matmul(v, u[:z])
+        self.left_inverse = sparse_columns(left_inverse, rank_n)
+        rel = []
+        for column in complex_.columns[n + 1] if n < complex_.top else ():
+            alpha = self._kernel_coords(column)
+            if alpha is None:
+                raise NotChainMap("image does not lie in the kernel")
+            rel.append(alpha)
         u, d, _ = (
-            smith_normal_form(self.rel, _build_v=False) if self.z else (identity(0), [], None)
+            smith_normal_form(dense_rows(rel, z), _build_v=False)
+            if z
+            else (identity(0), [], None)
         )
         self.u = u
         diag = [
@@ -210,37 +226,33 @@ class HomologyCoordinates:
         self.torsion_rows = [i for i, f in enumerate(diag) if f > 1]
 
     def _kernel_coords(self, cycle):
-        """The kernel coordinates of `cycle`, a sparse column {row:
-        coefficient}, or None if it is not in the kernel lattice (the
-        multiply-back check)."""
-        if self.z == 0:
-            return [] if not any(cycle.values()) else None
-        alpha = column_combination(self.left_inverse_cols, cycle.items(), self.z)
-        back = column_combination(self.kernel_cols, enumerate(alpha), self.rank)
-        return alpha if back == [cycle.get(row, 0) for row in range(self.rank)] else None
+        """The kernel coordinates of `cycle`, a zero-free sparse column
+        {row: coefficient}, as a sparse column, or None if it is not in the
+        kernel lattice (the multiply-back check)."""
+        alpha = _compose(self.left_inverse, cycle)
+        return alpha if _compose(self.kernel, alpha) == cycle else None
 
     def coordinates(self, cycle):
-        """(free coordinates, torsion residues) of an n-cycle, a sparse
-        column {row: coefficient}, or None."""
+        """(free coordinates, torsion residues) of an n-cycle, a zero-free
+        sparse column {row: coefficient}, or None."""
         alpha = self._kernel_coords(cycle)
         if alpha is None:
             return None
-        beta = mat_vec(self.u, alpha)
-        free = [beta[i] for i in self.free_rows]
-        tor = [beta[i] % self.factors[i] for i in self.torsion_rows]
-        return free, tor
+        beta = [
+            sum(self.u[i][k] * c for k, c in alpha.items())
+            for i in self.free_rows + self.torsion_rows
+        ]
+        n_free = len(self.free_rows)
+        tor = [b % self.factors[i] for b, i in zip(beta[n_free:], self.torsion_rows)]
+        return beta[:n_free], tor
 
     def generator_cycles(self):
         """Cycle representatives for free then torsion generators, as
         sparse columns {row: coefficient}."""
         if self.z == 0:
             return []
-        uinv = unimodular_inverse(self.u)
-        cycles = []
-        for i in self.free_rows + self.torsion_rows:
-            alpha = [row[i] for row in uinv]  # uinv times the i-th unit vector
-            cycles.append({row: c for row, c in enumerate(mat_vec(self.kernel, alpha)) if c})
-        return cycles
+        uinv = sparse_columns(unimodular_inverse(self.u), self.z)
+        return [_compose(self.kernel, uinv[i]) for i in self.free_rows + self.torsion_rows]
 
     def group(self):
         return HomologyGroup(len(self.free_rows), [self.factors[i] for i in self.torsion_rows])
@@ -287,42 +299,31 @@ def induced_homology_map(cmap, degree):
         if coords is None:
             raise NotChainMap("image of a cycle is not a cycle")
         free, tor = coords
-        columns.append(free + tor)
-    n_rows = len(dst.free_rows) + len(dst.torsion_rows)
-    matrix = [
-        [columns[j][i] for j in range(len(columns))] for i in range(n_rows)
-    ]
+        columns.append({i: c for i, c in enumerate(free + tor) if c})
     same_shape = src.group() == dst.group()
-    surjective = _covers_target(matrix, dst)
+    surjective = _covers_target(columns, dst)
     return {
-        "matrix": matrix,
+        "matrix": dense_rows(columns, len(dst.free_rows) + len(dst.torsion_rows)),
         "source_group": src.group(),
         "target_group": dst.group(),
         "iso": bool(same_shape and surjective),
     }
 
 
-def _covers_target(matrix, dst):
-    """Does the image of the induced map generate the target group?"""
+def _covers_target(columns, dst):
+    """Does the image of the induced map, given by its sparse columns on
+    the target's coordinates, generate the target group?"""
     n_free = len(dst.free_rows)
-    n_tor = len(dst.torsion_rows)
-    n_rows = n_free + n_tor
+    n_rows = n_free + len(dst.torsion_rows)
     if n_rows == 0:
         return True
-    cols = [list(col) for col in zip(*matrix)] if matrix else []
-    rel_cols = []
-    for k, i in enumerate(dst.torsion_rows):
-        col = [0] * n_rows
-        col[n_free + k] = dst.factors[i]
-        rel_cols.append(col)
-    stacked_cols = cols + rel_cols
-    if not stacked_cols:
-        return False
-    stacked = [
-        [stacked_cols[j][i] for j in range(len(stacked_cols))]
-        for i in range(n_rows)
+    # the image plus one relation column f * e_row per torsion row
+    stacked = columns + [
+        {n_free + k: dst.factors[i]} for k, i in enumerate(dst.torsion_rows)
     ]
-    facs = invariant_factors(stacked)
+    if not stacked:
+        return False
+    facs = invariant_factors(dense_rows(stacked, n_rows))
     return len(facs) == n_rows and all(abs(f) == 1 for f in facs)
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import heapq
 from itertools import compress
 from math import gcd
-from operator import add
 
 
 def zeros(r, c):
@@ -66,21 +65,6 @@ def matmul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def column_combination(columns, pairs, length):
-    """The sum of c * columns[k] over the pairs (k, c) (each column
-    `length` long), skipping zero coefficients: a product with a vector
-    given by its entries, such as `enumerate(dense)` or `sparse.items()`."""
-    out = [0] * length
-    for k, c in pairs:
-        if c:
-            out = list(map(add, out, map(c.__mul__, columns[k])))
-    return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def copy_matrix(a):

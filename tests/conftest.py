@@ -25,6 +25,7 @@ from dgh.digraph import (
 )
 from dgh.intervals import standard_interval
 from dgh.covers import out_closure
+from dgh.homology import dense_rows
 from dgh.nerve import (
     _drop,
     _grid,
@@ -586,6 +587,18 @@ def dense_product(a, b, width):
                     row[j] += x * y
         out.append(row)
     return out
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def dense_boundaries(complex_):
+    """Every boundary map of a chain complex as the dense rows `linalg`
+    reads (degree 0's map has no rows)."""
+    return [
+        dense_rows(columns, rows) for columns, rows in zip(complex_.columns, [0, *complex_.ranks])
+    ]
 
 
 def reference_cubical_boundaries(x):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgh import nerve, triangulation
-from dgh.cli import main
+from dgh.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -306,6 +306,16 @@ class TestDeterminism:
         _, third = run(capsys, "verify", "paper", "--suite", "rho")
         _, fourth = run(capsys, "verify", "paper", "--suite", "rho")
         assert third == fourth
+
+    def test_shared_parser_keeps_no_options(self, files, capsys):
+        # the parser is built once per process; options given to one call
+        # must not become the defaults of the next
+        assert build_parser() is build_parser()
+        argv = ("nerve", files / "c3.json")
+        _, text = run(capsys, "--format", "text", *argv, "--m", "2", "--maxdim", "1")
+        _, json_out = run(capsys, *argv)
+        assert "cubes" in text and not text.startswith("{")
+        assert json.loads(json_out)["cubes"] == [3, 6, 18]
 
 
 class TestCommands:

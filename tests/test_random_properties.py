@@ -21,7 +21,14 @@ from dgh.digraph import (
 )
 from dgh.covers import in_closure, is_in_closed, out_closure
 from dgh.errors import BudgetExceeded, NotChainMap
-from dgh.homology import chain_map_matrices, homology_summary, normalized_chain_complex
+from dgh.homology import (
+    HomologyCoordinates,
+    chain_map_matrices,
+    dense_rows,
+    homology_summary,
+    normalized_chain_complex,
+)
+from dgh.linalg import solve_integer
 from dgh.homotopy import homotopy_classes
 from dgh.intervals import FWD, TowerSpec, standard_interval, truncation
 from dgh.nerve import (
@@ -37,6 +44,7 @@ from conftest import (
     all_pairs_one_step,
     cycle,
     degenerate_cube_test,
+    dense_boundaries,
     dense_noncommuting_degree,
     image_tuple_comparison_levels,
     image_tuple_functor_levels,
@@ -549,7 +557,7 @@ def test_boundaries_match_dense_references(g, truncation):
     m, top = truncation
     x = nerve_levels(g, m, 1, top)
     complex_, _ = normalized_chain_complex(x)
-    assert complex_.boundaries == reference_cubical_boundaries(x)
+    assert dense_boundaries(complex_) == reference_cubical_boundaries(x)
     try:
         t = triangulate(x)
     except BudgetExceeded as exc:
@@ -558,7 +566,44 @@ def test_boundaries_match_dense_references(g, truncation):
         # the dense reference
         assert "ceiling" in str(exc)
         return
-    assert t.chain_complex().boundaries == reference_triangulated_boundaries(t)
+    assert dense_boundaries(t.chain_complex()) == reference_triangulated_boundaries(t)
+
+
+def _sparse(vector):
+    return None if vector is None else {i: c for i, c in enumerate(vector) if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.data(),
+)
+def test_kernel_coordinates_match_integer_solves(g, truncation, data):
+    # the sparse left inverse and multiply-back check against a dense solve
+    # on the kernel basis, for every boundary column and one drawn non-cycle
+    m, top = truncation
+    complex_, _ = normalized_chain_complex(nerve_levels(g, m, 1, top))
+    for n in range(top):
+        coords = HomologyCoordinates(complex_, n)
+        kernel = dense_rows(coords.kernel, coords.rank)
+        for sparse in complex_.columns[n + 1]:
+            column = [sparse.get(i, 0) for i in range(coords.rank)]
+            assert coords._kernel_coords(sparse) == _sparse(solve_integer(kernel, column))
+        unbounded = [j for j, column in enumerate(complex_.columns[n]) if column]
+        if not unbounded:
+            continue
+        # a generator with a nonzero boundary plus boundaries, which are
+        # cycles: the sum's boundary is the generator's
+        j = data.draw(st.sampled_from(unbounded))
+        chain = [0] * coords.rank
+        chain[j] = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        for sparse in complex_.columns[n + 1]:
+            coefficient = data.draw(st.integers(-2, 2))
+            for i, c in sparse.items():
+                chain[i] += coefficient * c
+        assert coords._kernel_coords(_sparse(chain)) is None
+        assert solve_integer(kernel, chain) is None
 
 
 @settings(max_examples=80, deadline=None)

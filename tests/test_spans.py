@@ -4,10 +4,13 @@
 counts their results; a rename or a change of result format inside `dgh`
 would break `run.py --trace 1` only when the benchmark runs.  These tests
 resolve every entry and run every counter on a real result, without
-installing the wrappers (which rebind module functions).
+installing the wrappers (which rebind module functions), and run the traced
+benchmark itself on both workloads in a subprocess.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,9 +24,10 @@ from dgh.homotopy import homotopy_classes
 from dgh.nerve import horn_inclusion, nerve_levels
 from dgh.triangulation import triangulate
 
-from conftest import cycle, line
+from conftest import cycle, dense_boundaries, line
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +54,7 @@ def test_counters_read_real_results(spans, c3):
     assert counts["nerve.nondegenerate"] == 3 + 3 + 3
 
     complex_, _ = normalized_chain_complex(x)
-    spans._count_matrix(counts, (complex_.boundaries[1],), {}, None)
+    spans._count_matrix(counts, (dense_boundaries(complex_)[1],), {}, None)
     assert counts["linalg.elim_calls"] == 1
     assert counts["linalg.dense_slots"] == 3 * 3
     assert counts["linalg.nnz"] == sum(map(len, complex_.columns[1])) == 6
@@ -73,3 +77,18 @@ def test_counters_read_real_results(spans, c3):
     report = check_unique_lifting(fold, *horn_inclusion(2, 1, 1, 0))
     spans._count_squares(counts, (), {}, report)
     assert counts["coverings.squares"] == report["squares"] > 0
+
+
+@pytest.mark.parametrize("workload", ["enumerate", "eliminate"])
+def test_traced_run_is_correct(workload):
+    # one untraced and one traced pass; the inputs and spans land in the
+    # checkout's git-ignored .perfbench/
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "0", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          timeout=170, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0
+    if workload == "eliminate":
+        assert report["metrics"]["linalg.elim_calls"]["value"] > 0

@@ -5,7 +5,9 @@ coordinates, structure tables or rendering must leave them as they are.
 The homology and compare strings below were captured before unit-pivot
 elimination replaced the dense Smith form on the rank path, and were the
 same under several PYTHONHASHSEED values; the `--tables` strings were
-captured before the tables were built as composed index maps.
+captured before the tables were built as composed index maps, and the
+compare strings of the projective plane's identity, its vertex and the
+empty digraph before homology coordinates were kept as sparse columns.
 """
 
 import hashlib
@@ -58,6 +60,7 @@ def files(tmp_path):
         *o_files(),
         *non_covering_files(),
         *square_cover_files(),
+        *compare_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -127,6 +130,25 @@ def square_cover_files():
     ]
 
 
+def compare_files():
+    """Maps for `compare` off the pinned paths: the identity of the
+    projective plane, its vertex "00" alone into it, and the empty digraph
+    into C3."""
+    rp2 = projective_plane()
+    return [
+        ("rp2-id.json", {
+            "source": "rp2.json", "target": "rp2.json",
+            "assignment": {v: v for v in rp2["vertices"]},
+        }),
+        ("vertex.json", {"vertices": ["00"], "arrows": []}),
+        ("vertex-rp2.json", {
+            "source": "vertex.json", "target": "rp2.json", "assignment": {"00": "00"},
+        }),
+        ("empty.json", {"vertices": [], "arrows": []}),
+        ("empty-c3.json", {"source": "empty.json", "target": "c3.json", "assignment": {}}),
+    ]
+
+
 GOLDEN = [
     (
         ["homology", "c3.json", "--nerve-m", "1", "--maxdim", "3", "--triangulated"],
@@ -149,6 +171,31 @@ GOLDEN = [
         '{"H":[{"rank":1,"torsion":[]},{"rank":0,"torsion":[2]},{"rank":48,"torsion":[]}],'
         '"oracles_agree_below_top":true,"pass":true,"triangulated_H":[{"rank":1,"torsion":[]},'
         '{"rank":0,"torsion":[2]},{"rank":48,"torsion":[]}],"truncated_top":true}\n',
+    ),
+    (
+        # H1 = Z/2 -> Z/2: torsion coordinates and the torsion relation
+        # column of the surjectivity test
+        ["compare", "rp2-id.json", "--nerve-m", "1", "--maxdim", "2"],
+        '{"degrees":{"0":{"iso":true,"matrix":[[1]],"source":{"rank":1,"torsion":[]},'
+        '"target":{"rank":1,"torsion":[]}},"1":{"iso":true,"matrix":[[1]],'
+        '"source":{"rank":0,"torsion":[2]},"target":{"rank":0,"torsion":[2]}}},'
+        '"iso_below_top":true,"pass":true}\n',
+    ),
+    (
+        # H1 = 0 -> Z/2: no source generator, one target row
+        ["compare", "vertex-rp2.json", "--nerve-m", "1", "--maxdim", "2"],
+        '{"degrees":{"0":{"iso":true,"matrix":[[1]],"source":{"rank":1,"torsion":[]},'
+        '"target":{"rank":1,"torsion":[]}},"1":{"iso":false,"matrix":[[]],'
+        '"source":{"rank":0,"torsion":[]},"target":{"rank":0,"torsion":[2]}}},'
+        '"iso_below_top":false,"pass":true}\n',
+    ),
+    (
+        # the empty source has an empty kernel in every degree
+        ["compare", "empty-c3.json", "--nerve-m", "1", "--maxdim", "2"],
+        '{"degrees":{"0":{"iso":false,"matrix":[[]],"source":{"rank":0,"torsion":[]},'
+        '"target":{"rank":1,"torsion":[]}},"1":{"iso":false,"matrix":[[]],'
+        '"source":{"rank":0,"torsion":[]},"target":{"rank":1,"torsion":[]}}},'
+        '"iso_below_top":false,"pass":true}\n',
     ),
 ]
 
@@ -236,7 +283,10 @@ TABLES = [
 @pytest.mark.parametrize(
     "argv, stdout",
     GOLDEN + TABLES,
-    ids=["c3-triangulated", "wedge-fold", "rp2", "tables-c3-m1", "tables-fan-m2", "tables-c3-m0"],
+    ids=[
+        "c3-triangulated", "wedge-fold", "rp2", "rp2-identity", "rp2-vertex", "empty-c3",
+        "tables-c3-m1", "tables-fan-m2", "tables-c3-m0",
+    ],
 )
 def test_stdout_is_pinned(files, capsys, argv, stdout):
     assert main([argv[0], str(files / argv[1]), *argv[2:]]) == 0
