@@ -91,31 +91,15 @@ def _power_map(p, k):
     return DigraphMap(dg, dh, dict(p.assignment))
 
 
-def _paths_up_to(g, length):
-    """All directed walks (vertex sequences along arrows) of length <= `length`."""
-    out = [(v,) for v in g.vertices]
-    frontier = list(out)
-    for _ in range(length):
-        nxt = []
-        for path in frontier:
-            for w in g.successors(path[-1]):
-                nxt.append(path + (w,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _fiber_bijections(p, l, dist_g):
     """Condition (4) of `is_l_covering`; `dist_g` maps each source vertex
-    to its `distances_from`."""
+    to its `distances_from` up to depth l."""
     fibers = _fibers(p)
     for a in p.target.vertices:
-        for b, d in distances_from(p.target, a).items():
-            if d > l:
-                continue
+        for b, d in distances_from(p.target, a, l).items():
             matches = []
             for x in fibers.get(a, []):
-                near = [y for y in fibers.get(b, []) if dist_g[x].get(y, l + 1) <= l]
+                near = [y for y in fibers.get(b, []) if y in dist_g[x]]
                 if len(near) != 1 or dist_g[x][near[0]] != d:
                     return False
                 matches.append(near[0])
@@ -130,41 +114,42 @@ def is_l_covering(p, l):
     (1) every distance power up to l is a 1-covering;
     (2) the l-th power map is a 1-covering and the source is exactly the
         preimage of the target inside its own l-th power;
-    (3) unique endpoints for short path pairs sharing one end and one
-        projected end;
+    (3) p is a 1-covering, and of two walks of length <= l that share their
+        start and whose ends lie over one vertex, the ends are equal (and
+        dually for shared ends).  A walk from u to v of length <= l exists
+        iff dist(u, v) <= l, so (3) is read off the source's distance table
+        up to depth l: grouped by (start, p(end)), and by (end, p(start)),
+        each group holds one pair;
     (4) unique near-fiber bijections: matched points realize the base
         distance and every other fiber point is farther than l.
 
-    All four verdicts must agree: a disagreement is reported as
+    Every distance read is at most l, so every BFS stops at depth l.  All
+    four verdicts must agree: a disagreement is reported as
     `conditions_agree: false` and fails the report, never reconciled.
     """
     if l < 1:
         raise BadIndex("the covering index must be >= 1")
     g, h = p.source, p.target
-
-    cond1 = all(is_one_covering(_power_map(p, k)) for k in range(1, l + 1))
+    over = p.assignment
 
     power_ok = is_one_covering(_power_map(p, l))
-    dist_g = {v: distances_from(g, v) for v in g.vertices}
-    preimage_arrows = set()
-    for u in g.vertices:
-        for v, d in dist_g[u].items():
-            if u != v and d <= l:
-                pu, pv = p.assignment[u], p.assignment[v]
-                if pu == pv or (pu, pv) in h.arrows:
-                    preimage_arrows.add((u, v))
+    cond1 = power_ok and all(is_one_covering(_power_map(p, k)) for k in range(1, l))
+
+    dist_g = {v: distances_from(g, v, l) for v in g.vertices}
+    preimage_arrows = {
+        (u, v)
+        for u in g.vertices
+        for v in dist_g[u]
+        if u != v and (over[u] == over[v] or (over[u], over[v]) in h.arrows)
+    }
     cond2 = power_ok and preimage_arrows == set(g.arrows)
 
-    cond3 = is_one_covering(p)
-    if cond3:
-        paths = _paths_up_to(g, l)
-        cond3 = not any(
-            a[0] != b[0] or a[-1] != b[-1]
-            for a in paths
-            for b in paths
-            if (a[0] == b[0] and p.assignment[a[-1]] == p.assignment[b[-1]])
-            or (a[-1] == b[-1] and p.assignment[a[0]] == p.assignment[b[0]])
-        )
+    pairs = [(u, v) for u in g.vertices for v in dist_g[u]]
+    cond3 = (
+        is_one_covering(p)
+        and len({(u, over[v]) for u, v in pairs}) == len(pairs)
+        and len({(v, over[u]) for u, v in pairs}) == len(pairs)
+    )
 
     verdicts = {
         "power-one-coverings": cond1,

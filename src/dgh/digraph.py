@@ -659,16 +659,20 @@ def pi0(g):
 def distance(g, u, v):
     """Length of the shortest directed path u -> v, or INFINITY."""
     g.check_vertices((u, v))
-    return distances_from(g, u).get(v, INFINITY)
+    return distances_from(g, u, INFINITY).get(v, INFINITY)
 
 
-def distances_from(g, u):
-    """Directed BFS distances from u; unreachable vertices are absent."""
+def distances_from(g, u, depth):
+    """Directed BFS distances from u, in distance order, up to `depth`
+    (INFINITY for no bound); vertices farther away or unreachable are
+    absent."""
     dist = {u: 0}
     queue = deque([u])
     while queue:
         x = queue.popleft()
         d = dist[x] + 1
+        if d > depth:
+            break
         for y in g.successors(x):
             if y not in dist:
                 dist[y] = d
@@ -682,10 +686,7 @@ def power_digraph(g, k):
         raise InputError("power index must be >= 1")
     arrows = []
     for u in g.vertices:
-        dist = distances_from(g, u)
-        for v, d in dist.items():
-            if 1 <= d <= k:
-                arrows.append((u, v))
+        arrows.extend((u, v) for v in distances_from(g, u, k) if v != u)
     return Digraph(g.vertices, arrows)
 
 

@@ -21,12 +21,10 @@ from itertools import count
 from .config import MAX_MATRIX_DIM
 from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
-    identity,
     invariant_factors,
     kernel_basis,
     matmul,
     smith_normal_form,
-    unimodular_inverse,
     zeros,
 )
 
@@ -183,39 +181,44 @@ class HomologyCoordinates:
     maps cycle -> coordinates, for computing and comparing induced maps.
     `kernel` (a basis of the cycles) and `left_inverse` (a left inverse of
     it) are zero-free sparse columns; U of the relation matrix's Smith form
-    is kept as the dense rows `linalg` returned.
+    is kept as the dense rows `linalg` returned, and its inverse as the
+    dense columns.
     """
 
     def __init__(self, complex_, n):
         self.n = n
         self.rank = rank_n = complex_.ranks[n]
-        if n >= 1:
+        if n == 0:
+            # every 0-chain is a cycle: the kernel and its left inverse are
+            # the identity
+            self.kernel = self.left_inverse = [{i: 1} for i in range(rank_n)]
+        else:
             # a boundary into an empty degree is read as one zero row
             lower = complex_.ranks[n - 1] or 1
             kernel = kernel_basis(dense_rows(complex_.columns[n], lower))
-        else:
-            kernel = identity(rank_n)
-        self.z = z = len(kernel[0]) if kernel else 0
-        self.kernel = sparse_columns(kernel, z)
-        left_inverse = []
-        if z:
-            # the kernel is saturated, so U K V = [I; 0] and V times the
-            # first z rows of U is a left inverse of K
-            u, _, v = smith_normal_form(kernel)
-            left_inverse = matmul(v, u[:z])
-        self.left_inverse = sparse_columns(left_inverse, rank_n)
+            z = len(kernel[0]) if kernel else 0
+            self.kernel = sparse_columns(kernel, z)
+            left_inverse = []
+            if z:
+                # the kernel is saturated, so U K V = [I; 0] and V times the
+                # first z rows of U is a left inverse of K
+                u, _, v = smith_normal_form(kernel)
+                left_inverse = matmul(v, u[:z])
+            self.left_inverse = sparse_columns(left_inverse, rank_n)
+        self.z = z = len(self.kernel)
         rel = []
         for column in complex_.columns[n + 1] if n < complex_.top else ():
             alpha = self._kernel_coords(column)
             if alpha is None:
                 raise NotChainMap("image does not lie in the kernel")
             rel.append(alpha)
-        u, d, _ = (
+        u, d, u_inv = (
             smith_normal_form(dense_rows(rel, z), _build_v=False)
             if z
-            else (identity(0), [], None)
+            else ([], [], [])
         )
         self.u = u
+        self.u_inv = u_inv
         diag = [
             d[i][i]
             for i in range(min(len(d), len(d[0]) if d else 0))
@@ -249,10 +252,10 @@ class HomologyCoordinates:
     def generator_cycles(self):
         """Cycle representatives for free then torsion generators, as
         sparse columns {row: coefficient}."""
-        if self.z == 0:
-            return []
-        uinv = sparse_columns(unimodular_inverse(self.u), self.z)
-        return [_compose(self.kernel, uinv[i]) for i in self.free_rows + self.torsion_rows]
+        return [
+            _compose(self.kernel, {k: c for k, c in enumerate(self.u_inv[i]) if c})
+            for i in self.free_rows + self.torsion_rows
+        ]
 
     def group(self):
         return HomologyGroup(len(self.free_rows), [self.factors[i] for i in self.torsion_rows])

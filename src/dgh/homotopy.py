@@ -284,23 +284,6 @@ def verify_ddr(witness):
     bad = next((h for h in witness.part if eta[h] != h), None)
     set_cond("fixes-part", bad is None, repr(bad))
 
-    ok3 = True
-    witness3 = None
-    for h in witness.part:
-        dist = distances_from(g, h)
-        for v in g.vertices:
-            if v in part:
-                continue
-            d_v = dist.get(v, INFINITY)
-            d_e = dist.get(eta[v], INFINITY)
-            if d_v != d_e + 1:
-                ok3 = False
-                witness3 = (repr(h), repr(v))
-                break
-        if not ok3:
-            break
-    set_cond("distance-step", ok3, witness3)
-
     # Iterate reformulation: a minimal power of eta lands in the part, and
     # shortest paths from the part factor through the eta-orbit.
     ok_iter = True
@@ -321,20 +304,33 @@ def verify_ddr(witness):
             break
         if steps:
             landing[v] = (x, steps)
-    if ok_iter:
-        # One BFS per h; the witness is the first failing (v, h) with v in
-        # vertex order, then h in part order.
-        outside = list(landing)
-        first = len(outside)
-        for h in witness.part:
-            dist = distances_from(g, h)
-            for i, v in enumerate(outside[:first]):
-                top, n = landing[v]
-                if dist.get(top, INFINITY) + n != dist.get(v, INFINITY):
-                    ok_iter = False
-                    witness_iter = (repr(h), repr(v))
-                    first = i
+
+    # One BFS per h serves both conditions.  The distance-step witness is
+    # the first failing h in part order, then v in vertex order; the
+    # iterate witness the first failing (v, h) with v in vertex order,
+    # then h in part order.
+    ok3 = True
+    witness3 = None
+    outside = list(landing) if ok_iter else []
+    first = len(outside)
+    for h in witness.part:
+        if not (ok3 or first):
+            break
+        dist = distances_from(g, h, INFINITY)
+        if ok3:
+            for v in g.vertices:
+                if v not in part and dist.get(v, INFINITY) != dist.get(eta[v], INFINITY) + 1:
+                    ok3 = False
+                    witness3 = (repr(h), repr(v))
                     break
+        for i, v in enumerate(outside[:first]):
+            top, n = landing[v]
+            if dist.get(top, INFINITY) + n != dist.get(v, INFINITY):
+                ok_iter = False
+                witness_iter = (repr(h), repr(v))
+                first = i
+                break
+    set_cond("distance-step", ok3, witness3)
     set_cond("iterate-reformulation", ok_iter, witness_iter)
 
     # Given the first two conditions, the distance condition and the

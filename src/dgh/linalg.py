@@ -14,7 +14,7 @@ full rank, so its entries stay bounded.  The boundary matrices of nerves
 are sparse and nearly all of their pivots are units, so the residual is
 small or empty.  Transforms are built only for callers that read one:
 `kernel_basis`, `solve_integer` and `unimodular_inverse` (U and V), and
-homology coordinates, which read U alone and skip V.
+homology coordinates, which read U and its inverse and skip V.
 
 The dense Smith loop takes as pivot the first entry of least absolute
 value in row-major order from (t, t).  Its search goes row by row and
@@ -73,9 +73,13 @@ def copy_matrix(a):
 
 def _smith(a, with_v=True, modulus=None):
     """The one Smith loop: U, D, V with U*a*V = D diagonal, nonnegative,
-    divisibility chain.  V is built only `with_v` (None otherwise); no step
-    reads a transform to choose the next one, so U and D do not depend on
-    whether V is built.
+    divisibility chain.  Without `with_v` the third value is U's inverse
+    in place of V, kept as a list of columns: each row operation on U is
+    the inverse column operation on it (a row swap swaps two columns,
+    adding f times row src to row dst subtracts f times column dst from
+    column src, and a negated row negates a column).  No step reads a
+    transform to choose the next one, so U and D do not depend on which
+    is built.
 
     With a `modulus` no transform is built and every entry is kept reduced
     modulo it, so D is diagonal over the integers modulo `modulus` but need
@@ -96,14 +100,17 @@ def _smith(a, with_v=True, modulus=None):
         d = copy_matrix(a)
         u = identity(rows)
         v = identity(cols) if with_v else None
+        u_inv = None if with_v else identity(rows)
     else:
         d = [[x % modulus for x in row] for row in a]
-        u = v = None
+        u = v = u_inv = None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         if u is not None:
             u[i], u[j] = u[j], u[i]
+        if u_inv is not None:
+            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -118,6 +125,8 @@ def _smith(a, with_v=True, modulus=None):
             d[dst] = [x % modulus for x in d[dst]]
         if u is not None:
             u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        if u_inv is not None:
+            u_inv[src] = [x - factor * y for x, y in zip(u_inv[src], u_inv[dst])]
 
     def add_col(src, dst, factor):
         for row in d:
@@ -132,6 +141,8 @@ def _smith(a, with_v=True, modulus=None):
         d[i] = [-x for x in d[i]]
         if u is not None:
             u[i] = [-x for x in u[i]]
+        if u_inv is not None:
+            u_inv[i] = [-x for x in u_inv[i]]
 
     t = 0
     while True:
@@ -179,16 +190,17 @@ def _smith(a, with_v=True, modulus=None):
         t += 1
         if t >= min(rows, cols):
             break
-    return u, d, v
+    return u, d, v if with_v else u_inv
 
 
 def smith_normal_form(a, *, _build_v=True):
     """U, D, V with U*a*V = D diagonal, nonnegative, divisibility chain,
     and U, V unimodular.
 
-    `_build_v=False` is for callers inside the package that read only U
-    and D: V, by far the largest part for a wide matrix, is then None, and
-    U and D are the same.
+    `_build_v=False` is for callers inside the package that read U, its
+    inverse and D, but not V: V, by far the largest part for a wide
+    matrix, is not built, and the third value is the columns of U's
+    inverse (U and D are the same).
     """
     return _smith(a, with_v=_build_v)
 

@@ -919,3 +919,84 @@ def spread_lifting(p, a, b, budget=DEFAULT_MAX_MAPS):
                 }
                 return report
     return report
+
+
+# -- distance coverings by listing walks --------------------------------------
+# The reference for `dgh.coverings.is_l_covering`, which reads condition (3)
+# off a distance table bounded at depth l: here every distance comes from
+# Floyd-Warshall, and (3) lists every walk of length <= l and compares every
+# pair of walks.
+
+
+def walks_up_to(g, length):
+    """All directed walks (vertex sequences along arrows) of length <= `length`."""
+    out = [(v,) for v in g.vertices]
+    frontier = list(out)
+    for _ in range(length):
+        frontier = [walk + (w,) for walk in frontier for w in g.successors(walk[-1])]
+        out.extend(frontier)
+    return out
+
+
+def walk_pair_l_covering(p, l):
+    """The `is_l_covering` report of p, evaluated from all-pairs distances
+    and, for condition (3), from every pair of walks of length <= l."""
+    g, h = p.source, p.target
+    over = p.assignment
+    dist_g, dist_h = floyd_warshall(g), floyd_warshall(h)
+
+    def power_map(k):
+        def power(x, dist):
+            return Digraph(x.vertices, [pair for pair, d in dist.items() if 1 <= d <= k])
+
+        return DigraphMap(power(g, dist_g), power(h, dist_h), dict(over))
+
+    cond1 = all(is_one_covering(power_map(k)) for k in range(1, l + 1))
+    preimage_arrows = {
+        (u, v)
+        for (u, v), d in dist_g.items()
+        if u != v and d <= l and (over[u] == over[v] or (over[u], over[v]) in h.arrows)
+    }
+    cond2 = is_one_covering(power_map(l)) and preimage_arrows == set(g.arrows)
+    cond3 = is_one_covering(p)
+    if cond3:
+        walks = walks_up_to(g, l)
+        cond3 = not any(
+            a[0] != b[0] or a[-1] != b[-1]
+            for a in walks
+            for b in walks
+            if (a[0] == b[0] and over[a[-1]] == over[b[-1]])
+            or (a[-1] == b[-1] and over[a[0]] == over[b[0]])
+        )
+    fibers = {}
+    for v in g.vertices:
+        fibers.setdefault(over[v], []).append(v)
+
+    def fiber_bijections():
+        for (a, b), d in dist_h.items():
+            if d > l:
+                continue
+            matches = []
+            for x in fibers.get(a, []):
+                near = [y for y in fibers.get(b, []) if dist_g[x, y] <= l]
+                if len(near) != 1 or dist_g[x, near[0]] != d:
+                    return False
+                matches.append(near[0])
+            if sorted(matches, key=repr) != sorted(fibers.get(b, []), key=repr):
+                return False
+        return True
+
+    verdicts = {
+        "power-one-coverings": cond1,
+        "top-power-and-preimage": cond2,
+        "path-pair-rigidity": cond3,
+        "fiber-bijections": fiber_bijections(),
+    }
+    agree = len(set(verdicts.values())) == 1
+    return {
+        "l": l,
+        "conditions": verdicts,
+        "conditions_agree": agree,
+        "is_l_covering": cond1,
+        "pass": cond1 and agree,
+    }

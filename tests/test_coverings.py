@@ -5,9 +5,11 @@ from dgh import coverings, digraph
 from dgh.digraph import (
     Digraph,
     DigraphMap,
+    box_product,
     count_digraph_maps,
     disjoint_union,
     distance,
+    distances_from,
     pi0,
     power_digraph,
 )
@@ -26,7 +28,7 @@ from dgh.coverings import (
 )
 from dgh.nerve import horn_inclusion
 
-from conftest import cycle, hypothesis_two_grade, line, spread_lifting
+from conftest import cycle, hypothesis_two_grade, line, spread_lifting, walk_pair_l_covering
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,96 @@ class TestLCovering:
                 power_digraph(fold.target, k),
                 dict(fold.assignment),
             )
+
+
+@st.composite
+def digraph_maps(draw, max_vertices=7):
+    """Random digraph maps with at most `max_vertices` source vertices.
+    Half are sheeted covers: k copies of a base, each base arrow lifted by
+    a random permutation of the sheets, and at times one lift dropped.
+    The others assign vertices at random and draw arrows among the pairs
+    sent to an arrow or to one vertex."""
+    if draw(st.booleans()):
+        sheets = draw(st.integers(1, 3))
+        size = draw(st.integers(1, max_vertices // sheets))
+        base = draw(st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                            max_size=6))
+        base = Digraph(range(size), [(x, y) for x, y in base if x != y])
+        arrows = []
+        for x, y in sorted(base.arrows):
+            moved = draw(st.permutations(range(sheets)))
+            arrows += [((x, s), (y, t)) for s, t in enumerate(moved)]
+        dropped = draw(st.sets(st.sampled_from(arrows), max_size=1)) if arrows else set()
+        source = Digraph([(v, s) for s in range(sheets) for v in range(size)],
+                         [a for a in arrows if a not in dropped])
+        return DigraphMap(source, base, {v: v[0] for v in source.vertices})
+    size = draw(st.integers(1, 4))
+    base = draw(st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                        max_size=7))
+    base = Digraph(range(size), [(x, y) for x, y in base if x != y])
+    over = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=max_vertices))
+    allowed = [(u, v) for u in range(len(over)) for v in range(len(over))
+               if u != v and (over[u] == over[v] or (over[u], over[v]) in base.arrows)]
+    arrows = draw(st.sets(st.sampled_from(allowed), max_size=10)) if allowed else set()
+    return DigraphMap(Digraph(range(len(over)), arrows), base, dict(enumerate(over)))
+
+
+class TestLCoveringOracle:
+    """`is_l_covering` reads condition (3) off a distance table bounded at
+    depth l; conftest's reference lists walks and compares every pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraph_maps(), st.integers(1, 4))
+    def test_reports_match_the_walk_pair_oracle(self, p, l):
+        assert is_l_covering(p, l) == walk_pair_l_covering(p, l)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_sheeted_cycles(self, l):
+        # the 2k-cycle onto the k-cycle is an l-covering exactly for l < k
+        for k in (2, 3, 4):
+            p = DigraphMap(cycle(2 * k), cycle(k), {i: i % k for i in range(2 * k)})
+            report = is_l_covering(p, l)
+            assert report == walk_pair_l_covering(p, l)
+            assert report["pass"] is (l < k)
+
+    def test_no_walk_is_listed_and_every_search_is_bounded(self, monkeypatch):
+        # every successor query comes from a breadth-first search to depth
+        # at most l, expanding each vertex once, or from a 1-covering check;
+        # listing walks would query successors along each walk
+        torus = box_product(cycle(4), cycle(4))
+        p, l = DigraphMap.identity(torus), 6
+        depths, inside = [], []
+        successors = Digraph.successors
+        one_covering = coverings.is_one_covering
+
+        def spied_successors(g, v):
+            assert inside, "successors queried outside a search or a 1-covering check"
+            if inside[-1] is not None:
+                assert v not in inside[-1], "a search expanded a vertex twice"
+                inside[-1].add(v)
+            return successors(g, v)
+
+        def spied_distances(g, u, depth):
+            depths.append(depth)
+            inside.append(set())
+            try:
+                return distances_from(g, u, depth)
+            finally:
+                inside.pop()
+
+        def spied_one_covering(q):
+            inside.append(None)
+            try:
+                return one_covering(q)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Digraph, "successors", spied_successors)
+        monkeypatch.setattr(coverings, "distances_from", spied_distances)
+        monkeypatch.setattr(digraph, "distances_from", spied_distances)
+        monkeypatch.setattr(coverings, "is_one_covering", spied_one_covering)
+        assert is_l_covering(p, l)["pass"]
+        assert depths and max(depths) <= l
 
 
 class TestUniqueLifting:

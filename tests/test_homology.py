@@ -21,6 +21,7 @@ from dgh.homology import (
 from dgh.linalg import (
     _rank_and_minor,
     _smith,
+    identity,
     invariant_factors,
     kernel_basis,
     matmul,
@@ -47,6 +48,12 @@ from conftest import (
 
 def Z(rank=1, torsion=()):
     return HomologyGroup(rank, torsion)
+
+
+def assert_inverse_columns(u, u_inv):
+    """`u_inv`, a list of columns, is the two-sided inverse of `u`."""
+    inverse = transpose(u_inv)
+    assert matmul(u, inverse) == identity(len(u)) == matmul(inverse, u)
 
 
 class TestSmith:
@@ -119,7 +126,9 @@ class TestUnitPivotElimination:
         factors = [x for x in diagonal if x]
         assert invariant_factors(a) == factors
         assert matrix_rank(a) == len(factors)
-        assert smith_normal_form(a, _build_v=False) == (u, d, None)
+        *u_and_d, u_inv = smith_normal_form(a, _build_v=False)
+        assert u_and_d == [u, d]
+        assert_inverse_columns(u, u_inv)
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(st.integers(-3, 3)))
@@ -172,7 +181,9 @@ class TestSmithPivotRule:
 
     def check(self, a):
         assert _smith(a) == full_scan_smith(a)
-        assert _smith(a, with_v=False) == full_scan_smith(a, with_v=False)
+        *u_and_d, u_inv = _smith(a, with_v=False)
+        assert (*u_and_d, None) == full_scan_smith(a, with_v=False)
+        assert_inverse_columns(u_and_d[0], u_inv)
         _, minor = _rank_and_minor(a)
         assert _smith(a, modulus=minor) == full_scan_smith(a, modulus=minor)
 
@@ -231,7 +242,9 @@ class TestSmithPivotRule:
     )
     def test_pinned_pivots(self, a, expected):
         assert _smith(a) == expected
-        assert _smith(a, with_v=False) == (*expected[:2], None)
+        *u_and_d, u_inv = _smith(a, with_v=False)
+        assert u_and_d == list(expected[:2])
+        assert_inverse_columns(u_and_d[0], u_inv)
         assert full_scan_smith(a) == expected
 
 

@@ -28,7 +28,7 @@ from dgh.homology import (
     homology_summary,
     normalized_chain_complex,
 )
-from dgh.linalg import solve_integer
+from dgh.linalg import solve_integer, unimodular_inverse
 from dgh.homotopy import homotopy_classes
 from dgh.intervals import FWD, TowerSpec, standard_interval, truncation
 from dgh.nerve import (
@@ -45,6 +45,7 @@ from conftest import (
     cycle,
     degenerate_cube_test,
     dense_boundaries,
+    dense_product,
     dense_noncommuting_degree,
     image_tuple_comparison_levels,
     image_tuple_functor_levels,
@@ -604,6 +605,28 @@ def test_kernel_coordinates_match_integer_solves(g, truncation, data):
                 chain[i] += coefficient * c
         assert coords._kernel_coords(_sparse(chain)) is None
         assert solve_integer(kernel, chain) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+)
+def test_generator_cycles_are_the_kernel_times_the_inverse_of_u(g, truncation):
+    # oracle: U of the relation matrix inverted by a second Smith form, whose
+    # entries explode on the relation matrices of m = 2, K = 2 (z up to 1,082)
+    m, top = truncation
+    complex_, _ = normalized_chain_complex(nerve_levels(g, m, 1, top))
+    for n in range(top + 1):
+        coords = HomologyCoordinates(complex_, n)
+        rows = coords.free_rows + coords.torsion_rows
+        if not rows:
+            assert coords.generator_cycles() == []
+            continue
+        inverse = unimodular_inverse(coords.u)
+        kernel = dense_rows(coords.kernel, coords.rank)
+        cycles = dense_product(kernel, [[row[i] for i in rows] for row in inverse], len(rows))
+        assert coords.generator_cycles() == [_sparse(column) for column in zip(*cycles)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -61,6 +61,7 @@ def files(tmp_path):
         *non_covering_files(),
         *square_cover_files(),
         *compare_files(),
+        *one_side_empty_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -146,6 +147,21 @@ def compare_files():
         }),
         ("empty.json", {"vertices": [], "arrows": []}),
         ("empty-c3.json", {"source": "empty.json", "target": "c3.json", "assignment": {}}),
+    ]
+
+
+def one_side_empty_files():
+    """Two isolated vertices a and b, covered by x = [a] and y = [b], sent
+    to one point c, covered by x = [c] and y = [c]: the face {x, y} is in
+    the target cover's nerve only."""
+    return [
+        ("ab.json", {"vertices": ["a", "b"], "arrows": []}),
+        ("point.json", {"vertices": ["c"], "arrows": []}),
+        ("ab-point.json", {
+            "source": "ab.json", "target": "point.json", "assignment": {"a": "c", "b": "c"},
+        }),
+        ("ab-cover.json", {"members": {"x": ["a"], "y": ["b"]}}),
+        ("point-cover.json", {"members": {"x": ["c"], "y": ["c"]}}),
     ]
 
 
@@ -338,6 +354,14 @@ COVER_EQUIV = (
     '"global":{"0":true,"1":true},"global_matrices":{"0":[[1]],"1":[[1]]},"pass":true}\n'
 )
 
+# captured before the unreachable "both empty" verdict was deleted
+COVER_EQUIV_ONE_SIDE_EMPTY = (
+    '{"faces":[{"face":["x"],"homology_iso_below_top":true,"size":1,"size_prime":1},'
+    '{"face":["x","y"],"size":0,"size_prime":1,"verdict":"one side empty"},'
+    '{"face":["y"],"homology_iso_below_top":true,"size":1,"size_prime":1}],'
+    '"global":{"0":false,"1":true},"global_matrices":{"0":[[1,1]],"1":[]},"pass":false}\n'
+)
+
 PI1 = (
     '{"abelianization":{"rank":1,"torsion":[]},"generators":13,"reduced_generators":2,'
     '"reduced_relators":2,"relators":24}\n'
@@ -345,16 +369,20 @@ PI1 = (
 
 
 # Report paths no string above reaches: simplicial homology of a cover's
-# nerve, the per-face comparison of two covers, and the pi1 presentation.
+# nerve, the per-face comparison of two covers (also with a face on one
+# side only), and the pi1 presentation.
 REPORTS = [
     (["nerve-theorem", "o.json", "o-rows-columns.json"], 1, NERVE_THEOREM),
     (["check", "cover-equiv", "o-id.json", "o-rows.json", "o-rows.json"], 0, COVER_EQUIV),
+    (["check", "cover-equiv", "ab-point.json", "ab-cover.json", "point-cover.json"], 1,
+     COVER_EQUIV_ONE_SIDE_EMPTY),
     (["pi1", "o.json", "--base", "00"], 0, PI1),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, stdout", REPORTS, ids=["nerve-theorem-o", "cover-equiv-o", "pi1-o"]
+    "argv, code, stdout", REPORTS,
+    ids=["nerve-theorem-o", "cover-equiv-o", "cover-equiv-one-side-empty", "pi1-o"],
 )
 def test_report_is_pinned(files, capsys, argv, code, stdout):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]

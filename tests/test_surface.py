@@ -6,7 +6,8 @@ by name somewhere in `src/dgh` outside its own definition (as a name, an
 attribute, an import alias or an identifier string), open an inline code
 span of README.md (`name(...)` or `Class.name(...)`), or be a qualified
 name in the `LAYERS` table of the benchmark's layer tracer
-(`perfbench/spans.py`).  A test helper belongs in `tests/conftest.py`.
+(`perfbench/spans.py`).  The names that only that table reaches are
+pinned by name.  A test helper belongs in `tests/conftest.py`.
 Every private module-level function and private method must be referenced
 in `src/dgh` outside its own definition, so that a superseded helper does
 not linger.
@@ -104,6 +105,17 @@ def unreferenced_names(definitions, words=frozenset()):
 
 def test_every_public_name_is_used_documented_or_traced():
     assert unreferenced_names(_public_definitions, readme_names() | traced_names()) == []
+
+
+def test_names_only_the_tracer_keeps_are_pinned():
+    # the public names that nothing but the tracer's LAYERS table reaches:
+    # dead library code, pinned so that a new one fails here instead of
+    # creeping in
+    assert sorted(unreferenced_names(_public_definitions, readme_names())) == [
+        "linalg.py:matrix_rank",
+        "linalg.py:solve_integer",
+        "linalg.py:unimodular_inverse",
+    ]
 
 
 def test_every_private_function_is_used():
