@@ -15,7 +15,7 @@ import sys
 
 from .config import DEFAULT_MAX_CUBES, DEFAULT_MAX_MAPS
 from .digraph import INFINITY, pi0
-from .errors import BudgetExceeded, DghError, InputError, InternalError
+from .errors import BadIndex, BudgetExceeded, DghError, InputError, InternalError
 from .homology import homology_summary, induced_homology_map, pi1_presentation
 from .homotopy import DdrWitness, an_tower, homotopy_classes, verify_ddr, verify_oddr
 from .intervals import Interval, enumerate_shrinkings
@@ -317,9 +317,16 @@ def cmd_check_lifting(args):
     return check_unique_lifting(p, horn, cube, budget=args.max_maps)
 
 
+def _dimensions(n):
+    """1..n for `check kan` and `check rho`; n < 1 would check nothing."""
+    if n < 1:
+        raise BadIndex(f"need n >= 1, got {n}")
+    return range(1, n + 1)
+
+
 def cmd_check_kan(args):
     reports = []
-    for n in range(1, args.n + 1):
+    for n in _dimensions(args.n):
         for i in range(1, n + 1):
             for eps in (0, 1):
                 reports.append(kan_filler_report(args.m, n, i, eps))
@@ -327,7 +334,7 @@ def cmd_check_kan(args):
 
 
 def cmd_check_rho(args):
-    reports = [check_rho_properties(n, args.m) for n in range(1, args.n + 1)]
+    reports = [check_rho_properties(n, args.m) for n in _dimensions(args.n)]
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
 
 

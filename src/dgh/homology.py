@@ -23,7 +23,6 @@ from .errors import BudgetExceeded, InputError, NotChainMap, NotConnected
 from .linalg import (
     invariant_factors,
     kernel_basis,
-    matmul,
     smith_normal_form,
     zeros,
 )
@@ -180,9 +179,10 @@ class HomologyCoordinates:
     of the degree n+1 boundaries are the relation columns, together with
     maps cycle -> coordinates, for computing and comparing induced maps.
     `kernel` (a basis of the cycles) and `left_inverse` (a left inverse of
-    it) are zero-free sparse columns; U of the relation matrix's Smith form
-    is kept as the dense rows `linalg` returned, and its inverse as the
-    dense columns.
+    it) are zero-free sparse columns, both read off the one Smith form of
+    the degree n boundary.  U of the relation matrix's Smith form is kept
+    as the dense rows `linalg` returned, and its inverse as the dense
+    columns; each is a replay of that Smith loop's operation log.
     """
 
     def __init__(self, complex_, n):
@@ -195,15 +195,8 @@ class HomologyCoordinates:
         else:
             # a boundary into an empty degree is read as one zero row
             lower = complex_.ranks[n - 1] or 1
-            kernel = kernel_basis(dense_rows(complex_.columns[n], lower))
-            z = len(kernel[0]) if kernel else 0
-            self.kernel = sparse_columns(kernel, z)
-            left_inverse = []
-            if z:
-                # the kernel is saturated, so U K V = [I; 0] and V times the
-                # first z rows of U is a left inverse of K
-                u, _, v = smith_normal_form(kernel)
-                left_inverse = matmul(v, u[:z])
+            kernel, left_inverse = kernel_basis(dense_rows(complex_.columns[n], lower))
+            self.kernel = sparse_columns(kernel, len(left_inverse))
             self.left_inverse = sparse_columns(left_inverse, rank_n)
         self.z = z = len(self.kernel)
         rel = []
@@ -212,18 +205,10 @@ class HomologyCoordinates:
             if alpha is None:
                 raise NotChainMap("image does not lie in the kernel")
             rel.append(alpha)
-        u, d, u_inv = (
-            smith_normal_form(dense_rows(rel, z), _build_v=False)
-            if z
-            else ([], [], [])
+        self.u, d, self.u_inv = (
+            smith_normal_form(dense_rows(rel, z), _build_v=False) if z else ([], [], [])
         )
-        self.u = u
-        self.u_inv = u_inv
-        diag = [
-            d[i][i]
-            for i in range(min(len(d), len(d[0]) if d else 0))
-            if d[i][i] != 0
-        ]
+        diag = [d[i][i] for i in range(min(z, len(rel))) if d[i][i]]
         self.factors = diag  # invariant factors of the relation matrix
         self.free_rows = list(range(len(diag), self.z))
         self.torsion_rows = [i for i, f in enumerate(diag) if f > 1]

@@ -141,12 +141,12 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
     """Stage s holds pointed relative classes of maps from the n-fold box
     power of the stage interval (boundary pinned to the basepoint); the
     transition to stage s+1 precomposes with the tower shrinking's power.
+    `tower` names the kind of the tower, one of `intervals.TOWER_KINDS`.
 
     Transitions are checked to be well defined on classes: every class at
     stage s must land in a single class at stage s+1.
     """
-    if isinstance(tower, str):
-        tower = TowerSpec(tower)
+    tower = TowerSpec(tower)
     if n < 0 or max_stage < 1:
         raise BadIndex("need n >= 0 and max_stage >= 1")
     stages = []

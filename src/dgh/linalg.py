@@ -12,9 +12,12 @@ Only the residual block, which has no unit entry left, goes to the dense
 Smith form, and that runs without U or V and modulo a nonzero minor of
 full rank, so its entries stay bounded.  The boundary matrices of nerves
 are sparse and nearly all of their pivots are units, so the residual is
-small or empty.  Transforms are built only for callers that read one:
-`kernel_basis`, `solve_integer` and `unimodular_inverse` (U and V), and
-homology coordinates, which read U and its inverse and skip V.
+small or empty.
+
+The dense Smith loop only eliminates: it logs its row and its column
+operations, and `_replay` builds U, V or their inverses from a log, each
+only for a caller that reads it.  `kernel_basis` reads the kernel and a
+left inverse of it off V and V's inverse from one Smith form.
 
 The dense Smith loop takes as pivot the first entry of least absolute
 value in row-major order from (t, t).  Its search goes row by row and
@@ -25,8 +28,8 @@ its output and must not change.
 
 Callers factor each matrix once and read everything they need from that
 one result: homology takes ranks and torsion from one factor list per
-boundary, and homology coordinates solve against one factorization of
-the kernel matrix.
+boundary, and homology coordinates read the kernel and its left inverse
+off one factorization of the boundary.
 """
 
 from __future__ import annotations
@@ -71,20 +74,17 @@ def copy_matrix(a):
     return [list(row) for row in a]
 
 
-def _smith(a, with_v=True, modulus=None):
-    """The one Smith loop: U, D, V with U*a*V = D diagonal, nonnegative,
-    divisibility chain.  Without `with_v` the third value is U's inverse
-    in place of V, kept as a list of columns: each row operation on U is
-    the inverse column operation on it (a row swap swaps two columns,
-    adding f times row src to row dst subtracts f times column dst from
-    column src, and a negated row negates a column).  No step reads a
-    transform to choose the next one, so U and D do not depend on which
-    is built.
+def _smith(a, modulus=None):
+    """The one Smith loop: D = U*a*V diagonal, nonnegative, divisibility
+    chain, and the logs of the row operations (which make U) and of the
+    column operations (which make V), in order.  An operation (src, dst, f)
+    adds f times line src to line dst, (i, j, None) swaps lines i and j and
+    (t, t, -1) negates line t; the loop builds no transform.
 
-    With a `modulus` no transform is built and every entry is kept reduced
-    modulo it, so D is diagonal over the integers modulo `modulus` but need
-    not be a divisibility chain.  Without one, entries can grow doubly
-    exponentially in the number of pivots on dense matrices with no unit.
+    With a `modulus` every entry is kept reduced modulo it, so D is diagonal
+    over the integers modulo `modulus` but need not be a divisibility chain.
+    Without one, entries can grow doubly exponentially in the number of
+    pivots on dense matrices with no unit.
 
     The pivot of step t is the first entry of least absolute value in
     row-major order from (t, t).  The search reads one row at a time and
@@ -96,53 +96,34 @@ def _smith(a, with_v=True, modulus=None):
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
-    if modulus is None:
-        d = copy_matrix(a)
-        u = identity(rows)
-        v = identity(cols) if with_v else None
-        u_inv = None if with_v else identity(rows)
-    else:
-        d = [[x % modulus for x in row] for row in a]
-        u = v = u_inv = None
+    d = copy_matrix(a) if modulus is None else [[x % modulus for x in row] for row in a]
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-        if u_inv is not None:
-            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+        row_ops.append((i, j, None))
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        col_ops.append((i, j, None))
 
     def add_row(src, dst, factor):
         d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
         if modulus is not None:
             d[dst] = [x % modulus for x in d[dst]]
-        if u is not None:
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-        if u_inv is not None:
-            u_inv[src] = [x - factor * y for x, y in zip(u_inv[src], u_inv[dst])]
+        row_ops.append((src, dst, factor))
 
     def add_col(src, dst, factor):
         for row in d:
             row[dst] += factor * row[src]
             if modulus is not None:
                 row[dst] %= modulus
-        if v is not None:
-            for row in v:
-                row[dst] += factor * row[src]
+        col_ops.append((src, dst, factor))
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-        if u_inv is not None:
-            u_inv[i] = [-x for x in u_inv[i]]
+        row_ops.append((i, i, -1))
 
     t = 0
     while True:
@@ -190,19 +171,44 @@ def _smith(a, with_v=True, modulus=None):
         t += 1
         if t >= min(rows, cols):
             break
-    return u, d, v if with_v else u_inv
+    return row_ops, d, col_ops
+
+
+def _replay(ops, n, inverse=False):
+    """The n x n transform of a `_smith` log: the identity's n vectors with
+    the log applied, so row operations give U by rows and column operations
+    V by columns.  With `inverse` the same log, in the same order, gives
+    U's inverse by columns and V's inverse by rows: adding f times line src
+    to line dst is undone by subtracting f times vector dst from vector
+    src, and a swap or a sign flip undoes itself."""
+    vectors = identity(n)
+    for src, dst, f in ops:
+        if f is None:
+            vectors[src], vectors[dst] = vectors[dst], vectors[src]
+        elif src == dst:
+            vectors[src] = [-x for x in vectors[src]]
+        elif inverse:
+            vectors[src] = [x - f * y for x, y in zip(vectors[src], vectors[dst])]
+        else:
+            vectors[dst] = [x + f * y for x, y in zip(vectors[dst], vectors[src])]
+    return vectors
 
 
 def smith_normal_form(a, *, _build_v=True):
     """U, D, V with U*a*V = D diagonal, nonnegative, divisibility chain,
-    and U, V unimodular.
+    and U, V unimodular, replayed from the Smith loop's logs.
 
     `_build_v=False` is for callers inside the package that read U, its
     inverse and D, but not V: V, by far the largest part for a wide
     matrix, is not built, and the third value is the columns of U's
     inverse (U and D are the same).
     """
-    return _smith(a, with_v=_build_v)
+    row_ops, d, col_ops = _smith(a)
+    u = _replay(row_ops, len(a))
+    if not _build_v:
+        return u, d, _replay(row_ops, len(a), inverse=True)
+    v = _replay(col_ops, len(d[0]) if d else 0)
+    return u, d, [list(row) for row in zip(*v)]
 
 
 def _eliminate_units(rows):
@@ -331,14 +337,15 @@ def matrix_rank(a):
 
 
 def kernel_basis(a):
-    """Columns spanning the integer kernel lattice (saturated)."""
-    if not a or not a[0]:
-        cols = len(a[0]) if a else 0
-        return identity(cols)
-    u, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    cols = len(a[0])
-    return [[v[row][j] for j in range(r, cols)] for row in range(cols)]
+    """K, whose columns span the integer kernel lattice of `a` (saturated),
+    and a left inverse L of K, both as rows: for one Smith form of rank r,
+    V's last n - r columns and the last n - r rows of V's inverse."""
+    cols = len(a[0]) if a else 0
+    _, d, col_ops = _smith(a)
+    r = sum(1 for i in range(min(len(d), cols)) if d[i][i])
+    kernel = _replay(col_ops, cols)[r:]
+    left_inverse = _replay(col_ops, cols, inverse=True)[r:]
+    return [[column[i] for column in kernel] for i in range(cols)], left_inverse
 
 
 def unimodular_inverse(a):

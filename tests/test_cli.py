@@ -404,6 +404,23 @@ class TestCommands:
         code, out = run(capsys, "check", "rho", "--m", "2", "--n", "2")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "rho", "--m", "2", "--n", "0"],
+            ["check", "rho", "--m", "3", "--n", "0"],
+            ["check", "kan", "--n", "0"],
+            ["check", "kan", "--m", "-1", "--n", "0"],
+        ],
+        ids=["rho-n0", "rho-odd-m-n0", "kan-n0", "kan-negative-m-n0"],
+    )
+    def test_check_without_dimensions_is_input_error(self, capsys, argv):
+        # n = 0 would run no check, not even on --m, and pass vacuously
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "need n >= 1, got 0", "kind": "input"}
+
     def test_check_shrinkings(self, files, capsys):
         code, out = run(capsys, "check", "shrinkings", "><><", "><")
         assert code == 0

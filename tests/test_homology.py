@@ -1,7 +1,7 @@
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgh.digraph import Digraph, DigraphMap, box_product, point
 from dgh.errors import BudgetExceeded, InputError, NotChainMap, NotConnected
@@ -20,6 +20,7 @@ from dgh.homology import (
 )
 from dgh.linalg import (
     _rank_and_minor,
+    _replay,
     _smith,
     identity,
     invariant_factors,
@@ -94,7 +95,7 @@ class TestSmith:
 
     def test_kernel_and_solver(self):
         a = [[1, 2, 3], [2, 4, 6]]
-        k = kernel_basis(a)
+        k, _ = kernel_basis(a)
         assert len(k[0]) == 2  # rank 1 in a 3-space
         for j in range(2):
             col = [k[r][j] for r in range(3)]
@@ -175,17 +176,17 @@ def wide_unit_rich(draw):
 
 
 class TestSmithPivotRule:
-    """`_smith` picks the same pivots as the full-scan loop of
+    """The Smith loop picks the same pivots as the full-scan loop of
     `conftest.full_scan_smith`, so U, D and V are equal entry for entry:
     `dgh compare` prints matrices read off U."""
 
     def check(self, a):
-        assert _smith(a) == full_scan_smith(a)
-        *u_and_d, u_inv = _smith(a, with_v=False)
+        assert smith_normal_form(a) == full_scan_smith(a)
+        *u_and_d, u_inv = smith_normal_form(a, _build_v=False)
         assert (*u_and_d, None) == full_scan_smith(a, with_v=False)
         assert_inverse_columns(u_and_d[0], u_inv)
         _, minor = _rank_and_minor(a)
-        assert _smith(a, modulus=minor) == full_scan_smith(a, modulus=minor)
+        assert _smith(a, modulus=minor)[1] == full_scan_smith(a, modulus=minor)[1]
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(st.integers(-3, 3)))
@@ -241,11 +242,35 @@ class TestSmithPivotRule:
         ],
     )
     def test_pinned_pivots(self, a, expected):
-        assert _smith(a) == expected
-        *u_and_d, u_inv = _smith(a, with_v=False)
+        assert smith_normal_form(a) == expected
+        *u_and_d, u_inv = smith_normal_form(a, _build_v=False)
         assert u_and_d == list(expected[:2])
         assert_inverse_columns(u_and_d[0], u_inv)
         assert full_scan_smith(a) == expected
+
+
+class TestKernelBasis:
+    """`kernel_basis` reads V off its one Smith form: the kernel is the last
+    n - r columns of the full-scan oracle's V, the left inverse is one,
+    and the column log replayed inverted is V's two-sided inverse."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(matrices(st.integers(-3, 3)), wide_unit_rich()))
+    @example([[]])
+    @example([[0, 0, 0]])
+    @example([[0], [0]])
+    @example([[0, 0], [0, 0]])
+    @example([[0, 2, 0], [0, -4, 0]])
+    @example([[1, 0, 3], [0, 0, 0]])
+    def test_against_full_scan(self, a):
+        cols = len(a[0]) if a else 0
+        _, d, v = full_scan_smith(a)
+        r = sum(1 for i in range(min(len(d), cols)) if d[i][i])
+        kernel, left_inverse = kernel_basis(a)
+        assert kernel == [row[r:] for row in v]
+        assert matmul(left_inverse, kernel) == identity(cols - r)
+        v_inv = _replay(_smith(a)[2], cols, inverse=True)
+        assert matmul(v, v_inv) == identity(cols) == matmul(v_inv, v)
 
 
 class TestKernelCoordinates:
