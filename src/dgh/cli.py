@@ -188,6 +188,7 @@ def cmd_nerve(args):
 
 
 def cmd_homology(args):
+    compared = _compared_degrees(args.maxdim) if args.triangulated else ()
     g = load_digraph(args.digraph)
     x = nerve_levels(g, args.nerve_m, 1, args.maxdim, args.max_cubes)
     summary = homology_summary(x)
@@ -199,7 +200,7 @@ def cmd_homology(args):
         t = triangulate(x).homology()
         report["triangulated_H"] = [grp.as_dict() for grp in t["groups"]]
         report["oracles_agree_below_top"] = all(
-            summary["groups"][n] == t["groups"][n] for n in range(args.maxdim)
+            summary["groups"][n] == t["groups"][n] for n in compared
         )
         report["pass"] = report["oracles_agree_below_top"]
     return report
@@ -222,11 +223,12 @@ def cmd_pi1(args):
 
 
 def cmd_compare(args):
+    below_top = _compared_degrees(args.maxdim)
     phi = load_map(args.map)
     cm = nerve_functor_map(phi, args.nerve_m, args.maxdim, args.max_cubes)
     degrees = {}
     all_iso = True
-    for n in range(args.maxdim):
+    for n in below_top:
         info = induced_homology_map(cm, n)
         degrees[str(n)] = {
             "matrix": info["matrix"],
@@ -285,6 +287,7 @@ def cmd_check_cover(args):
 
 
 def cmd_check_cover_equiv(args):
+    _compared_degrees(args.maxdim)
     phi = load_map(args.map)
     fam = SubdigraphFamily(phi.source, load_cover(args.cover))
     fam2 = SubdigraphFamily(phi.target, load_cover(args.cover_prime))
@@ -322,6 +325,14 @@ def _dimensions(n):
     if n < 1:
         raise BadIndex(f"need n >= 1, got {n}")
     return range(1, n + 1)
+
+
+def _compared_degrees(maxdim):
+    """0..maxdim-1 for `compare`, `homology --triangulated` and `check
+    cover-equiv`; --maxdim 0 would compare no degree."""
+    if maxdim < 1:
+        raise BadIndex(f"need --maxdim >= 1 to compare a degree, got {maxdim}")
+    return range(maxdim)
 
 
 def cmd_check_kan(args):

@@ -150,7 +150,6 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
     if n < 0 or max_stage < 1:
         raise BadIndex("need n >= 0 and max_stage >= 1")
     stages = []
-    sources = []
     for s in range(1, max_stage + 1):
         interval = tower.interval(s)
         cube = cube_realization(interval, n)
@@ -158,20 +157,15 @@ def an_tower(g, base, n, tower, max_stage, budget=DEFAULT_MAX_MAPS):
         stages.append(
             homotopy_classes(cube, g, rel_part=part, target_part=(base,), budget=budget)
         )
-        sources.append(cube)
     transitions = []
     for s in range(max_stage - 1):
         shr = tower.transition(s + 1).assignment
-        small = sources[s]
-        big = sources[s + 1]
-        table = []
-        for images in stages[s].maps:
-            lookup = dict(zip(small.vertices, images))
-            table.append(stages[s + 1].class_of_map(
-                tuple(lookup[tuple(shr[c] for c in w)] for w in big.vertices)
-            ))
+        small, big = stages[s], stages[s + 1]
+        # pull[k]: the small-cube position of the image of big-cube vertex k
+        pull = [small.source.index(tuple(shr[c] for c in w)) for w in big.source.vertices]
+        table = [big.class_of_map(tuple(map(images.__getitem__, pull))) for images in small.maps]
         class_table = {}
-        for k, c in enumerate(stages[s].class_of):
+        for k, c in enumerate(small.class_of):
             prev = class_table.setdefault(c, table[k])
             if prev != table[k]:
                 raise InputError(

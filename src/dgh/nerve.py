@@ -42,25 +42,28 @@ bytes holds it when |X_n| < 2^(8w) (`_lane`).  The repeats of a column
 j < m are joined in lanes the same way.  Every result is read back as a
 list of ints, so the tables stay lists.
 
-Every structure map is a walk map, read slice by slice and ranked.  On the
-big side, X_n -> X_{n-1} and the level maps, the walks are mapped as they
-are listed (`TruncatedCubicalSet._walk_positions`):
+Every structure map is a walk map, read slice by slice and ranked; x is a
+level-n cube with slices d_0 ... d_m, and c a level-(n-1) cube with slices
+c_0 ... c_m.  The three bases are the tables of index 1: two columns, and
+s_1 and gamma_{1,eps} ranked in level n from lists over the level-(n-1)
+columns (`TruncatedCubicalSet._ranked`):
 
-    d_{1,0} x = d_0 and d_{1,1} x = d_m                (columns 0 and m)
-    d_{i,eps} x = (d_{i-1,eps} d_0, ..., d_{i-1,eps} d_m)   for i >= 2
-    (phi_* x)   = (phi_* d_0, ..., phi_* d_m)          (`nerve_functor_map`)
-    (t^* x)     = (t^* d_t(0), ..., t^* d_t(m+delta))  (`comparison_map`)
+    d_{1,0} x = d_0, d_{1,1} x = d_m                   (columns 0 and m)
+    s_1 c             = (c, ..., c)
+    gamma_{1,eps} c   = (w_0, ..., w_m), where w_k is the level-(n-1) walk
+                        whose slice l is c_max(k,l) (eps = 0) or c_min(k,l)
+                        (eps = 1)
 
-On the small side, X_{n-1} -> X_n, the slices of the image of a cube c with
-slices c_0 ... c_m are lists over the level-(n-1) columns, ranked in level n
-(`TruncatedCubicalSet._ranked`):
+One rule gives every other table, and every level map of a map of nerves:
+apply index i one level down to each slice, mapping the walks as they are
+listed (`TruncatedCubicalSet._walk_positions`).  A face maps level n's
+walks into level n-1, a degeneracy or connection level n-1's into level n:
 
-    s_1 c           = (c, ..., c)
-    s_i c           = (s_{i-1} c_0, ..., s_{i-1} c_m)               for i >= 2
-    gamma_{i,eps} c = (gamma_{i-1,eps} c_0, ..., gamma_{i-1,eps} c_m) for i >= 2
-    gamma_{1,eps} c = (w_0, ..., w_m), where w_k is the level-(n-1) walk
-                      whose slice l is c_max(k,l) (eps = 0) or c_min(k,l)
-                      (eps = 1)
+    d_{i+1,eps} x     = (d_{i,eps} d_0, ..., d_{i,eps} d_m)
+    s_{i+1} c         = (s_i c_0, ..., s_i c_m)
+    gamma_{i+1,eps} c = (gamma_{i,eps} c_0, ..., gamma_{i,eps} c_m)
+    (phi_* x)         = (phi_* d_0, ..., phi_* d_m)          (`nerve_functor_map`)
+    (t^* x)           = (t^* d_t(0), ..., t^* d_t(m+delta))  (`comparison_map`)
 
 A mapped walk with a step that is not an arrow is not a cube, and is
 reported as a structure map leaving the enumerated level.  No image tuple
@@ -193,14 +196,14 @@ class TruncatedCubicalSet:
     in per-cube blocks (`_step_arrows`), and the rank tables start and pos_k
     of level n are `_ranks[n]` (`_rank_tables`).  `_add_level` lists the
     columns from the head blocks and the walk completions of the ranking
-    (`_walk_columns`).  The big-side tables map the walks as they are listed
-    (`_walk_positions`), the small-side tables rank lists read off the
-    level-(n-1) columns (`_ranked`), and the box-hom heads are walks
-    constrained slice by slice (`_heads`); both extend prefixes by the
-    blocks, adding in packed lanes (`_extended`).  The constructor holds
-    level 0, `_add_level` counts and appends a level from its step lists,
-    and `_build_tables` builds the tables once every level is there
-    (`nerve_levels`).
+    (`_walk_columns`).  The tables s_1 and gamma_{1,eps} rank lists read off
+    the level-(n-1) columns (`_ranked`), each table of index i + 1 maps the
+    walks of index i's source level as they are listed (`_walk_positions`),
+    and the box-hom heads are walks constrained slice by slice (`_heads`);
+    the last two extend prefixes by the blocks, adding in packed lanes
+    (`_extended`).  The constructor holds level 0, `_add_level` counts and
+    appends a level from its step lists, and `_build_tables` builds the
+    tables once every level is there (`nerve_levels`).
     """
 
     def __init__(self, target, m, sign):
@@ -281,8 +284,8 @@ class TruncatedCubicalSet:
 
     def _ranked(self, n, slices):
         """The level-n positions of the walks whose slice k is slices[k][x],
-        one walk per x, from lists of level-(n-1) positions.  Raises
-        InvalidCubicalSet when a step is not an arrow."""
+        one walk per x, from lists of level-(n-1) positions (the bases s_1
+        and gamma_{1,eps}); raises InvalidCubicalSet on a step not an arrow."""
         start, pos = self._ranks[n]
         try:
             ranks = list(map(start.__getitem__, slices[0]))
@@ -298,8 +301,9 @@ class TruncatedCubicalSet:
         to the level-n walk whose slice j is f[d_sel[j]], with f a list into
         level n-1.  `sel` is monotone and onto, with increments 0 or 1, so
         source step k crosses one target step and the other target steps are
-        constant.  Raises InvalidCubicalSet when a mapped walk is not a
-        level-n cube."""
+        constant.  The callers are the tables of index i + 1, with sel the
+        identity (`_build_tables`), and the level maps (`_slice_wise_levels`).
+        Raises InvalidCubicalSet when a mapped walk is not a level-n cube."""
         start, pos = self._ranks[n]
         crossed, stays = [], [[] for _ in range(len(arrows) + 1)]
         for j in range(len(sel) - 1):
@@ -329,27 +333,21 @@ class TruncatedCubicalSet:
             [dict() for _ in range(K + 1)] for _ in range(3)
         )
         F, S, C = self.faces, self.degens, self.connections
+        slices = range(m + 1)
         for n in range(1, K + 1):
             F[n][(1, 0)], F[n][(1, 1)] = self.columns[n][0], self.columns[n][m]
-            for i in range(2, n + 1):
-                for eps in (0, 1):
-                    F[n][(i, eps)] = self._walk_positions(
-                        n - 1, self._arrows[n], F[n - 1][(i - 1, eps)], range(m + 1)
-                    )
-            below = self.columns[n - 1]
             S[n][1] = self._ranked(n, [range(len(self.cubes[n - 1]))] * (m + 1))
-            for i in range(2, n + 1):
-                S[n][i] = self._ranked(n, _mapped(S[n - 1][i - 1], below))
-            for i in range(1, n):
+            if n > 1:
+                below = self.columns[n - 1]
                 for eps, fuse in ((0, max), (1, min)):
-                    if i == 1:
-                        slices = [
-                            self._ranked(n - 1, [below[fuse(k, l)] for l in range(m + 1)])
-                            for k in range(m + 1)
-                        ]
-                    else:
-                        slices = _mapped(C[n - 1][(i - 1, eps)], below)
-                    C[n][(i, eps)] = self._ranked(n, slices)
+                    C[n][(1, eps)] = self._ranked(n, [
+                        self._ranked(n - 1, [below[fuse(k, l)] for l in slices]) for k in slices
+                    ])
+            # index i + 1 at level n is index i at level n - 1 on each slice
+            for tables, level, walks in ((F, n - 1, n), (S, n, n - 1), (C, n, n - 1)):
+                for key, table in tables[n - 1].items():
+                    up = key + 1 if type(key) is int else (key[0] + 1, key[1])
+                    tables[n][up] = self._walk_positions(level, self._arrows[walks], table, slices)
         self.nondegenerate = self._nondegenerate_flags()
 
     def _nondegenerate_flags(self):
@@ -495,11 +493,6 @@ class _ImageTuples(Sequence):
         for column in self._columns[1:]:
             tuples = map(add, tuples, map(below.__getitem__, column))
         return tuples
-
-
-def _mapped(table, columns):
-    """Each column mapped through the index list `table`."""
-    return [list(map(table.__getitem__, column)) for column in columns]
 
 
 def _transposed(heads):

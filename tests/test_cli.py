@@ -421,6 +421,29 @@ class TestCommands:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "need n >= 1, got 0", "kind": "input"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "{dir}/id.json"],
+            ["homology", "{dir}/c3.json", "--triangulated"],
+            ["check", "cover-equiv", "{dir}/id.json", "{dir}/cover.json", "{dir}/cover.json"],
+        ],
+        ids=["compare", "homology-triangulated", "cover-equiv"],
+    )
+    def test_comparison_without_degrees_is_input_error(self, files, capsys, argv):
+        # --maxdim 0 would compare no degree and pass vacuously
+        (files / "id.json").write_text(json.dumps(
+            {"source": "c3.json", "target": "c3.json", "assignment": {v: v for v in "012"}}
+        ))
+        argv = [a.format(dir=files) for a in argv] + ["--maxdim", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "need --maxdim >= 1 to compare a degree, got 0", "kind": "input"
+        }
+        assert main(argv[:-1] + ["1"]) == 0
+
     def test_check_shrinkings(self, files, capsys):
         code, out = run(capsys, "check", "shrinkings", "><><", "><")
         assert code == 0

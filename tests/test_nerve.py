@@ -192,9 +192,10 @@ class TestNerveLevels:
             runs.append((len(made), len(cut)))
         assert runs[0] == runs[1]
         # m steps per level over levels 1 and 2; the heads search on level
-        # 1 packs m, and at m = 2 each level-2 face (2, eps) packs its second
-        # step
-        assert runs[0] == {1: (2, 1), 2: (4, 4)}[m]
+        # 1 packs m, and at m = 2 each level-2 face (2, eps) and the
+        # degeneracy s_2, walk maps of index 1 one level down, pack their
+        # second step
+        assert runs[0] == {1: (2, 1), 2: (4, 5)}[m]
 
     def test_budget_trip_at_level_four_stays_small(self, c3):
         # the level-3 columns of N_2(C3) are built, then the level-3 heads

@@ -381,6 +381,13 @@ def _largest_fitting(build, top_dim):
 def test_walk_rank_tables_match_image_tuple_lookup(g, m, sign, top_dim):
     x = _largest_fitting(lambda k: nerve_levels(g, m, sign, k, TABLE_ORACLE_BUDGET), top_dim)
     assert (x.faces, x.degens, x.connections) == image_tuple_tables(x)
+    # the keys in index order, eps inside: the first witness of a
+    # triangulation's cores, and naturality messages, are read in this order
+    pairs = [[(i, eps) for i in range(1, n + 1) for eps in (0, 1)] for n in range(x.top_dim + 1)]
+    assert [
+        (list(x.faces[n]), list(x.degens[n]), list(x.connections[n]))
+        for n in range(1, x.top_dim + 1)
+    ] == [(pairs[n], list(range(1, n + 1)), pairs[n - 1]) for n in range(1, x.top_dim + 1)]
     # the materialised tuples, cut into slices and looked up in the level
     # below, give back the stored columns; reading one cube at a time and
     # the whole level agree
