@@ -188,7 +188,9 @@ def cmd_nerve(args):
 
 
 def cmd_homology(args):
-    compared = _compared_degrees(args.maxdim) if args.triangulated else ()
+    compared = ()
+    if args.triangulated:
+        compared = _checked("--maxdim", args.maxdim, 0, " to compare a degree")
     g = load_digraph(args.digraph)
     x = nerve_levels(g, args.nerve_m, 1, args.maxdim, args.max_cubes)
     summary = homology_summary(x)
@@ -223,7 +225,7 @@ def cmd_pi1(args):
 
 
 def cmd_compare(args):
-    below_top = _compared_degrees(args.maxdim)
+    below_top = _checked("--maxdim", args.maxdim, 0, " to compare a degree")
     phi = load_map(args.map)
     cm = nerve_functor_map(phi, args.nerve_m, args.maxdim, args.max_cubes)
     degrees = {}
@@ -287,7 +289,7 @@ def cmd_check_cover(args):
 
 
 def cmd_check_cover_equiv(args):
-    _compared_degrees(args.maxdim)
+    _checked("--maxdim", args.maxdim, 0, " to compare a degree")
     phi = load_map(args.map)
     fam = SubdigraphFamily(phi.source, load_cover(args.cover))
     fam2 = SubdigraphFamily(phi.target, load_cover(args.cover_prime))
@@ -295,6 +297,7 @@ def cmd_check_cover_equiv(args):
 
 
 def cmd_nerve_theorem(args):
+    _checked("--maxdim", args.maxdim, 0, " to compare a degree")
     g = load_digraph(args.digraph)
     fam = SubdigraphFamily(g, load_cover(args.cover))
     return nerve_theorem_pipeline(g, fam, args.maxdim, args.max_cubes)
@@ -320,24 +323,20 @@ def cmd_check_lifting(args):
     return check_unique_lifting(p, horn, cube, budget=args.max_maps)
 
 
-def _dimensions(n):
-    """1..n for `check kan` and `check rho`; n < 1 would check nothing."""
-    if n < 1:
-        raise BadIndex(f"need n >= 1, got {n}")
-    return range(1, n + 1)
-
-
-def _compared_degrees(maxdim):
-    """0..maxdim-1 for `compare`, `homology --triangulated` and `check
-    cover-equiv`; --maxdim 0 would compare no degree."""
-    if maxdim < 1:
-        raise BadIndex(f"need --maxdim >= 1 to compare a degree, got {maxdim}")
-    return range(maxdim)
+def _checked(option, value, first=1, purpose=""):
+    """range(first, first + value), the items a command checks, counted by
+    `option`: the dimensions 1..n of `check kan` and `check rho`, or the
+    degrees 0..maxdim-1 that `compare`, `homology --triangulated`, `check
+    cover-equiv` and `nerve-theorem` compare.  An empty range would check
+    nothing and pass, so it is an input error."""
+    if value < 1:
+        raise BadIndex(f"need {option} >= 1{purpose}, got {value}")
+    return range(first, first + value)
 
 
 def cmd_check_kan(args):
     reports = []
-    for n in _dimensions(args.n):
+    for n in _checked("n", args.n):
         for i in range(1, n + 1):
             for eps in (0, 1):
                 reports.append(kan_filler_report(args.m, n, i, eps))
@@ -345,7 +344,7 @@ def cmd_check_kan(args):
 
 
 def cmd_check_rho(args):
-    reports = [check_rho_properties(n, args.m) for n in _dimensions(args.n)]
+    reports = [check_rho_properties(n, args.m) for n in _checked("n", args.n)]
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
 
 

@@ -2,10 +2,30 @@
 
 Each nondegenerate d-cube contributes one simplex per strictly increasing
 chain of cube corners that touches the interior (is not confined to a
-facet); the d! top simplices are the saturated corner chains.  Faces of a
-simplex are reduced to their canonical representative by walking chains
-into facets and collapsing along the degeneracy/connection witnesses of
-the carrying cube, which is exactly how the gluing works.
+facet); the d! top simplices are the saturated corner chains.  A simplex
+is keyed (d, cube, chain), and the keys of each dimension k are listed
+sorted: by d, then by cube, then by chain among the chains of k + 1
+corners at level d.  The boundary reads its rows off that order: the key
+(d, cube, chain) of dimension k is row
+
+    base[k][d] + (rank of cube among the nondegenerate d-cubes) * c_k(d)
+               + (rank of chain among the chains of k + 1 corners at d),
+
+where c_k(d) is the number of those chains and base[k][d] counts the
+k-simplices carried by the levels below d.  No key is looked up.
+
+A face drops one chain entry and is reduced to its canonical
+representative, which is exactly how the gluing works.  While the chain
+repeats no corner (else the face is degenerate and has no row), it walks
+into the first facet that holds every one of its corners; where no facet
+does, a nondegenerate cube carries the face, and a degenerate one
+collapses along its degeneracy or connection witness, the corners
+following the witness's grid map, one level down.  The facet walk depends
+only on (level, chain), not on the cube.  So a face chain is reduced on
+every nondegenerate d-cube at once: each facet step maps the whole group
+through one face table, the group splits where the walk stops by the
+level's nondegenerate flags, and its degenerate cubes regroup by witness
+and go on with the collapsed chain.
 
 The same Smith kernel also computes homology of abstract simplicial
 complexes (used for nerves of covers).
@@ -13,7 +33,7 @@ complexes (used for nerves of covers).
 
 from __future__ import annotations
 
-from itertools import combinations, count, product, repeat
+from itertools import accumulate, chain, combinations, count, product, repeat
 from operator import eq
 
 from .errors import InvalidCubicalSet
@@ -51,33 +71,67 @@ def _corner_chains(d):
     return chains
 
 
+def _by_length(level_chains, top_dim):
+    """[k]: the chains of k + 1 corners, sorted, for k = 0..top_dim."""
+    out = [[] for _ in range(top_dim + 1)]
+    for corners in level_chains:
+        out[len(corners) - 1].append(corners)
+    return [sorted(chains) for chains in out]
+
+
 def _simplex_ranks(x, chains):
     """Rank k: the nondegenerate d-cubes times the chains of k+1 corners in
     `chains[d]`, summed over d."""
     ranks = [0] * (x.top_dim + 1)
     for d, level_chains in enumerate(chains):
         n_cubes = sum(x.nondegenerate[d])
-        for chain in level_chains:
-            ranks[len(chain) - 1] += n_cubes
+        for corners in level_chains:
+            ranks[len(corners) - 1] += n_cubes
     return ranks
 
 
 def _simplex_keys(x, chains):
-    """The sorted simplex keys (d, cube, chain) of each dimension."""
+    """The simplex keys (d, cube, chain) of each dimension, listed sorted."""
     keys = [[] for _ in range(x.top_dim + 1)]
     for d, level_chains in enumerate(chains):
-        for cube in x.nondegenerate_cubes(d):
-            for chain in level_chains:
-                keys[len(chain) - 1].append((d, cube, chain))
-    return [sorted(level) for level in keys]
+        cubes = x.nondegenerate_cubes(d)
+        for k, sorted_chains in enumerate(_by_length(level_chains, x.top_dim)):
+            keys[k] += product((d,), cubes, sorted_chains)
+    return keys
+
+
+def _facet_walk(level, corners):
+    """The face tables (level, (axis, eps)) a chain walks through, and the
+    level and chain where it touches the interior; None once it repeats a
+    corner."""
+    steps = []
+    while not any(map(eq, corners, corners[1:])):
+        facet = next(
+            (
+                (axis, eps)
+                for axis in range(1, level + 1)
+                for eps in (0, 1)
+                if all(pt[axis - 1] == eps for pt in corners)
+            ),
+            None,
+        )
+        if facet is None:
+            return steps, level, corners
+        steps.append((level, facet))
+        corners = tuple(_drop(pt, facet[0]) for pt in corners)
+        level -= 1
+    return None
 
 
 class Triangulation:
     """The simplicial chain data of a truncated cubical set.
 
-    simplices[k]: list of reduced simplex keys of dimension k; the boundary
-    of a simplex drops one chain entry at a time (alternating signs) and
-    reduces the result.  Truncation: only simplices carried by cubes of
+    simplices[k]: the k-simplex keys (d, cube, chain), listed sorted by
+    (d, cube, chain), the order the rows are computed from (see the module
+    docstring).  The boundary of a simplex drops one chain entry at a time
+    (alternating signs) and reduces the result; `_face_rows` reduces one
+    face chain on all the nondegenerate d-cubes at once, and `_row_maps`
+    holds the arithmetic.  Truncation: only simplices carried by cubes of
     dimension <= top_dim exist, so dimensions above top_dim are not built.
     """
 
@@ -88,7 +142,8 @@ class Triangulation:
         # built: a chain of d+1 corners at most, so no chain is over top_dim
         check_ranks(_simplex_ranks(x, chains))
         self.simplices = _simplex_keys(x, chains)
-        self.index = [dict(zip(level, count())) for level in self.simplices]
+        # _chains[d][k]: the chains of k + 1 corners at level d, sorted
+        self._chains = [_by_length(level_chains, x.top_dim) for level_chains in chains]
         # each degenerate cube -> (corner map, its parameters, core cube),
         # read off the degeneracy then the connection tables with the first
         # witness winning: sigma_i by ascending i, then gamma_(i, eps)
@@ -101,57 +156,93 @@ class Triangulation:
                     zip(table, zip(repeat(op), repeat(params), count()))
                 )
 
+    # -- rows by arithmetic ----------------------------------------------------
+
+    def _row_maps(self):
+        """Per level d: each cube's rank among the nondegenerate d-cubes
+        (meaningful at those only), and {chain: (offset, stride)}, so that
+        the key (d, cube, chain) is row offset + rank * stride."""
+        x = self.x
+        ranks = [list(accumulate(flags, initial=0)) for flags in x.nondegenerate]
+        base = [0] * (x.top_dim + 1)
+        chain_rows = []
+        for d, by_length in enumerate(self._chains):
+            level = {}
+            for k, chains in enumerate(by_length):
+                level.update(zip(chains, zip(count(base[k]), repeat(len(chains)))))
+                base[k] += ranks[d][-1] * len(chains)
+            chain_rows.append(level)
+        return ranks, chain_rows
+
     # -- reduction to the canonical representative -------------------------
 
-    def reduce(self, level, cube, chain):
-        """Reduce (cube, corner chain) to its nondegenerate carrier, or
-        None when the simplex is degenerate (a repeated chain entry)."""
+    def _face_rows(self, d, face, cubes, row_maps):
+        """The row of the face chain `face` reduced on each of the
+        nondegenerate d-cubes `cubes`, in their order; None where it
+        reduces to a repeated corner (a degenerate simplex)."""
         x = self.x
-        while True:
-            if any(map(eq, chain, chain[1:])):
-                return None
-            # walk into a facet when every chain corner sits on it
-            facet = next(
-                (
-                    (axis, eps)
-                    for axis in range(1, level + 1)
-                    for eps in (0, 1)
-                    if all(pt[axis - 1] == eps for pt in chain)
-                ),
-                None,
-            )
-            if facet is not None:
-                cube = x.faces[level][facet][cube]
-                chain = tuple(_drop(pt, facet[0]) for pt in chain)
-            elif x.nondegenerate[level][cube]:
-                return (level, cube, chain)
-            else:
-                # collapse along the witness: the corners follow its grid map
-                op, params, cube = self._cores[level][cube]
-                chain = tuple(op(pt, *params) for pt in chain)
-            level -= 1
+        ranks, chain_rows = row_maps
+        rows = [None] * len(cubes)
+        groups = [(d, face, cubes, range(len(cubes)))]
+        while groups:
+            level, corners, cubes, slots = groups.pop()
+            walk = _facet_walk(level, corners)
+            if walk is None:
+                continue
+            steps, level, corners = walk
+            for n, facet in steps:
+                cubes = list(map(x.faces[n][facet].__getitem__, cubes))
+                if min(cubes) < 0 or max(cubes) >= len(x.nondegenerate[n - 1]):
+                    raise InvalidCubicalSet("face reduced to an unknown simplex")
+            flags = x.nondegenerate[level]
+            offset, stride = chain_rows[level][corners]
+            rank, cores = ranks[level], self._cores[level]
+            collapsed = {}
+            for cube, slot in zip(cubes, slots):
+                if flags[cube]:
+                    rows[slot] = offset + rank[cube] * stride
+                else:
+                    op, params, core = cores[cube]
+                    group = collapsed.setdefault((op, params), ([], []))
+                    group[0].append(core)
+                    group[1].append(slot)
+            for (op, params), group in collapsed.items():
+                groups.append((level - 1, tuple(op(pt, *params) for pt in corners), *group))
+        return rows
 
     # -- chain complex -------------------------------------------------------
 
-    def _faces(self, simplex):
-        """(row, sign) of each reduced face of a simplex; degenerate faces
-        are skipped."""
-        level, cube, chain = simplex
-        index = self.index[len(chain) - 2]
-        for drop in range(len(chain)):
-            reduced = self.reduce(level, cube, chain[:drop] + chain[drop + 1 :])
-            if reduced is None:
+    def _columns(self, k, row_maps):
+        """The boundary columns of the k-simplices, in key order, one level
+        d at a time: each face chain is reduced once on every d-cube."""
+        signs = [(-1) ** drop for drop in range(k + 1)]
+
+        def faces(rows):
+            return zip(rows, signs)
+
+        columns = []
+        for d, by_length in enumerate(self._chains):
+            cubes = self.x.nondegenerate_cubes(d)
+            if not (cubes and by_length[k]):
                 continue
-            row = index.get(reduced)
-            if row is None:
-                raise InvalidCubicalSet("face reduced to an unknown simplex")
-            yield row, (-1) ** drop
+            reduced = {}
+            per_chain = []
+            for corners in by_length[k]:
+                drops = []
+                for drop in range(k + 1):
+                    face = corners[:drop] + corners[drop + 1 :]
+                    if face not in reduced:
+                        reduced[face] = self._face_rows(d, face, cubes, row_maps)
+                    drops.append(reduced[face])
+                per_chain.append(zip(*drops))
+            # the cells of level d by cube, then by chain
+            columns += boundary_columns(chain.from_iterable(zip(*per_chain)), faces)
+        return columns
 
     def chain_complex(self):
-        columns = (
-            boundary_columns(level, self._faces) for level in self.simplices[1:]
-        )
-        return ChainComplex([len(level) for level in self.simplices], columns)
+        row_maps = self._row_maps()
+        columns = (self._columns(k, row_maps) for k in range(1, len(self.simplices)))
+        return ChainComplex(list(map(len, self.simplices)), columns)
 
     def homology(self):
         return homology(self.chain_complex())

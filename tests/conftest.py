@@ -676,6 +676,25 @@ def reference_triangulated_boundaries(t):
     return out
 
 
+def reference_triangulated_columns(t):
+    """Sparse boundary columns of a triangulation's simplices: each face
+    reduced by `reference_reduce` and its row looked up by key, the entries
+    in drop order and the ones that cancel dropped."""
+    out = [[]]
+    for k in range(1, len(t.simplices)):
+        rows = {simplex: row for row, simplex in enumerate(t.simplices[k - 1])}
+        columns = []
+        for level, cube, chain in t.simplices[k]:
+            column = {}
+            for drop in range(len(chain)):
+                face = reference_reduce(t.x, level, cube, chain[:drop] + chain[drop + 1 :])
+                if face is not None:
+                    column[rows[face]] = column.get(rows[face], 0) + (-1) ** drop
+            columns.append({row: c for row, c in column.items() if c})
+        out.append(columns)
+    return out
+
+
 def dense_square_defect(ranks, boundaries):
     """The first degree n with d_(n-1) d_n nonzero, or None."""
     for n in range(2, len(ranks)):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -208,6 +209,24 @@ class TestExitCodes:
             "kind": "internal",
         }
 
+    def test_face_reduced_to_no_simplex_is_internal_error(self, files, capsys, monkeypatch):
+        # the cubical complex is built and checked first; the triangulation
+        # then meets a d_(1,0) that names no vertex
+        init = triangulation.Triangulation.__init__
+
+        def corrupted(self, x):
+            init(self, x)
+            x.faces[1][(1, 0)] = [len(x.cubes[0])] * len(x.cubes[1])
+
+        monkeypatch.setattr(triangulation.Triangulation, "__init__", corrupted)
+        assert main(["homology", str(files / "c3.json"), "--triangulated"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "face reduced to an unknown simplex",
+            "kind": "internal",
+        }
+
     def test_non_integer_coordinate_base_is_unknown_vertex(self, files, capsys):
         assert main(["pi1", str(files / "c3.json"), "--base", "a:b"]) == 2
         captured = capsys.readouterr()
@@ -276,6 +295,123 @@ DOCUMENT = st.one_of(
 )
 
 
+# The integer options of every subcommand are drawn from INTS, and the
+# budgets from BUDGETS, small enough that no draw runs long.  The files are
+# fuzzed documents or valid ones over the 3-cycle on "0", "1", "2", so that
+# some draws pass.
+INTS = st.sampled_from([1, 0, 2, -1])
+BUDGETS = st.sampled_from([2000, 50, 1])
+PART = st.sampled_from(["0", "0,1", "a", "z", ""])
+C3 = {"vertices": ["0", "1", "2"], "arrows": [["0", "1"], ["1", "2"], ["2", "0"]]}
+MAPS = st.sampled_from([
+    {"source": "h.json", "target": "h.json", "assignment": {v: v for v in "012"}},
+    {"source": "h.json", "target": "h.json", "assignment": {v: "0" for v in "012"}},
+])
+COVERS = st.sampled_from([
+    {"members": {"a": ["0", "1", "2"]}},
+    {"members": {"a": ["0", "1"], "b": ["1", "2"], "c": ["2", "0"]}},
+    {"assignment": {"0": "0", "1": "0", "2": "2"}},
+])
+
+
+def _ints(data, *options):
+    return [item for option in options for item in (option, data.draw(INTS))]
+
+
+def _subcommands(parser):
+    """Every subcommand of `parser` as its path of names, the nested ones
+    (`check kan`) included."""
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths += [(name, *rest) for rest in _subcommands(sub)] or [(name,)]
+    return paths
+
+
+# subcommand -> (its arguments after the name, drawn over the fuzzed files
+# f, g and h; the items a passing report lists as checked, or None where
+# the command checks nothing)
+FUZZ = {
+    ("info",): (lambda d, f, g, h: [h], None),
+    ("pi0",): (lambda d, f, g, h: [h], None),
+    ("classes",): (
+        lambda d, f, g, h: [h, h, "--rel", d.draw(PART), "--target-part", d.draw(PART)],
+        None,
+    ),
+    ("antower",): (
+        lambda d, f, g, h: [
+            h, "--base", d.draw(PART), *_ints(d, "--n", "--stages"),
+            "--tower", d.draw(st.sampled_from(["st", "r", "l", "odd", "cantor"])),
+        ],
+        None,
+    ),
+    ("nerve",): (
+        lambda d, f, g, h: [
+            h, "--sign", d.draw(st.sampled_from("+-")), *_ints(d, "--m", "--maxdim"),
+            *d.draw(st.sampled_from([[], ["--tables"]])),
+        ],
+        None,
+    ),
+    ("homology",): (
+        lambda d, f, g, h: [
+            h, *_ints(d, "--nerve-m", "--maxdim"),
+            *d.draw(st.sampled_from([[], ["--triangulated"]])),
+        ],
+        # the degrees below the top, where the two oracles are compared
+        lambda r: r["triangulated_H"][:-1] if "pass" in r else None,
+    ),
+    ("pi1",): (
+        lambda d, f, g, h: [h, "--base", d.draw(PART), *_ints(d, "--nerve-m", "--maxdim")],
+        None,
+    ),
+    ("compare",): (
+        lambda d, f, g, h: [f, *_ints(d, "--nerve-m", "--maxdim")],
+        lambda r: r["degrees"],
+    ),
+    ("nerve-theorem",): (
+        lambda d, f, g, h: [h, g, *_ints(d, "--maxdim")],
+        lambda r: r["checked_degrees"],
+    ),
+    ("check", "shrinkings"): (
+        lambda d, f, g, h: [d.draw(st.text("<>", max_size=4)) for _ in range(2)],
+        None,
+    ),
+    ("check", "ddr"): (
+        lambda d, f, g, h: [h, "--part", d.draw(PART), "--eta", g],
+        lambda r: r["conditions"],
+    ),
+    ("check", "oddr"): (
+        lambda d, f, g, h: [h, "--part", d.draw(PART), "--eta", g],
+        lambda r: r["conditions"],
+    ),
+    ("check", "cover"): (
+        lambda d, f, g, h: [h, g, *_ints(d, "--maxdim")],
+        lambda r: r["levels"],
+    ),
+    ("check", "cover-equiv"): (
+        lambda d, f, g, h: [f, g, g, *_ints(d, "--maxdim")],
+        lambda r: r["global"],
+    ),
+    ("check", "covering"): (
+        lambda d, f, g, h: [f, *_ints(d, "--l")],
+        lambda r: r["conditions"],
+    ),
+    ("check", "lifting"): (
+        lambda d, f, g, h: [f, "--horn", ",".join(str(d.draw(INTS)) for _ in range(4))],
+        None,
+    ),
+    ("check", "kan"): (lambda d, f, g, h: _ints(d, "--m", "--n"), lambda r: r["fillers"]),
+    ("check", "rho"): (lambda d, f, g, h: _ints(d, "--m", "--n"), lambda r: r["reports"]),
+    ("verify",): (
+        lambda d, f, g, h: [
+            "paper", "--suite", d.draw(st.sampled_from(["closure", "saturation", "x"]))
+        ],
+        lambda r: r["checks"],
+    ),
+}
+
+
 class TestLoaderFuzz:
     @settings(max_examples=60, deadline=None)
     @given(DOCUMENT, DOCUMENT, DIGRAPH, st.sampled_from(["0", "0,1", "a", "z"]))
@@ -296,6 +432,41 @@ class TestLoaderFuzz:
                 assert code in (0, 1, 2, 3), argv
                 if code == 2:
                     assert out.getvalue() == "", argv
+
+    def test_fuzz_covers_every_subcommand(self):
+        # a subcommand added without a FUZZ entry fails here
+        assert sorted(_subcommands(build_parser())) == sorted(FUZZ)
+
+    @pytest.mark.parametrize("path", sorted(FUZZ), ids=" ".join)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=MAPS | DOCUMENT, g=COVERS | DOCUMENT, h=st.just(C3) | DIGRAPH, data=st.data()
+    )
+    def test_every_subcommand_keeps_the_exit_code_contract(self, path, f, g, h, data):
+        arguments, checked = FUZZ[path]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, name) for name in FILES]
+            for file, document in zip(paths, (f, g, h)):
+                file.write_text(json.dumps(document))
+            budgets = ["--max-cubes", data.draw(BUDGETS), "--max-maps", data.draw(BUDGETS)]
+            argv = [str(a) for a in [*budgets, *path, *arguments(data, *paths)]]
+            out, err = io.StringIO(), io.StringIO()
+            # any exception but argparse's exit escapes and fails the test:
+            # no input ends in a traceback
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2, 3), argv
+        if code >= 2:
+            assert out.getvalue() == "", argv
+            return
+        report = json.loads(out.getvalue())
+        if code == 0 and checked is not None:
+            # a pass must have checked something
+            items = checked(report)
+            assert items is None or len(items) >= 1, argv
 
 
 class TestDeterminism:
@@ -427,14 +598,16 @@ class TestCommands:
             ["compare", "{dir}/id.json"],
             ["homology", "{dir}/c3.json", "--triangulated"],
             ["check", "cover-equiv", "{dir}/id.json", "{dir}/cover.json", "{dir}/cover.json"],
+            ["nerve-theorem", "{dir}/c3.json", "{dir}/whole.json"],
         ],
-        ids=["compare", "homology-triangulated", "cover-equiv"],
+        ids=["compare", "homology-triangulated", "cover-equiv", "nerve-theorem"],
     )
     def test_comparison_without_degrees_is_input_error(self, files, capsys, argv):
         # --maxdim 0 would compare no degree and pass vacuously
         (files / "id.json").write_text(json.dumps(
             {"source": "c3.json", "target": "c3.json", "assignment": {v: v for v in "012"}}
         ))
+        (files / "whole.json").write_text(json.dumps({"members": {"a": ["0", "1", "2"]}}))
         argv = [a.format(dir=files) for a in argv] + ["--maxdim", "0"]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,10 +1,18 @@
+import hashlib
 from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgh.digraph import Digraph, DigraphMap, box_product, point
-from dgh.errors import BudgetExceeded, InputError, NotChainMap, NotConnected
+from dgh import homology
+from dgh.errors import (
+    BudgetExceeded,
+    InputError,
+    InvalidCubicalSet,
+    NotChainMap,
+    NotConnected,
+)
 from dgh.homology import (
     ChainComplex,
     GroupPresentation,
@@ -547,6 +555,36 @@ class TestTriangulation:
             tri = triangulate(x).homology()["groups"]
             for deg in (0, 1):
                 assert cub[deg] == tri[deg]
+
+
+    def test_k4_triangulation_of_c3_is_pinned(self, c3, monkeypatch):
+        # over the generator ceiling (31,314 2-simplices), so lifted here
+        # only; the digest was taken from the per-simplex face walk that
+        # the group walk replaced, and ChainComplex checks d o d on the way
+        monkeypatch.setattr(homology, "MAX_MATRIX_DIM", 100_000)
+        complex_ = triangulate(nerve_levels(c3, 1, 1, 4)).chain_complex()
+        assert complex_.ranks == [3, 2268, 31314, 80082, 53208]
+        digest = hashlib.sha256()
+        for n, columns in enumerate(complex_.columns):
+            digest.update(f"{n}:".encode())
+            for column in columns:
+                digest.update(repr(list(column.items())).encode())
+        assert digest.hexdigest() == (
+            "e37c799036762dc8671d25ab99560c1e55e5f9817e8e7e4ed6a136fef18431d0"
+        )
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("where", ["before", "past"])
+    def test_face_reduced_to_no_simplex_is_invalid(self, c3, level, where):
+        # a corrupted d_(1,0) whose entries name no cube of level - 1: the
+        # faces that keep only the first corner walk into it, at level 2
+        # on the way into d_(1,0) of level 1
+        x = nerve_levels(c3, 1, 1, 2)
+        bad = -1 if where == "before" else len(x.cubes[level - 1])
+        x.faces[level][(1, 0)] = [bad] * len(x.cubes[level])
+        t = triangulate(x)
+        with pytest.raises(InvalidCubicalSet, match="face reduced to an unknown simplex"):
+            t.chain_complex()
 
 
 class TestPresentationUtilities:

@@ -58,6 +58,7 @@ from conftest import (
     naive_one_step,
     reference_cubical_boundaries,
     reference_triangulated_boundaries,
+    reference_triangulated_columns,
     union_find_classes,
 )
 
@@ -575,6 +576,32 @@ def test_boundaries_match_dense_references(g, truncation):
         assert "ceiling" in str(exc)
         return
     assert dense_boundaries(t.chain_complex()) == reference_triangulated_boundaries(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digraphs(max_vertices=4, max_arrows=6),
+    st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]),
+)
+def test_triangulated_columns_match_the_reference_in_order(g, truncation):
+    # the rows are computed from the key order, so the keys must be sorted;
+    # the reference looks each reduced face up by key, and the entries of a
+    # column must come in drop order
+    m, top = truncation
+    try:
+        x = nerve_levels(g, m, 1, top, TABLE_ORACLE_BUDGET)
+        t = triangulate(x)
+    except BudgetExceeded as exc:
+        # at m = 2, K = 3 most of these nerves pass the cube budget, and
+        # some others the generator ceiling
+        assert "cubes" in str(exc) or "ceiling" in str(exc)
+        return
+    assert all(keys == sorted(keys) for keys in t.simplices)
+    columns = t.chain_complex().columns
+    reference = reference_triangulated_columns(t)
+    assert [list(map(list, map(dict.items, level))) for level in columns] == [
+        list(map(list, map(dict.items, level))) for level in reference
+    ]
 
 
 def _sparse(vector):
