@@ -24,7 +24,6 @@ from .linalg import (
     invariant_factors,
     kernel_basis,
     smith_normal_form,
-    zeros,
 )
 
 
@@ -89,7 +88,7 @@ def _compose(columns, column):
 def dense_rows(columns, height):
     """The `height` x len(columns) matrix of sparse columns as dense rows,
     the form `linalg` reads."""
-    rows = zeros(height, len(columns))
+    rows = [[0] * len(columns) for _ in range(height)]
     for j, column in enumerate(columns):
         for i, c in column.items():
             rows[i][j] = c
@@ -180,9 +179,10 @@ class HomologyCoordinates:
     maps cycle -> coordinates, for computing and comparing induced maps.
     `kernel` (a basis of the cycles) and `left_inverse` (a left inverse of
     it) are zero-free sparse columns, both read off the one Smith form of
-    the degree n boundary.  U of the relation matrix's Smith form is kept
-    as the dense rows `linalg` returned, and its inverse as the dense
-    columns; each is a replay of that Smith loop's operation log.
+    the degree n boundary.  Of the relation matrix's Smith form only the
+    rows of U and the columns of its inverse at the free and torsion rows
+    are kept, dicts {row: dense vector}, each replayed from that Smith
+    loop's operation log.
     """
 
     def __init__(self, complex_, n):
@@ -205,10 +205,10 @@ class HomologyCoordinates:
             if alpha is None:
                 raise NotChainMap("image does not lie in the kernel")
             rel.append(alpha)
-        self.u, d, self.u_inv = (
-            smith_normal_form(dense_rows(rel, z), _build_v=False) if z else ([], [], [])
+        self.u, diagonal, self.u_inv = (
+            smith_normal_form(dense_rows(rel, z), _build_v=False) if z else ({}, [], {})
         )
-        diag = [d[i][i] for i in range(min(z, len(rel))) if d[i][i]]
+        diag = [x for x in diagonal if x]
         self.factors = diag  # invariant factors of the relation matrix
         self.free_rows = list(range(len(diag), self.z))
         self.torsion_rows = [i for i, f in enumerate(diag) if f > 1]
@@ -334,11 +334,8 @@ class GroupPresentation:
 
     def abelianization(self):
         """(betti, invariant factors) of the abelianized presentation."""
-        mat = zeros(len(self.generators), len(self.relators))
-        for j, word in enumerate(self.relators):
-            for k, s in word:
-                mat[k][j] += s
-        facs = [d for d in invariant_factors(mat)]
+        columns = boundary_columns(self.relators, lambda word: word)
+        facs = invariant_factors(dense_rows(columns, len(self.generators)))
         betti = len(self.generators) - len(facs)
         return HomologyGroup(betti, [d for d in facs if d > 1])
 

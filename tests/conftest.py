@@ -9,7 +9,7 @@ cross-check.
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat
 from math import gcd
-from operator import add, contains
+from operator import add, contains, mul
 
 import pytest
 
@@ -838,6 +838,26 @@ def full_scan_smith(a, with_v=True, modulus=None):
         if d[i][i] < 0:
             negate_row(i)
     return u, d, v
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def assert_read_rows(rows, inverse, u, d):
+    """`rows` and `inverse` (dicts {i: vector}: rows of U and columns of
+    U's inverse, as `smith_normal_form(a, _build_v=False)` returns them)
+    against the whole U and D of a reference Smith form of `a`: the keys
+    are exactly the i whose diagonal entry of D is not 1 (an i past the
+    diagonal counts as 0), each row is row i of U, and U times column i
+    of the inverse is e_i."""
+    width = len(d[0]) if d else 0
+    which = [i for i in range(len(u)) if (d[i][i] if i < width else 0) != 1]
+    assert list(rows) == list(inverse) == which
+    assert [rows[i] for i in which] == [u[i] for i in which]
+    unit = identity(len(u))
+    for i in which:
+        assert [sum(map(mul, row, inverse[i])) for row in u] == unit[i]
 
 
 # -- the spread route of unique lifting --------------------------------------------

@@ -28,7 +28,7 @@ from dgh.homology import (
     homology_summary,
     normalized_chain_complex,
 )
-from dgh.linalg import solve_integer, unimodular_inverse
+from dgh.linalg import smith_normal_form, solve_integer, unimodular_inverse
 from dgh.homotopy import homotopy_classes
 from dgh.intervals import FWD, TowerSpec, standard_interval, truncation
 from dgh.nerve import (
@@ -42,6 +42,7 @@ from dgh.triangulation import _corner_chains, _simplex_keys, _simplex_ranks, tri
 
 from conftest import (
     all_pairs_one_step,
+    assert_read_rows,
     cycle,
     degenerate_cube_test,
     dense_boundaries,
@@ -647,17 +648,27 @@ def test_kernel_coordinates_match_integer_solves(g, truncation, data):
     st.sampled_from([(1, 1), (1, 2), (2, 1)]),
 )
 def test_generator_cycles_are_the_kernel_times_the_inverse_of_u(g, truncation):
-    # oracle: U of the relation matrix inverted by a second Smith form, whose
-    # entries explode on the relation matrices of m = 2, K = 2 (z up to 1,082)
+    # oracle: the whole U of the relation matrix, from the default Smith
+    # form, inverted by a second Smith form, whose entries explode on the
+    # relation matrices of m = 2, K = 2 (z up to 1,082); the coordinates
+    # keep U and its inverse only at the free and torsion rows
     m, top = truncation
     complex_, _ = normalized_chain_complex(nerve_levels(g, m, 1, top))
     for n in range(top + 1):
         coords = HomologyCoordinates(complex_, n)
         rows = coords.free_rows + coords.torsion_rows
+        if not coords.z:
+            assert coords.u == coords.u_inv == {} and rows == []
+            continue
+        relations = [coords._kernel_coords(c) for c in complex_.columns[n + 1]] if n < top else []
+        u, d, _ = smith_normal_form(dense_rows(relations, coords.z))
+        assert [d[i][i] for i in range(min(len(d), len(relations))) if d[i][i]] == coords.factors
+        assert_read_rows(coords.u, coords.u_inv, u, d)
+        assert list(coords.u) == rows
         if not rows:
             assert coords.generator_cycles() == []
             continue
-        inverse = unimodular_inverse(coords.u)
+        inverse = unimodular_inverse(u)
         kernel = dense_rows(coords.kernel, coords.rank)
         cycles = dense_product(kernel, [[row[i] for i in rows] for row in inverse], len(rows))
         assert coords.generator_cycles() == [_sparse(column) for column in zip(*cycles)]

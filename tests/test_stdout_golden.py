@@ -17,6 +17,10 @@ import pytest
 
 from dgh.cli import main
 from dgh.corpus import o_digraph
+from dgh.homology import HomologyCoordinates, normalized_chain_complex
+from dgh.nerve import nerve_levels
+
+from conftest import cycle
 
 ZIGZAG = "><><"  # anti-palindromic, so the antipodal gluing keeps arrow directions
 
@@ -62,6 +66,7 @@ def files(tmp_path):
         *square_cover_files(),
         *compare_files(),
         *one_side_empty_files(),
+        *long_cycle_files(),
     ):
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -150,6 +155,25 @@ def compare_files():
     ]
 
 
+LONG = 300
+
+
+def long_cycle_files():
+    """The directed 300-cycle and its identity map: in degree 0 the
+    relation matrix of its homology coordinates is 300 x 300."""
+    labels = [str(k) for k in range(LONG)]
+    return [
+        ("c300.json", {
+            "vertices": labels,
+            "arrows": [[labels[k], labels[(k + 1) % LONG]] for k in range(LONG)],
+        }),
+        ("c300-id.json", {
+            "source": "c300.json", "target": "c300.json",
+            "assignment": {v: v for v in labels},
+        }),
+    ]
+
+
 def one_side_empty_files():
     """Two isolated vertices a and b, covered by x = [a] and y = [b], sent
     to one point c, covered by x = [c] and y = [c]: the face {x, y} is in
@@ -212,6 +236,12 @@ GOLDEN = [
         '"target":{"rank":1,"torsion":[]}},"1":{"iso":false,"matrix":[[]],'
         '"source":{"rank":0,"torsion":[]},"target":{"rank":1,"torsion":[]}}},'
         '"iso_below_top":false,"pass":true}\n',
+    ),
+    (
+        # captured when the Smith loop was still dense
+        ["compare", "c300-id.json", "--nerve-m", "1", "--maxdim", "1"],
+        '{"degrees":{"0":{"iso":true,"matrix":[[1]],"source":{"rank":1,"torsion":[]},'
+        '"target":{"rank":1,"torsion":[]}}},"iso_below_top":true,"pass":true}\n',
     ),
 ]
 
@@ -301,12 +331,24 @@ TABLES = [
     GOLDEN + TABLES,
     ids=[
         "c3-triangulated", "wedge-fold", "rp2", "rp2-identity", "rp2-vertex", "empty-c3",
+        "c300-identity",
         "tables-c3-m1", "tables-fan-m2", "tables-c3-m0",
     ],
 )
 def test_stdout_is_pinned(files, capsys, argv, stdout):
     assert main([argv[0], str(files / argv[1]), *argv[2:]]) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_long_cycle_coordinates_read_only_free_and_torsion_rows():
+    # the compare above reads U and its inverse at these rows alone
+    complex_, _ = normalized_chain_complex(nerve_levels(cycle(LONG), 1, 1, 1))
+    assert complex_.ranks == [LONG, LONG]
+    for n in (0, 1):
+        coords = HomologyCoordinates(complex_, n)
+        rows = coords.free_rows + coords.torsion_rows
+        assert rows == ([LONG - 1] if n == 0 else [0])
+        assert list(coords.u) == list(coords.u_inv) == rows
 
 
 # Captured before the chain complexes were built from sparse columns.
